@@ -4,9 +4,11 @@ Reads a flat ``key = value`` config (``#`` starts a comment), builds the
 geometry / operator / problem, dispatches the requested action, and writes
 JSON reports, CSV logs and binary fields plus a manifest with checksums.
 
-Exit status: 0 on success, 1 when a certificate blocked a requested solve,
-2 on errors.  Identical config and seed reproduce byte-identical reports
-(the manifest carries wall-clock timing and is exempt).
+Exit status: 0 on success, 1 when a certificate blocked a requested solve
+(certified infeasibility, or a failed existence gate before a minimax
+solve), 2 on errors, invalid input values included.  Identical config and
+seed reproduce byte-identical reports (the manifest carries wall-clock
+timing and is exempt).
 """
 
 from __future__ import annotations
@@ -390,8 +392,6 @@ def _action_sobolev(config, params, grid, op, w: _Writer):
 def _certified_infeasible(config, op, prob):
     if not config.values["precheck_nonexistence"]:
         return None
-    if prob.mode != SOURCE:
-        return None
     rep = check_nonexistence(op, prob)
     if rep.conclusive and rep.satisfied:
         return rep
@@ -401,40 +401,69 @@ def _certified_infeasible(config, op, prob):
 def _action_solve(config, params, grid, op, w: _Writer):
     v = config.values
     prob = _build_problem(config, grid)
+    if prob.mode == SOURCE:
+        return _minimax(config, grid, op, prob, "solve", w)
+    schedule = _eps_schedule(config)
+    if schedule is not None:
+        rep = epsilon_continuation(op, prob, schedule,
+                                   tol_step=v["tol_step"],
+                                   tol_residual=v["tol_residual"],
+                                   maxiter=v["max_iter"])
+    else:
+        bracket = find_sub_super(op, prob)
+        rep = monotone_solve(op, prob, bracket,
+                             tol_step=v["tol_step"],
+                             tol_residual=v["tol_residual"],
+                             maxiter=v["max_iter"])
+    if v["save_fields"]:
+        w.field("solution", rep.u)
+    w.json("report.json", {"action": "solve", "outcome": "solved",
+                           "solver": _solver_report_payload(rep)})
+    return 0
+
+
+def _minimax(config, grid, op, prob, action, w: _Writer):
+    """Run the minimax solve unless a certificate blocks it (exit 1).
+
+    The blocking certificates are a certified infeasibility and, when
+    ``mp_require_cond`` is set, a failed existence gate.  The embedding
+    constant is computed once: here when the gate is on, otherwise inside
+    the solver.
+    """
+    v = config.values
     blocked = _certified_infeasible(config, op, prob)
     if blocked is not None:
         w.json("report.json", {
-            "action": "solve",
+            "action": action,
             "outcome": "certified-infeasible",
             "certificate": _jsonable(blocked),
         })
         return 1
-    if prob.mode == ABSORPTION:
-        schedule = _eps_schedule(config)
-        if schedule is not None:
-            rep = epsilon_continuation(op, prob, schedule,
-                                       tol_step=v["tol_step"],
-                                       tol_residual=v["tol_residual"],
-                                       maxiter=v["max_iter"])
-        else:
-            bracket = find_sub_super(op, prob)
-            rep = monotone_solve(op, prob, bracket,
-                                 tol_step=v["tol_step"],
-                                 tol_residual=v["tol_residual"],
-                                 maxiter=v["max_iter"])
-    else:
-        rep = mountain_pass_solve(op, prob,
-                                  phi=_phi_field(config, grid),
-                                  eps0=_eps0(config),
-                                  eps_schedule=_eps_schedule(config),
-                                  require_cond=v["mp_require_cond"],
-                                  n_nodes=v["mp_nodes"],
-                                  tol_residual=v["mp_tol_residual"],
-                                  max_sweeps=v["mp_max_sweeps"],
-                                  seed=v["seed"])
+    phi = _phi_field(config, grid)
+    S = None
+    if v["mp_require_cond"]:
+        S = sobolev_constant(op, seed=v["seed"])
+        cond = check_existence_cond(op, prob, phi=phi, S_psi=S)
+        if not cond.satisfied:
+            w.json("report.json", {
+                "action": action,
+                "outcome": "certificate-blocked",
+                "certificate": _jsonable(cond),
+            })
+            return 1
+    rep = mountain_pass_solve(op, prob,
+                              phi=phi,
+                              eps0=_eps0(config),
+                              eps_schedule=_eps_schedule(config),
+                              require_cond=v["mp_require_cond"],
+                              S_psi=S,
+                              n_nodes=v["mp_nodes"],
+                              tol_residual=v["mp_tol_residual"],
+                              max_sweeps=v["mp_max_sweeps"],
+                              seed=v["seed"])
     if v["save_fields"]:
         w.field("solution", rep.u)
-    w.json("report.json", {"action": "solve", "outcome": "solved",
+    w.json("report.json", {"action": action, "outcome": "solved",
                            "solver": _solver_report_payload(rep)})
     return 0
 
@@ -476,32 +505,10 @@ def _action_check_nonexistence(config, params, grid, op, w: _Writer):
 
 
 def _action_mountain_pass(config, params, grid, op, w: _Writer):
-    v = config.values
     prob = _build_problem(config, grid)
     if prob.mode != SOURCE:
         raise ConfigError("mountain-pass action requires mode = source")
-    blocked = _certified_infeasible(config, op, prob)
-    if blocked is not None:
-        w.json("report.json", {
-            "action": "mountain-pass",
-            "outcome": "certified-infeasible",
-            "certificate": _jsonable(blocked),
-        })
-        return 1
-    rep = mountain_pass_solve(op, prob,
-                              phi=_phi_field(config, grid),
-                              eps0=_eps0(config),
-                              eps_schedule=_eps_schedule(config),
-                              require_cond=v["mp_require_cond"],
-                              n_nodes=v["mp_nodes"],
-                              tol_residual=v["mp_tol_residual"],
-                              max_sweeps=v["mp_max_sweeps"],
-                              seed=v["seed"])
-    if v["save_fields"]:
-        w.field("solution", rep.u)
-    w.json("report.json", {"action": "mountain-pass", "outcome": "solved",
-                           "solver": _solver_report_payload(rep)})
-    return 0
+    return _minimax(config, grid, op, prob, "mountain-pass", w)
 
 
 def _action_lambda_star(config, params, grid, op, w: _Writer):
@@ -606,7 +613,7 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None,
     try:
         params, grid, op = _build(config)
         exit_code = _HANDLERS[values["action"]](config, params, grid, op, writer)
-    except PaneitzLabError as exc:
+    except (PaneitzLabError, ValueError) as exc:
         writer.json("error.json", {"error": type(exc).__name__, "message": str(exc)})
         exit_code = 2
     manifest = RunManifest(

@@ -136,7 +136,7 @@ class SpectralGrid:
     def npoints(self) -> int:
         return int(np.prod(self.sizes))
 
-    @property
+    @cached_property
     def cell_weight(self) -> float:
         return float(np.prod([L / m for L, m in zip(self.lengths, self.sizes)]))
 
@@ -165,12 +165,7 @@ class SpectralGrid:
     @cached_property
     def laplacian_eigenvalues(self) -> np.ndarray:
         """t(k) >= 0 on the full dual lattice, shaped like the grid."""
-        t = np.zeros(self.shape)
-        for axis, k in enumerate(self.wavenumbers):
-            sh = [1] * self.d
-            sh[axis] = self.sizes[axis]
-            t = t + (k.reshape(sh)) ** 2
-        return t
+        return sum(k**2 for k in np.meshgrid(*self.wavenumbers, indexing="ij", sparse=True))
 
     @cached_property
     def derivative_multipliers(self) -> tuple[np.ndarray, ...]:
@@ -179,16 +174,26 @@ class SpectralGrid:
         For even sizes the m = -N/2 mode has no well-defined odd derivative;
         dropping it keeps first derivatives of real fields real.
         """
-        out = []
-        for axis, k in enumerate(self.wavenumbers):
-            k = k.copy()
-            m = self.sizes[axis]
-            if m % 2 == 0:
-                k[m // 2] = 0.0
-            sh = [1] * self.d
-            sh[axis] = m
-            out.append(1j * k.reshape(sh))
-        return tuple(out)
+        ks = np.meshgrid(*self.wavenumbers, indexing="ij", sparse=True)
+        for m, k in zip(self.sizes, ks):
+            k.flat[m // 2] = 0.0
+        return tuple(1j * k for k in ks)
+
+    def rfft(self, values: np.ndarray) -> np.ndarray:
+        """Forward real FFT of grid values onto the half lattice."""
+        if self.d == 1:
+            return np.fft.rfft(values)
+        return np.fft.rfftn(values, axes=tuple(range(-self.d, 0)))
+
+    def irfft(self, hat: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`rfft`: half-lattice coefficients to grid values."""
+        if self.d == 1:
+            return np.fft.irfft(hat, n=self.sizes[0])
+        return np.fft.irfftn(hat, s=self.shape, axes=tuple(range(-self.d, 0)))
+
+    def half(self, a: np.ndarray) -> np.ndarray:
+        """View of a full-lattice array on the half lattice of :meth:`rfft`."""
+        return a[..., : self.sizes[-1] // 2 + 1]
 
     def integrate(self, values: np.ndarray) -> float:
         return float(np.sum(values) * self.cell_weight)
@@ -276,16 +281,16 @@ class ScalarField:
 def gradient_squared(psi: ScalarField) -> ScalarField:
     """Pointwise |grad psi|^2 by spectral differentiation on the periodic grid.
 
-    The result is a sum of squares of real derivative fields, hence
-    nonnegative up to roundoff; tiny negative noise is clamped to zero.
+    The result is a sum of squares of real derivative fields, so it is
+    nonnegative without clamping.
     """
     grid = psi.grid
-    hat = np.fft.fftn(psi.values)
+    hat = grid.rfft(psi.values)
     out = np.zeros(grid.shape)
     for mult in grid.derivative_multipliers:
-        d = np.fft.ifftn(mult * hat).real
+        d = grid.irfft(grid.half(mult) * hat)
         out += d * d
-    return ScalarField(grid, np.maximum(out, 0.0))
+    return ScalarField(grid, out)
 
 
 # --- field I/O -------------------------------------------------------------

@@ -91,10 +91,8 @@ def _newton_polish(op, prob, eps, u0, tol, accept_tol=None, maxiter=80,
                 op.apply_values(x.reshape(grid.shape)) - fp * x.reshape(grid.shape)
             ).ravel()
             lin = spla.LinearOperator((npts, npts), matvec=mv)
-            pre_sym = op._precond_symbol(0.0)
-            minv = lambda r: np.fft.ifftn(
-                np.fft.fftn(r.reshape(grid.shape)) / pre_sym
-            ).real.ravel()
+            pinv = op.preconditioner(0.0)
+            minv = lambda r: pinv(r.reshape(grid.shape)).ravel()
             M = spla.LinearOperator((npts, npts), matvec=minv)
             step, info = spla.minres(lin, -F.ravel(), rtol=1e-10, maxiter=4 * npts, M=M)
             if info != 0:

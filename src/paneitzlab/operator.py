@@ -52,6 +52,7 @@ class PaneitzOperator:
         self.W = ScalarField(grid, params.b_n * (params.Qconst - V.values))
         t = grid.laplacian_eigenvalues
         self.sigma = t * (t + params.alpha)
+        self._sigma_half = grid.half(self.sigma)
         self._dense = None
 
     # -- basic algebra ------------------------------------------------------
@@ -61,9 +62,9 @@ class PaneitzOperator:
             raise GridMismatchError("field lives on a different grid")
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
-        hat = np.fft.fftn(values)
-        out = np.fft.ifftn(self.sigma * hat).real
-        return out + self.W.values * values
+        out = self.grid.irfft(self._sigma_half * self.grid.rfft(values))
+        out += self.W.values * values
+        return out
 
     def apply(self, u: ScalarField) -> ScalarField:
         """P u, exact in the symbol part for band-limited fields."""
@@ -87,12 +88,17 @@ class PaneitzOperator:
 
     # -- linear solves --------------------------------------------------------
 
-    def _precond_symbol(self, lam: float) -> np.ndarray:
+    def preconditioner(self, lam: float):
+        """Inverse of the constant-coefficient part ``sigma + mean(W) + lam``.
+
+        Returns a function of grid values, exact for a constant potential.
+        """
         c = float(np.mean(self.W.values)) + lam
         scale = abs(self.params.beta) + abs(self.W.values).max() + abs(lam)
         if c <= 0.0:
             c = max(1e-8 * max(scale, 1.0), 1e-12)
-        return self.sigma + c
+        pre = self._sigma_half + c
+        return lambda r: self.grid.irfft(self.grid.rfft(r) / pre)
 
     def solve_shifted(self, lam: float, rhs: ScalarField, tol: float = 1e-12,
                       maxiter: int = 10000, check_coercivity: bool = True,
@@ -122,22 +128,13 @@ class PaneitzOperator:
         bnorm = float(np.abs(b).max())
         if bnorm == 0.0:
             return ScalarField(self.grid, np.zeros(self.grid.shape))
-        pre = self._precond_symbol(lam)
-        diag = self.W.values + lam
-
-        def mv(x):
-            hat = np.fft.fftn(x)
-            return np.fft.ifftn(self.sigma * hat).real + diag * x
-
-        def pinv(r):
-            return np.fft.ifftn(np.fft.fftn(r) / pre).real
-
+        pinv = self.preconditioner(lam)
         # at this breakdown residual the iteration has hit the floating-point
         # floor of the operator application, not a genuine indefiniteness
         breakdown_floor = 1e-8
 
         x = np.zeros_like(b) if x0 is None else x0.values.copy()
-        r = b - mv(x) if x0 is not None else b.copy()
+        r = b - self.apply_values(x) - lam * x if x0 is not None else b.copy()
         z = pinv(r)
         p = z.copy()
         rz = float(np.sum(r * z))
@@ -146,7 +143,7 @@ class PaneitzOperator:
             last = float(np.abs(r).max()) / bnorm
             if last <= tol:
                 return ScalarField(self.grid, x)
-            Ap = mv(p)
+            Ap = self.apply_values(p) + lam * p
             pAp = float(np.sum(p * Ap))
             if pAp <= 0.0 or rz <= 0.0:
                 if last <= breakdown_floor:

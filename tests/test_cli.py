@@ -115,6 +115,46 @@ class TestRun:
         assert rep["outcome"] == "certified-infeasible"
         assert rep["certificate"]["satisfied"]
 
+    @pytest.mark.parametrize("action", ["solve", "mountain-pass"])
+    def test_failed_existence_gate_exit(self, tmp_path, action):
+        cfg = ("n = 5\nR = 3.8\nsizes = 32\nmode = source\nA = 1\nB = 5\n"
+               "p = 1.5\nq = 2\nprecheck_nonexistence = false\n"
+               f"action = {action}\n")
+        man = run_config(cfg, tmp_path / "out")
+        assert man.exit_code == 1
+        rep = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert rep["action"] == action
+        assert rep["outcome"] == "certificate-blocked"
+        assert not rep["certificate"]["satisfied"]
+        assert rep["certificate"]["margin"] < 0.0
+        assert not (tmp_path / "out" / "error.json").exists()
+        assert (tmp_path / "out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("require_cond", ["true", "false"])
+    def test_minimax_computes_sobolev_once(self, tmp_path, monkeypatch, require_cond):
+        import paneitzlab.cli as cli
+        import paneitzlab.mountain_pass as mp
+
+        calls = []
+        for mod in (cli, mp):
+            orig = mod.sobolev_constant
+            monkeypatch.setattr(mod, "sobolev_constant",
+                                lambda *a, _orig=orig, **k: calls.append(1) or _orig(*a, **k))
+        cfg = ("n = 5\nR = 3.8\nsizes = 32\nmode = source\nA = 1\nB = 0.05\n"
+               "p = 1.5\nq = 2\naction = mountain-pass\n"
+               f"mp_require_cond = {require_cond}\n")
+        man = run_config(cfg, tmp_path / "out")
+        assert man.exit_code == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("bad", ["sizes = 60", "A = -1", "p = 0.5"])
+    def test_invalid_value_exit(self, tmp_path, bad):
+        man = run_config(f"n = 5\naction = solve\n{bad}\n", tmp_path / "out")
+        assert man.exit_code == 2
+        err = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert err["error"] == "ValueError"
+        assert (tmp_path / "out" / "manifest.json").exists()
+
     def test_solver_error_exit(self, tmp_path):
         # strong scalar-field gradient drives the potential negative while
         # B = 0 removes the damping: no bracket exists
