@@ -36,7 +36,7 @@ from .conditions import (
     lambda_star_bisect,
     lambda_star_bracket,
 )
-from .errors import ConfigError, PaneitzLabError
+from .errors import CertificateError, ConfigError, PaneitzLabError
 from .flow import parabolic_flow
 from .geometry import (
     ScalarField,
@@ -426,9 +426,7 @@ def _minimax(config, grid, op, prob, action, w: _Writer):
     """Run the minimax solve unless a certificate blocks it (exit 1).
 
     The blocking certificates are a certified infeasibility and, when
-    ``mp_require_cond`` is set, a failed existence gate.  The embedding
-    constant is computed once: here when the gate is on, otherwise inside
-    the solver.
+    ``mp_require_cond`` is set, the solver's failed existence gate.
     """
     v = config.values
     blocked = _certified_infeasible(config, op, prob)
@@ -439,28 +437,25 @@ def _minimax(config, grid, op, prob, action, w: _Writer):
             "certificate": _jsonable(blocked),
         })
         return 1
-    phi = _phi_field(config, grid)
-    S = None
-    if v["mp_require_cond"]:
-        S = sobolev_constant(op, seed=v["seed"])
-        cond = check_existence_cond(op, prob, phi=phi, S_psi=S)
-        if not cond.satisfied:
-            w.json("report.json", {
-                "action": action,
-                "outcome": "certificate-blocked",
-                "certificate": _jsonable(cond),
-            })
-            return 1
-    rep = mountain_pass_solve(op, prob,
-                              phi=phi,
-                              eps0=_eps0(config),
-                              eps_schedule=_eps_schedule(config),
-                              require_cond=v["mp_require_cond"],
-                              S_psi=S,
-                              n_nodes=v["mp_nodes"],
-                              tol_residual=v["mp_tol_residual"],
-                              max_sweeps=v["mp_max_sweeps"],
-                              seed=v["seed"])
+    try:
+        rep = mountain_pass_solve(op, prob,
+                                  phi=_phi_field(config, grid),
+                                  eps0=_eps0(config),
+                                  eps_schedule=_eps_schedule(config),
+                                  require_cond=v["mp_require_cond"],
+                                  n_nodes=v["mp_nodes"],
+                                  tol_residual=v["mp_tol_residual"],
+                                  max_sweeps=v["mp_max_sweeps"],
+                                  seed=v["seed"])
+    except CertificateError as exc:
+        if exc.certificate is None:
+            raise
+        w.json("report.json", {
+            "action": action,
+            "outcome": "certificate-blocked",
+            "certificate": _jsonable(exc.certificate),
+        })
+        return 1
     if v["save_fields"]:
         w.field("solution", rep.u)
     w.json("report.json", {"action": action, "outcome": "solved",

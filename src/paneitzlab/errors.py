@@ -34,7 +34,14 @@ class MountainPassGeometryError(SolverError):
 
 
 class CertificateError(PaneitzLabError):
-    """A certificate was evaluated outside its domain of validity."""
+    """A certificate was evaluated outside its domain of validity.
+
+    ``certificate`` carries the failed certificate when a gate refused a run.
+    """
+
+    def __init__(self, message, certificate=None):
+        super().__init__(message)
+        self.certificate = certificate
 
 
 class ConfigError(PaneitzLabError):

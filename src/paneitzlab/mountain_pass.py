@@ -231,7 +231,7 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
     if require_cond and not cond.satisfied:
         raise CertificateError(
             f"existence condition fails (margin {cond.margin:.3e}); "
-            "pass require_cond=False to attempt the search anyway"
+            "pass require_cond=False to attempt the search anyway", certificate=cond
         )
 
     s = power_norm_order(op.params, q, strict=False)

@@ -10,6 +10,8 @@ the whole operator diagonal in frequency space.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .errors import (
@@ -54,6 +56,7 @@ class PaneitzOperator:
         self.sigma = t * (t + params.alpha)
         self._sigma_half = grid.half(self.sigma)
         self._dense = None
+        self._dense_lock = threading.Lock()
 
     # -- basic algebra ------------------------------------------------------
 
@@ -193,12 +196,14 @@ class PaneitzOperator:
             raise PaneitzLabError(
                 f"dense assembly refused for {npts} grid points (cap {self.MAX_DENSE})"
             )
-        if self._dense is None:
-            eye = np.eye(npts).reshape((npts,) + self.grid.shape)
-            cols = np.empty((npts, npts))
-            for j in range(npts):
-                cols[:, j] = self.apply_values(eye[j]).ravel()
-            self._dense = 0.5 * (cols + cols.T)
+        # threads that share the operator (the sweep's cells) build it once
+        with self._dense_lock:
+            if self._dense is None:
+                eye = np.eye(npts).reshape((npts,) + self.grid.shape)
+                cols = np.empty((npts, npts))
+                for j in range(npts):
+                    cols[:, j] = self.apply_values(eye[j]).ravel()
+                self._dense = 0.5 * (cols + cols.T)
         return self._dense
 
 

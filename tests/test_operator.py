@@ -87,6 +87,29 @@ class TestApply:
         rhs = M @ u
         assert np.abs(lhs - rhs).max() < 1e-9 * np.abs(rhs).max()
 
+    def test_dense_matrix_built_once_across_threads(self, ref_params):
+        import threading
+
+        for _ in range(20):
+            op = pl.build_operator(ref_params, pl.SpectralGrid((64,), (TWO_PI,)))
+            applies = []
+            orig = op.apply_values
+            op.apply_values = lambda v: applies.append(1) or orig(v)
+            barrier = threading.Barrier(2)
+            mats = []
+
+            def build():
+                barrier.wait()
+                mats.append(op.dense_matrix())
+
+            threads = [threading.Thread(target=build) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert len(applies) == 64
+            assert mats[0] is mats[1]
+
 
 class TestTwoDimensional:
     def test_apply_and_solve(self, ref_params):

@@ -5,9 +5,6 @@ grids of dimension 1 to 3 whose axes include the size-1 and size-2 cases.
 """
 
 import numpy as np
-import pytest
-
-pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 import paneitzlab as pl
