@@ -22,7 +22,7 @@ params = pl.derive_coefficients(5, 3.8)
 grid = pl.SpectralGrid((64,), (2 * np.pi,))
 op = pl.build_operator(params, grid)
 
-S = pl.sobolev_constant(op, seed=0)
+S = pl.sobolev_constant(op)
 print(f"discrete embedding constant S = {S:.6f} on {grid.sizes}")
 
 prob = pl.ProblemSpec(
@@ -37,7 +37,7 @@ cond = pl.check_existence_cond(op, prob, S_psi=S)
 print(f"existence condition: lhs = {cond.lhs:.6f} < C = {cond.rhs:.6f} "
       f"-> satisfied = {cond.satisfied}")
 
-rep = pl.mountain_pass_solve(op, prob, S_psi=S, seed=0)
+rep = pl.mountain_pass_solve(op, prob, S_psi=S)
 print(f"\nsolution: u = {rep.u.max():.10f} (constant data, constant field), "
       f"residual {rep.residual:.2e}")
 print(f"pass level bracket: rim {rep.rim_value:.4f} < c_eps "
@@ -53,7 +53,7 @@ for e in rep.eps_trace[:3] + rep.eps_trace[-2:]:
 # the scalar picture: two positive roots of beta*u = 1/u^1.5 + 0.05 u^2;
 # the minimax search lands on the larger (the pass), the monotone bracket
 # between perturbed solutions lands on the smaller
-second = pl.second_solution_attempt(op, prob, rep.u, 0.002, S_psi=S, seed=0)
+second = pl.second_solution_attempt(op, prob, rep.u, 0.002, S_psi=S)
 print(f"\nsecond solution attempt: distinct = {second.extras['distinct']}, "
       f"u = {second.u.max():.10f} (gap {second.extras['gap_to_first']:.4f})")
 print(f"coefficient ordering held: {second.extras['ordering_ok']} "

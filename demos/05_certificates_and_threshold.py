@@ -47,13 +47,13 @@ for lam in (1.0, 8.0):
           f"{non.ingredients['printed_vs_derived']:.3f})")
 
 # the certified bracket and the empirical threshold
-S = pl.sobolev_constant(op, seed=0)
+S = pl.sobolev_constant(op)
 bracket = pl.lambda_star_bracket(op, 3.0, 2.0, S_psi=S)
 print(f"\ncertified bracket: [{bracket.lower:.3g}, {bracket.upper:.6f}]")
 print(f"published closed-form bounds (verbatim, not load-bearing): "
       f"[{bracket.printed_lower:.3g}, {bracket.printed_upper:.6f}]")
 
-result = pl.lambda_star_bisect(op, 3.0, 2.0, tol=1e-3, S_psi=S, seed=0)
+result = pl.lambda_star_bisect(op, 3.0, 2.0, tol=1e-3, S_psi=S)
 print(f"empirical threshold: {result.empirical:.6f} in "
       f"[{result.lower:.3g}, {result.upper:.6f}] "
       f"after {len(result.probes)} solver probes")

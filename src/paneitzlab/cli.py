@@ -379,7 +379,7 @@ def _action_eigen(config, params, grid, op, w: _Writer):
 
 
 def _action_sobolev(config, params, grid, op, w: _Writer):
-    S = sobolev_constant(op, seed=config.values["seed"])
+    S = sobolev_constant(op)
     w.json("report.json", {
         "action": "sobolev",
         "S_psi": S,
@@ -445,8 +445,7 @@ def _minimax(config, grid, op, prob, action, w: _Writer):
                                   require_cond=v["mp_require_cond"],
                                   n_nodes=v["mp_nodes"],
                                   tol_residual=v["mp_tol_residual"],
-                                  max_sweeps=v["mp_max_sweeps"],
-                                  seed=v["seed"])
+                                  max_sweeps=v["mp_max_sweeps"])
     except CertificateError as exc:
         if exc.certificate is None:
             raise
@@ -486,8 +485,7 @@ def _action_check_existence(config, params, grid, op, w: _Writer):
     if prob.mode == ABSORPTION:
         rep = check_existence_ineq(op, prob)
     else:
-        rep = check_existence_cond(op, prob, phi=_phi_field(config, grid),
-                                   seed=config.values["seed"])
+        rep = check_existence_cond(op, prob, phi=_phi_field(config, grid))
     w.json("report.json", {"action": "check-existence", "certificate": _jsonable(rep)})
     return 0
 
@@ -511,8 +509,7 @@ def _action_lambda_star(config, params, grid, op, w: _Writer):
     lam_max = None if v["lambda_max"] == "auto" else float(v["lambda_max"])
     result = lambda_star_bisect(op, v["p"], v["q"], tol=v["lambda_tol"],
                                 lambda_max=lam_max,
-                                solver_budget=v["solver_budget"],
-                                seed=v["seed"])
+                                solver_budget=v["solver_budget"])
     w.json("report.json", {"action": "lambda-star", "result": _jsonable(result)})
     return 0
 
@@ -523,7 +520,7 @@ def _action_sweep(config, params, grid, op, w: _Writer):
     ps = [float(x) for x in v["sweep_ps"].split(",")] if v["sweep_ps"] else [v["p"]]
     qs = [float(x) for x in v["sweep_qs"].split(",")] if v["sweep_qs"] else [v["q"]]
     cells = [(p, q, lam) for p in ps for q in qs for lam in lambdas]
-    S = sobolev_constant(op, seed=v["seed"])
+    S = sobolev_constant(op)
 
     def run_cell(idx_cell):
         idx, (p, q, lam) = idx_cell
@@ -544,8 +541,7 @@ def _action_sweep(config, params, grid, op, w: _Writer):
         if v["sweep_solve"]:
             try:
                 rep = mountain_pass_solve(op, prob, require_cond=False,
-                                          tol_residual=v["mp_tol_residual"],
-                                          seed=v["seed"])
+                                          tol_residual=v["mp_tol_residual"])
                 outcome, resid = "solved", rep.residual
                 solver_payload = rep.summary()
             except PaneitzLabError as exc:

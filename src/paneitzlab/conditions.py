@@ -220,8 +220,7 @@ def check_existence_ineq(op: PaneitzOperator, prob: ProblemSpec,
 
 def check_existence_cond(op: PaneitzOperator, prob: ProblemSpec,
                          phi: ScalarField | None = None,
-                         S_psi: float | None = None,
-                         seed: int = 0) -> ConditionReport:
+                         S_psi: float | None = None) -> ConditionReport:
     """Energy-norm existence certificate for the source sign.
 
     lhs = ||phi||^(p-1) * ||B||_{L^s}^((p+1)/(q-1)) * int A / phi^(p-1)
@@ -248,7 +247,7 @@ def check_existence_cond(op: PaneitzOperator, prob: ProblemSpec,
     if phi.min() <= 0.0:
         raise CertificateError("trial function must be positive")
     if S_psi is None:
-        S_psi = sobolev_constant(op, seed=seed)
+        S_psi = sobolev_constant(op)
     if S_psi <= 0.0:
         raise CertificateError(
             f"embedding constant {S_psi} is not positive; operator not coercive"
@@ -370,7 +369,7 @@ def _constant_problem(op: PaneitzOperator, lam: float, p: float, q: float,
 
 
 def lambda_star_bracket(op: PaneitzOperator, p: float, q: float,
-                        S_psi: float | None = None, seed: int = 0,
+                        S_psi: float | None = None,
                         cond_constant: float | None = None) -> LambdaStarResult:
     """Certified bracket [lower, upper] for the threshold coupling.
 
@@ -388,7 +387,7 @@ def lambda_star_bracket(op: PaneitzOperator, p: float, q: float,
     literally and reported alongside; they are not load-bearing.
     """
     if S_psi is None:
-        S_psi = sobolev_constant(op, seed=seed)
+        S_psi = sobolev_constant(op)
     s = power_norm_order(op.params, q, strict=True)
     prob1 = _constant_problem(op, 1.0, p, q)
     scale = max(abs(op.params.beta), 1.0)
@@ -453,7 +452,7 @@ def lambda_star_bracket(op: PaneitzOperator, p: float, q: float,
 
 def lambda_star_bisect(op: PaneitzOperator, p: float, q: float, tol: float,
                        lambda_max: float | None = None,
-                       solver_budget: int = 60, seed: int = 0,
+                       solver_budget: int = 60,
                        S_psi: float | None = None,
                        mp_kwargs: dict | None = None) -> LambdaStarResult:
     """Empirical threshold by bisection on solver feasibility.
@@ -471,12 +470,11 @@ def lambda_star_bisect(op: PaneitzOperator, p: float, q: float, tol: float,
     from .monotone import find_sub_super, monotone_solve
 
     if S_psi is None:
-        S_psi = sobolev_constant(op, seed=seed)
-    result = lambda_star_bracket(op, p, q, S_psi=S_psi, seed=seed)
+        S_psi = sobolev_constant(op)
+    result = lambda_star_bracket(op, p, q, S_psi=S_psi)
     result.tolerance = float(tol)
     mp_kwargs = dict(mp_kwargs or {})
     mp_kwargs.setdefault("tol_residual", 1e-6)
-    mp_kwargs.setdefault("seed", seed)
     mp_kwargs.setdefault("S_psi", S_psi)
 
     budget = [int(solver_budget)]

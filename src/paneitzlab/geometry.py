@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -179,20 +179,24 @@ class SpectralGrid:
             k.flat[m // 2] = 0.0
         return tuple(1j * k for k in ks)
 
-    def rfft(self, values: np.ndarray) -> np.ndarray:
+    # the numpy pair is chosen once per grid, so a transform costs no
+    # dispatch on the dimension
+    @cached_property
+    def rfft(self):
         """Forward real FFT of grid values onto the half lattice."""
         if self.d == 1:
-            return np.fft.rfft(values)
-        return np.fft.rfftn(values, axes=tuple(range(-self.d, 0)))
+            return np.fft.rfft
+        return partial(np.fft.rfftn, axes=tuple(range(-self.d, 0)))
 
-    def irfft(self, hat: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`rfft`: half-lattice coefficients to grid values."""
+    @cached_property
+    def irfft(self):
+        """Inverse of :attr:`rfft`: half-lattice coefficients to grid values."""
         if self.d == 1:
-            return np.fft.irfft(hat, n=self.sizes[0])
-        return np.fft.irfftn(hat, s=self.shape, axes=tuple(range(-self.d, 0)))
+            return partial(np.fft.irfft, n=self.sizes[0])
+        return partial(np.fft.irfftn, s=self.shape, axes=tuple(range(-self.d, 0)))
 
     def half(self, a: np.ndarray) -> np.ndarray:
-        """View of a full-lattice array on the half lattice of :meth:`rfft`."""
+        """View of a full-lattice array on the half lattice of :attr:`rfft`."""
         return a[..., : self.sizes[-1] // 2 + 1]
 
     def integrate(self, values: np.ndarray) -> float:

@@ -174,8 +174,7 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
                         S_psi: float | None = None,
                         n_nodes: int = PATH_NODES,
                         tol_residual: float = 1e-6,
-                        max_sweeps: int = 600,
-                        seed: int = 0) -> SolverReport:
+                        max_sweeps: int = 600) -> SolverReport:
     """Minimax search for the source-sign problem, then Newton sharpening.
 
     The trial direction ``phi`` (default: constant) is normalized to unit
@@ -226,7 +225,7 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
     phi_hat = phi.values / nphi
 
     if S_psi is None:
-        S_psi = sobolev_constant(op, seed=seed)
+        S_psi = sobolev_constant(op)
     cond = check_existence_cond(op, prob, phi=phi, S_psi=S_psi)
     if require_cond and not cond.satisfied:
         raise CertificateError(

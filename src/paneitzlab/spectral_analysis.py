@@ -71,12 +71,11 @@ class AnalysisReport:
 
 
 def analyze(op: PaneitzOperator, want_sobolev: bool = True,
-            want_eigen: bool = True, fields: dict | None = None,
-            seed: int = 0) -> AnalysisReport:
+            want_eigen: bool = True, fields: dict | None = None) -> AnalysisReport:
     """Bundle the requested spectral diagnostics into one report."""
     eig = principal_eigenpair(op) if want_eigen else None
     sign = invariant_sign(op, eig) if want_eigen else None
-    S = sobolev_constant(op, seed=seed) if want_sobolev else None
+    S = sobolev_constant(op) if want_sobolev else None
     norms = {name: energy_norm(op, u) for name, u in (fields or {}).items()}
     return AnalysisReport(
         S_psi=S,
@@ -95,37 +94,62 @@ def rayleigh_quotient(op: PaneitzOperator, u: ScalarField) -> float:
     return op.form(u) / denom
 
 
+def _scale(op: PaneitzOperator) -> float:
+    """Operator scale the iteration residuals are measured against."""
+    return max(abs(op.params.beta), float(np.abs(op.W.values).max()), 1.0)
+
+
+def _lp_norm(grid, values: np.ndarray, p: float) -> float:
+    """(integral |u|^p)^(1/p)."""
+    return grid.integrate(np.abs(values) ** p) ** (1.0 / p)
+
+
+def _inverse_iteration(op: PaneitzOperator, start: np.ndarray, e: float,
+                       shift: float, tol: float = 1e-10,
+                       maxiter: int = 20000) -> tuple[float, np.ndarray, int]:
+    """Nonlinear inverse power method for the quotient <u, P u> / ||u||_e^2.
+
+    Solves ``(P + shift) v = |u|^(e-2) u``, normalizes ``v`` in ``L^e`` and
+    takes the quotient ``Q = <v, P v>``.  With ``e = 2`` this is inverse power
+    iteration; with zero shift and a positive definite ``P`` the quotient
+    does not increase from one iterate to the next for any ``e >= 2``
+    (Biezuner, Ercole & Martins, J. Funct. Anal. 257, 2009).  Stops when the
+    Euler-Lagrange residual ``||P v - Q |v|^(e-2) v||_inf`` drops below
+    ``tol`` times the operator scale and raises ``ConvergenceError`` after
+    ``maxiter`` iterations; returns ``(Q, v, iterations)``.
+    """
+    grid = op.grid
+    scale = _scale(op)
+    v = start / _lp_norm(grid, start, e)
+    resid = np.inf
+    for it in range(1, maxiter + 1):
+        rhs = ScalarField(grid, np.abs(v) ** (e - 2.0) * v)
+        u = op.solve_shifted(shift, rhs, tol=1e-14, check_coercivity=False)
+        v = u.values / _lp_norm(grid, u.values, e)
+        pv = op.apply_values(v)
+        Q = grid.inner(v, pv)
+        resid = float(np.abs(pv - Q * np.abs(v) ** (e - 2.0) * v).max()) / scale
+        if resid <= tol:
+            return Q, v, it
+    raise ConvergenceError(
+        f"inverse iteration stalled at residual {resid:.3e}", residual=resid
+    )
+
+
 def principal_eigenpair(op: PaneitzOperator, tol: float = 1e-10,
                         maxiter: int = 20000) -> EigenPair:
     """Smallest eigenvalue of the operator by inverse power iteration.
 
+    Runs :func:`_inverse_iteration` with ``e = 2`` from the constant field.
     The operator is shifted by ``max(0, -min W) + margin`` so the inverse
-    exists even when the potential dips negative; the shift is subtracted off
-    the converged eigenvalue.  Stops when the eigen-residual
+    exists even when the potential dips negative; the quotient of the
+    unshifted operator is the eigenvalue.  Stops when the eigen-residual
     ``||P phi - lambda phi||_inf`` drops below ``tol`` times the operator
-    scale.
+    scale, and raises ``ConvergenceError`` after ``maxiter`` iterations.
     """
-    w = op.W.values
-    scale = max(abs(op.params.beta), float(np.abs(w).max()), 1.0)
-    shift = max(0.0, -float(w.min())) + 0.05 * scale
-    v = np.ones(op.grid.shape)
-    v /= np.sqrt(op.grid.inner(v, v))
-    lam = op.grid.inner(v, op.apply_values(v))
-    resid = np.inf
-    rhs = ScalarField(op.grid, v)
-    for it in range(1, maxiter + 1):
-        u = op.solve_shifted(shift, rhs, tol=1e-14, check_coercivity=False)
-        v = u.values / np.sqrt(op.grid.inner(u.values, u.values))
-        pv = op.apply_values(v)
-        lam = op.grid.inner(v, pv)
-        resid = float(np.abs(pv - lam * v).max()) / scale
-        if resid <= tol:
-            break
-        rhs = ScalarField(op.grid, v)
-    else:
-        raise ConvergenceError(
-            f"inverse iteration stalled at residual {resid:.3e}", residual=resid
-        )
+    shift = max(0.0, -op.W.min()) + 0.05 * _scale(op)
+    lam, v, it = _inverse_iteration(op, np.ones(op.grid.shape), 2.0, shift,
+                                    tol=tol, maxiter=maxiter)
     # normalize to max = 1 with a positive peak
     peak = v.flat[np.argmax(np.abs(v))]
     v = v / peak
@@ -167,86 +191,39 @@ def energy_norm(op: PaneitzOperator, u: ScalarField) -> float:
 # -- Sobolev constant ---------------------------------------------------------
 
 
-def _lp_norm_sq(grid, values: np.ndarray, p: float) -> float:
-    """(integral |u|^p)^(2/p)."""
-    return grid.integrate(np.abs(values) ** p) ** (2.0 / p)
-
-
 def critical_quotient(op: PaneitzOperator, u: ScalarField,
                       exponent: float | None = None) -> float:
     """<u, P u> / (integral |u|^e)^(2/e), e defaulting to the critical 2n/(n-4)."""
     e = op.params.two_sharp if exponent is None else exponent
-    denom = _lp_norm_sq(op.grid, u.values, e)
+    denom = _lp_norm(op.grid, u.values, e) ** 2
     if denom == 0.0:
         raise ValueError("quotient of the zero field")
     return op.form(u) / denom
 
 
-def _descend_quotient(op: PaneitzOperator, start: np.ndarray, exponent: float,
-                      maxiter: int, tol: float) -> tuple[float, np.ndarray]:
-    """Projected gradient descent for the constrained quadratic form.
-
-    Minimizes <u, P u> on the unit sphere of the L^exponent norm by steepest
-    descent with backtracking; the iterate is renormalized after each step.
-    """
-    grid = op.grid
-    e = exponent
-
-    def normalize(u):
-        nrm = grid.integrate(np.abs(u) ** e) ** (1.0 / e)
-        if nrm == 0.0 or not np.isfinite(nrm):
-            return None
-        return u / nrm
-
-    u = normalize(start.astype(float))
-    if u is None:
-        raise ValueError("zero start field")
-    f = grid.inner(u, op.apply_values(u))
-    step = 1.0
-    for _ in range(maxiter):
-        g = 2.0 * op.apply_values(u)
-        gnorm = np.sqrt(grid.inner(g, g))
-        if gnorm == 0.0:
-            break
-        d = g / gnorm
-        improved = False
-        s = step
-        for _ in range(60):
-            cand = normalize(u - s * d)
-            if cand is not None:
-                fc = grid.inner(cand, op.apply_values(cand))
-                if fc < f - 1e-16 * max(abs(f), 1.0):
-                    u, fprev, f = cand, f, fc
-                    step = min(s * 2.0, 1e6)
-                    improved = True
-                    break
-            s *= 0.5
-        if not improved:
-            break
-        if abs(fprev - f) <= tol * max(abs(f), 1e-300):
-            break
-    return f, u
-
-
-def sobolev_constant(op: PaneitzOperator, seed: int = 0, n_random: int = 3,
-                     maxiter: int = 4000, tol: float = 1e-14,
-                     exponent: float | None = None,
-                     return_minimizer: bool = False):
+def sobolev_constant(op: PaneitzOperator, exponent: float | None = None) -> float:
     """Best discrete constant S with ||u||_{L^e}^2 * S <= <u, P u>.
 
-    Estimated by projected gradient descent on the unit L^e sphere from a
-    constant start, seeded random starts, and a centered bump start; the
-    smallest value found wins.  Deterministic for a given seed.  The value is
-    grid-dependent and is only meaningful together with the grid signature.
+    Estimated by the nonlinear inverse iteration shared with
+    :func:`principal_eigenpair`, run without shift from the principal
+    eigenfunction and from two bumps (at the box center and at the
+    potential's most favorable point, which keeps the estimate equivariant
+    under grid translations of W); the smallest quotient wins.  An attained
+    quotient, hence an upper estimate of the infimum.  With ``e = 2`` it is
+    the first eigenvalue.
+
+    When the operator is not positive definite (``lambda1`` at or below
+    ``ZERO_EIGENVALUE_RTOL`` relative to the beta scale) there is nothing
+    for the unshifted iteration to invert, and the quotient of the principal
+    eigenfunction is returned: zero or negative.  The value is grid-dependent and is only meaningful together
+    with the grid signature.
     """
     grid = op.grid
     e = op.params.two_sharp if exponent is None else exponent
-    rng = np.random.default_rng(seed)
-    starts = [np.ones(grid.shape)]
-    for _ in range(n_random):
-        starts.append(rng.standard_normal(grid.shape))
-    # bumps at the box center and at the potential's most favorable point;
-    # the latter keeps the search equivariant under grid translations of W
+    eig = principal_eigenpair(op)
+    if eig.lambda1 <= ZERO_EIGENVALUE_RTOL * max(abs(op.params.beta), 1.0):
+        return critical_quotient(op, eig.phi1, e)
+    starts = [eig.phi1.values]
     mesh = grid.meshgrid()
     centers = [tuple(L / 2.0 for L in grid.lengths)]
     k_min = np.unravel_index(int(np.argmin(op.W.values)), grid.shape)
@@ -259,18 +236,7 @@ def sobolev_constant(op: PaneitzOperator, seed: int = 0, n_random: int = 3,
             dx = np.minimum(dx, L - dx)
             r2 = r2 + dx**2
         starts.append(np.exp(-r2 / (2.0 * width**2)))
-
-    best = np.inf
-    best_u = None
-    for s in starts:
-        val, u = _descend_quotient(op, s, e, maxiter, tol)
-        if val < best:
-            best, best_u = val, u
-    if not np.isfinite(best):
-        raise ConvergenceError("quotient descent diverged")
-    if return_minimizer:
-        return float(best), ScalarField(grid, best_u)
-    return float(best)
+    return float(min(_inverse_iteration(op, s, e, 0.0)[0] for s in starts))
 
 
 # -- positivity diagnostics ---------------------------------------------------

@@ -29,7 +29,7 @@ def ref_op(ref_params, ref_grid):
 
 @pytest.fixture(scope="session")
 def ref_sobolev(ref_op):
-    return pl.sobolev_constant(ref_op, seed=0)
+    return pl.sobolev_constant(ref_op)
 
 
 @pytest.fixture(scope="session")
@@ -46,7 +46,7 @@ def mp_op(mp_params, ref_grid):
 
 @pytest.fixture(scope="session")
 def mp_sobolev(mp_op):
-    return pl.sobolev_constant(mp_op, seed=0)
+    return pl.sobolev_constant(mp_op)
 
 
 @pytest.fixture(scope="session")
@@ -69,7 +69,7 @@ def bis_op(ref_grid):
 
 @pytest.fixture(scope="session")
 def bis_sobolev(bis_op):
-    return pl.sobolev_constant(bis_op, seed=0)
+    return pl.sobolev_constant(bis_op)
 
 
 def constant_problem(grid, a=1.0, b=1.0, p=3.0, q=2.0, mode="absorption"):

@@ -227,7 +227,7 @@ def test_c11_mountain_pass_contract(mp_op, mp_problem, mp_sobolev, mp_params):
     started = time.monotonic()
     cond = pl.check_existence_cond(mp_op, mp_problem, S_psi=mp_sobolev)
     assert cond.satisfied
-    rep = pl.mountain_pass_solve(mp_op, mp_problem, S_psi=mp_sobolev, seed=0)
+    rep = pl.mountain_pass_solve(mp_op, mp_problem, S_psi=mp_sobolev)
     elapsed = time.monotonic() - started
     assert rep.residual <= 1e-6
     assert rep.u.min() > 0.0
@@ -242,8 +242,7 @@ def test_c11_mountain_pass_contract(mp_op, mp_problem, mp_sobolev, mp_params):
 
 def test_c12_lambda_star_bracketing(ref_op, ref_sobolev):
     started = time.monotonic()
-    res = pl.lambda_star_bisect(ref_op, 3.0, 2.0, tol=1e-3, S_psi=ref_sobolev,
-                                seed=0)
+    res = pl.lambda_star_bisect(ref_op, 3.0, 2.0, tol=1e-3, S_psi=ref_sobolev)
     elapsed = time.monotonic() - started
     assert res.empirical is not None
     assert res.lower <= res.empirical <= res.upper

@@ -240,7 +240,7 @@ class TestLambdaStar:
         assert res.lower == 0.0
 
     def test_bisect_brackets_empirical(self, bis_op, bis_sobolev):
-        res = pl.lambda_star_bisect(bis_op, 1.5, 2.0, tol=2e-3, S_psi=bis_sobolev, seed=0)
+        res = pl.lambda_star_bisect(bis_op, 1.5, 2.0, tol=2e-3, S_psi=bis_sobolev)
         assert res.empirical is not None
         assert res.lower <= res.empirical <= res.upper
         assert res.anomaly == ""
@@ -250,8 +250,8 @@ class TestLambdaStar:
         assert res.upper - res.empirical <= 2e-3
 
     def test_bisect_tolerance_contract(self, bis_op, bis_sobolev):
-        coarse = pl.lambda_star_bisect(bis_op, 1.5, 2.0, tol=8e-3, S_psi=bis_sobolev, seed=0)
-        fine = pl.lambda_star_bisect(bis_op, 1.5, 2.0, tol=4e-3, S_psi=bis_sobolev, seed=0)
+        coarse = pl.lambda_star_bisect(bis_op, 1.5, 2.0, tol=8e-3, S_psi=bis_sobolev)
+        fine = pl.lambda_star_bisect(bis_op, 1.5, 2.0, tol=4e-3, S_psi=bis_sobolev)
         lo_c, hi_c = coarse.ingredients["interval"]
         lo_f, hi_f = fine.ingredients["interval"]
         assert hi_c - lo_c <= 8e-3 and hi_f - lo_f <= 4e-3
@@ -262,7 +262,7 @@ class TestLambdaStar:
         # over-certifies: its threshold exceeds the (sharp, on constants)
         # non-existence threshold; the bisection must report the anomaly
         # rather than hide it
-        res = pl.lambda_star_bisect(mp_op, 1.5, 2.0, tol=2e-3, S_psi=mp_sobolev, seed=0)
+        res = pl.lambda_star_bisect(mp_op, 1.5, 2.0, tol=2e-3, S_psi=mp_sobolev)
         assert res.lower > res.upper
         assert res.anomaly != ""
         assert res.empirical == pytest.approx(res.upper, abs=2e-3)

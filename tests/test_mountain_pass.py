@@ -12,7 +12,7 @@ TWO_PI = 2.0 * np.pi
 
 @pytest.fixture(scope="module")
 def mp_solution(mp_op, mp_problem, mp_sobolev):
-    return pl.mountain_pass_solve(mp_op, mp_problem, S_psi=mp_sobolev, seed=0)
+    return pl.mountain_pass_solve(mp_op, mp_problem, S_psi=mp_sobolev)
 
 
 class TestMountainPass:
@@ -107,7 +107,7 @@ class TestLichnerowiczExponents:
         with pytest.warns(RuntimeWarning):
             prob = constant_problem(ref_grid, b=1.0, p=11.0, q=9.0, mode="source")
             rep = pl.mountain_pass_solve(
-                ref_op, prob, S_psi=ref_sobolev, require_cond=False, seed=0
+                ref_op, prob, S_psi=ref_sobolev, require_cond=False
             )
         assert rep.residual <= 1e-6
         assert rep.u.min() > 0
@@ -161,9 +161,9 @@ class TestRegularizedEnergy:
 
 class TestSecondSolution:
     def test_distinct_solution_found(self, mp_op, mp_problem, mp_sobolev):
-        u_B = pl.mountain_pass_solve(mp_op, mp_problem, S_psi=mp_sobolev, seed=0).u
+        u_B = pl.mountain_pass_solve(mp_op, mp_problem, S_psi=mp_sobolev).u
         rep = pl.second_solution_attempt(
-            mp_op, mp_problem, u_B, 0.002, S_psi=mp_sobolev, seed=0
+            mp_op, mp_problem, u_B, 0.002, S_psi=mp_sobolev
         )
         assert rep is not None
         assert rep.extras["distinct"]
@@ -174,7 +174,7 @@ class TestSecondSolution:
         assert abs(rep.u.max() - u_B.max()) > 1e-4
 
     def test_degenerate_perturbation(self, mp_op, mp_problem, mp_sobolev):
-        u_B = pl.mountain_pass_solve(mp_op, mp_problem, S_psi=mp_sobolev, seed=0).u
+        u_B = pl.mountain_pass_solve(mp_op, mp_problem, S_psi=mp_sobolev).u
         rep = pl.second_solution_attempt(mp_op, mp_problem, u_B, 0.0)
         assert rep is not None
         assert not rep.extras["distinct"]
@@ -193,8 +193,8 @@ class TestSecondSolution:
         beta = mp_op.params.beta
         fold = (beta / nonexistence_constant(1.5, 2.0)) ** (3.5 / 2.5)
         prob = constant_problem(ref_grid, b=0.999 * fold, p=1.5, q=2.0, mode="source")
-        u_B = pl.mountain_pass_solve(mp_op, prob, S_psi=mp_sobolev, seed=0).u
+        u_B = pl.mountain_pass_solve(mp_op, prob, S_psi=mp_sobolev).u
         rep = pl.second_solution_attempt(
-            mp_op, prob, u_B, 0.01 * fold, S_psi=mp_sobolev, seed=0
+            mp_op, prob, u_B, 0.01 * fold, S_psi=mp_sobolev
         )
         assert rep is None

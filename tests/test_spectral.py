@@ -74,7 +74,7 @@ class TestInvariantSign:
         for shift in (0.0, ref_params.Qconst + 1.0):
             V = pl.ScalarField.constant(ref_grid, shift)
             op = pl.build_operator(ref_params, ref_grid, potential=V)
-            minimum = pl.sobolev_constant(op, seed=0, exponent=2.0)
+            minimum = pl.sobolev_constant(op, exponent=2.0)
             minimum /= op.grid.volume ** 0.0  # quotient already L2-normalized
             sign_descent = 0 if abs(minimum) < 1e-9 else (1 if minimum > 0 else -1)
             assert sign_descent == pl.invariant_sign(op)
@@ -125,7 +125,7 @@ class TestSobolevConstant:
     def test_random_search_oracle_coarse_grid(self, mp_params):
         grid = pl.SpectralGrid((16,), (TWO_PI,))
         op = pl.build_operator(mp_params, grid)
-        S = pl.sobolev_constant(op, seed=0)
+        S = pl.sobolev_constant(op)
         e = mp_params.two_sharp
         w = grid.cell_weight
         rng = np.random.default_rng(42)
@@ -153,9 +153,39 @@ class TestSobolevConstant:
             ref_params, ref_grid,
             potential=pl.ScalarField(ref_grid, np.roll(V.values, 7)),
         )
-        S1 = pl.sobolev_constant(op1, seed=0)
-        S2 = pl.sobolev_constant(op2, seed=0)
+        S1 = pl.sobolev_constant(op1)
+        S2 = pl.sobolev_constant(op2)
         assert S2 == pytest.approx(S1, rel=1e-10)
+
+
+class TestInverseIteration:
+    """The eigenpair and S_psi come from one nonlinear inverse iteration."""
+
+    @pytest.fixture(scope="class")
+    def negative_op(self, ref_params, ref_grid):
+        V = pl.ScalarField.constant(ref_grid, ref_params.Qconst + 1.0)
+        return pl.build_operator(ref_params, ref_grid, potential=V)
+
+    def test_l2_constant_is_first_eigenvalue(self, bump_op, negative_op):
+        for op in (bump_op, negative_op):
+            lam = pl.principal_eigenpair(op).lambda1
+            S = pl.sobolev_constant(op, exponent=2.0)
+            assert S == pytest.approx(lam, abs=1e-10 * max(1.0, abs(lam)))
+
+    def test_below_descent_value_above_spectral_bound(self, ref_op, ref_sobolev):
+        # 19.220906468745362 is the value the earlier projected descent reported
+        e = ref_op.params.two_sharp
+        w = ref_op.grid.cell_weight
+        lam = pl.principal_eigenpair(ref_op).lambda1
+        assert ref_sobolev < 19.220906468745362
+        assert ref_sobolev >= lam * w ** (1.0 - 2.0 / e)
+
+    def test_non_coercive_returns_eigenfunction_quotient(self, negative_op):
+        S = pl.sobolev_constant(negative_op)
+        eig = pl.principal_eigenpair(negative_op)
+        assert S == critical_quotient(negative_op, eig.phi1)
+        assert S < 0.0
+        assert pl.lambda_star_bracket(negative_op, 3.0, 2.0).lower == 0.0
 
 
 def test_analyze_report(ref_op):
