@@ -39,12 +39,25 @@ PATH_NODES = 32
 REPARAM_EVERY = 10
 
 
-def _energy_values(op, prob, eps, values):
+def _integrals(grid, values):
+    """Quadrature over the trailing grid axes: one value per stacked field."""
+    return np.sum(values, axis=tuple(range(-grid.d, 0))) * grid.cell_weight
+
+
+def _energy_values(op, prob, eps, values, pvalues=None):
+    """Regularized action of one field, or of each field in a stack.
+
+    A leading axis of ``values`` indexes a stack of fields.  ``pvalues`` is
+    the image ``P values`` when the caller already holds it; ``P`` is
+    applied only when it is not given.
+    """
     grid = op.grid
+    if pvalues is None:
+        pvalues = op.apply_values(values)
     up = np.maximum(values, 0.0)
-    quad = 0.5 * grid.inner(values, op.apply_values(values))
-    sing = grid.integrate(prob.A.values * (eps + up**2) ** (-(prob.p - 1) / 2.0))
-    power = grid.integrate(prob.B.values * up ** (prob.q + 1.0))
+    quad = 0.5 * _integrals(grid, values * pvalues)
+    sing = _integrals(grid, prob.A.values * (eps + up**2) ** (-(prob.p - 1) / 2.0))
+    power = _integrals(grid, prob.B.values * up ** (prob.q + 1.0))
     return quad + sing / (prob.p - 1.0) - power / (prob.q + 1.0)
 
 
@@ -74,8 +87,8 @@ def _newton_polish(op, prob, eps, u0, tol, accept_tol=None, maxiter=80,
             return u, resid, it
         raise ConvergenceError(msg, residual=resid)
 
+    F = op.apply_values(u) - smoothed_reaction(prob, u, eps)
     for it in range(1, maxiter + 1):
-        F = op.apply_values(u) - smoothed_reaction(prob, u, eps)
         resid = float(np.abs(F).max())
         if resid <= tol:
             return u, resid, it
@@ -107,7 +120,7 @@ def _newton_polish(op, prob, eps, u0, tol, accept_tol=None, maxiter=80,
                 continue
             Fc = op.apply_values(cand) - smoothed_reaction(prob, cand, eps)
             if float(np.abs(Fc).max()) < resid * (1.0 - 1e-4 * s) + 1e-300:
-                u = cand
+                u, F = cand, Fc
                 accepted = True
                 break
             s *= 0.5
@@ -116,47 +129,48 @@ def _newton_polish(op, prob, eps, u0, tol, accept_tol=None, maxiter=80,
     return give_up(f"polish exceeded {maxiter} iterations")
 
 
-def _path_max(op, prob, eps, nodes, refine=8):
+def _path_max(op, prob, eps, nodes, pnodes, refine=8):
     """Highest energy along the polyline trace, sampling segment interiors.
 
     Node-only maxima can cut the corner of a stiff ridge once descent has
     pulled the nodes down both slopes; interior samples recover the crossing
     (exactly so on a one-parameter family, where every path must pass
-    through every intermediate field).
+    through every intermediate field).  Samples and their images are
+    interpolated from ``nodes`` and ``pnodes = P nodes``, one stack of
+    ``refine`` per segment.
     """
+    ws = (np.arange(refine) / refine).reshape((-1,) + (1,) * op.grid.d)
     best_val = -np.inf
     best = nodes[0]
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        for k in range(refine):
-            w = k / refine
-            v = (1.0 - w) * a + w * b
-            val = _energy_values(op, prob, eps, v)
-            if val > best_val:
-                best_val, best = val, v
-    val = _energy_values(op, prob, eps, nodes[-1])
+    for j in range(len(nodes) - 1):
+        v = (1.0 - ws) * nodes[j] + ws * nodes[j + 1]
+        pv = (1.0 - ws) * pnodes[j] + ws * pnodes[j + 1]
+        vals = _energy_values(op, prob, eps, v, pv)
+        k = int(np.argmax(vals))
+        if vals[k] > best_val:
+            best_val, best = vals[k], v[k]
+    val = _energy_values(op, prob, eps, nodes[-1], pnodes[-1])
     if val > best_val:
         best_val, best = val, nodes[-1]
     return float(best_val), best.copy()
 
 
-def _reparametrize(op, nodes):
-    """Resample the polyline at uniform energy-norm arc length."""
-    segs = []
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        d = b - a
-        segs.append(max(np.sqrt(max(op.grid.inner(d, op.apply_values(d)), 0.0)), 1e-300))
+def _reparametrize(op, nodes, pnodes):
+    """Resample the polyline at uniform energy-norm arc length.
+
+    Segment lengths come from the carried images ``pnodes = P nodes``;
+    returns the resampled nodes with freshly applied images.
+    """
+    grid = op.grid
+    sq = _integrals(grid, np.diff(nodes, axis=0) * np.diff(pnodes, axis=0))
+    segs = np.maximum(np.sqrt(np.maximum(sq, 0.0)), 1e-300)
     cum = np.concatenate([[0.0], np.cumsum(segs)])
-    total = cum[-1]
-    targets = np.linspace(0.0, total, len(nodes))
-    out = [nodes[0]]
-    j = 0
-    for t in targets[1:-1]:
-        while cum[j + 1] < t and j < len(segs) - 1:
-            j += 1
-        w = (t - cum[j]) / (cum[j + 1] - cum[j])
-        out.append((1.0 - w) * nodes[j] + w * nodes[j + 1])
-    out.append(nodes[-1])
-    return out
+    targets = np.linspace(0.0, cum[-1], len(nodes))[1:-1]
+    j = np.minimum(np.searchsorted(cum[1:], targets), len(segs) - 1)
+    w = ((targets - cum[j]) / (cum[j + 1] - cum[j])).reshape((-1,) + (1,) * grid.d)
+    out = nodes.copy()
+    out[1:-1] = (1.0 - w) * nodes[j] + w * nodes[j + 1]
+    return out, op.apply_values(out)
 
 
 def _auto_eps0(op, prob, rim):
@@ -245,8 +259,8 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
         eps0 = _auto_eps0(op, prob, rim)
     eps0 = float(eps0)
 
-    def E(vals, eps=eps0):
-        return _energy_values(op, prob, eps, vals)
+    def E(vals, pvals=None):
+        return _energy_values(op, prob, eps0, vals, pvals)
 
     # endpoints below the rim on the ray through phi
     t0 = None
@@ -277,20 +291,28 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
 
     # path deformation: descend the highest interior node, with the step
     # capped by half the local node spacing (uncapped descent runs away down
-    # the unbounded tail for stiff exponents and shreds the path)
-    nodes = [((1.0 - w) * t0 + w * t2) * phi_hat for w in np.linspace(0.0, 1.0, n_nodes)]
-    energies = [E(v) for v in nodes]
+    # the unbounded tail for stiff exponents and shreds the path).  The path
+    # is one stack carrying its image pnodes = P nodes: a sweep applies P to
+    # the gradient alone and moves images by the same linear combinations as
+    # nodes, and every reparametrization applies P afresh.
+    ws = np.linspace(0.0, 1.0, n_nodes).reshape((-1,) + (1,) * grid.d)
+    nodes = ((1.0 - ws) * t0 + ws * t2) * phi_hat
+    pnodes = op.apply_values(nodes)
+    energies = E(nodes, pnodes)
     sweeps = 0
     stall = 0
     last_max = np.inf
+    path_stop = "cap"
     for sweep in range(1, max_sweeps + 1):
         sweeps = sweep
         i = 1 + int(np.argmax(energies[1:-1]))
-        u = nodes[i]
-        g = op.apply_values(u) - smoothed_reaction(prob, u, eps0)
+        u, pu = nodes[i], pnodes[i]
+        g = pu - smoothed_reaction(prob, u, eps0)
         gnorm = float(np.sqrt(grid.inner(g, g)))
         if gnorm <= 1e-12 * max(abs(energies[i]), 1.0):
+            path_stop = "flat-gradient"
             break
+        pg = op.apply_values(g)
         d_prev = u - nodes[i - 1]
         d_next = nodes[i + 1] - u
         spacing = min(
@@ -298,31 +320,30 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
             np.sqrt(grid.inner(d_next, d_next)),
         )
         su = min(1.0, 0.5 * spacing / gnorm)
-        moved = False
         for _ in range(60):
-            cand = u - su * g
-            ec = E(cand)
+            cand, pcand = u - su * g, pu - su * pg
+            ec = E(cand, pcand)
             if ec < energies[i] - 1e-16 * max(abs(energies[i]), 1.0):
-                nodes[i] = cand
-                energies[i] = ec
-                moved = True
+                nodes[i], pnodes[i], energies[i] = cand, pcand, ec
                 break
             su *= 0.5
-        if not moved:
+        else:
+            path_stop = "no-descent"
             break
         if sweep % REPARAM_EVERY == 0:
-            nodes = _reparametrize(op, nodes)
-            energies = [E(v) for v in nodes]
-        cur = max(energies)
+            nodes, pnodes = _reparametrize(op, nodes, pnodes)
+            energies = E(nodes, pnodes)
+        cur = float(energies.max())
         if abs(last_max - cur) <= 1e-10 * max(abs(cur), 1.0):
             stall += 1
             if stall >= 25:
+                path_stop = "stall"
                 break
         else:
             stall = 0
         last_max = cur
 
-    c_eps, u = _path_max(op, prob, eps0, nodes)
+    c_eps, u = _path_max(op, prob, eps0, nodes, pnodes)
 
     # sharpen along the regularization schedule, ending at the exact equation
     if eps_schedule is None:
@@ -400,6 +421,7 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
             "cond_satisfied": bool(cond.satisfied),
             "cond_margin": float(cond.margin),
             "path_sweeps": sweeps,
+            "path_stop": path_stop,
             "pass_level_in_bracket": bool(
                 rim < c_eps < (energy_at_r0 if energy_at_r0 is not None else np.inf)
             ),

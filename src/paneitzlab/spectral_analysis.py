@@ -206,11 +206,11 @@ def sobolev_constant(op: PaneitzOperator, exponent: float | None = None) -> floa
 
     Estimated by the nonlinear inverse iteration shared with
     :func:`principal_eigenpair`, run without shift from the principal
-    eigenfunction and from two bumps (at the box center and at the
-    potential's most favorable point, which keeps the estimate equivariant
-    under grid translations of W); the smallest quotient wins.  An attained
-    quotient, hence an upper estimate of the infimum.  With ``e = 2`` it is
-    the first eigenvalue.
+    eigenfunction and from bumps at the box center and, for a non-constant
+    potential, at its most favorable point (which keeps the estimate
+    equivariant under grid translations of W); the smallest quotient wins.
+    An attained quotient, hence an upper estimate of the infimum.  With
+    ``e = 2`` it is the first eigenvalue.
 
     When the operator is not positive definite (``lambda1`` at or below
     ``ZERO_EIGENVALUE_RTOL`` relative to the beta scale) there is nothing
@@ -226,8 +226,11 @@ def sobolev_constant(op: PaneitzOperator, exponent: float | None = None) -> floa
     starts = [eig.phi1.values]
     mesh = grid.meshgrid()
     centers = [tuple(L / 2.0 for L in grid.lengths)]
-    k_min = np.unravel_index(int(np.argmin(op.W.values)), grid.shape)
-    centers.append(tuple(x[k_min] for x in mesh))
+    # a constant potential has no favorable point: its argmin is index 0,
+    # whose bump is a lattice translate of the center one
+    if np.ptp(op.W.values) > 0.0:
+        k_min = np.unravel_index(int(np.argmin(op.W.values)), grid.shape)
+        centers.append(tuple(x[k_min] for x in mesh))
     width = min(grid.lengths) / 8.0
     for c in centers:
         r2 = np.zeros(grid.shape)

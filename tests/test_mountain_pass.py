@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import paneitzlab as pl
+from paneitzlab.mountain_pass import _energy_values
 from paneitzlab.problems import energy_gradient_values
 
 from _oracles import scalar_source_roots
@@ -98,6 +99,54 @@ class TestMountainPass:
         prob = constant_problem(ref_grid, mode="absorption")
         with pytest.raises(ValueError):
             pl.mountain_pass_solve(mp_op, prob)
+
+
+class TestStackedPath:
+    """The path is one stack of nodes carrying its image under P."""
+
+    @pytest.mark.parametrize("sizes", [(64,), (16, 8), (8, 4, 4)])
+    def test_stacked_energy_matches_per_field(self, mp_params, sizes):
+        grid = pl.SpectralGrid(sizes, (TWO_PI,) * len(sizes))
+        rng = np.random.default_rng(len(sizes))
+        psi = pl.ScalarField(grid, 0.2 * rng.standard_normal(sizes))
+        op = pl.build_operator(mp_params, grid, psi=psi)
+        prob = pl.ProblemSpec(
+            A=pl.ScalarField(grid, 1.0 + rng.random(sizes)),
+            B=pl.ScalarField(grid, 0.05 + 0.1 * rng.random(sizes)),
+            p=1.5, q=2.0, mode="source",
+        )
+        stack = rng.standard_normal((5,) + sizes) + 0.5
+        stacked = _energy_values(op, prob, 0.1, stack, op.apply_values(stack))
+        per_field = [_energy_values(op, prob, 0.1, v) for v in stack]
+        reference = [pl.energy(op, prob, 0.1, pl.ScalarField(grid, v)) for v in stack]
+        assert stacked.shape == (5,)
+        assert np.array_equal(stacked, per_field)
+        assert np.array_equal(stacked, reference)
+
+    def test_application_count(self, mp_op, mp_problem, mp_sobolev, monkeypatch):
+        # one application per sweep plus one batched refresh per
+        # reparametrization; re-applying P to every trial field took 5392
+        calls = []
+        apply = mp_op.apply_values
+
+        def counted(values):
+            calls.append(values.shape)
+            return apply(values)
+
+        monkeypatch.setattr(mp_op, "apply_values", counted)
+        rep = pl.mountain_pass_solve(mp_op, mp_problem, S_psi=mp_sobolev)
+        assert rep.extras["path_sweeps"] == 600
+        assert len(calls) <= 1000
+
+    def test_pass_level_and_stop_reason(self, mp_solution):
+        # 8.262404971810911 is the pass level of the per-node path
+        assert mp_solution.pass_level == pytest.approx(8.262404971810911, rel=1e-12)
+        assert mp_solution.extras["path_stop"] == "cap"
+
+    def test_no_sweeps_reads_cap(self, mp_op, mp_problem, mp_sobolev):
+        rep = pl.mountain_pass_solve(mp_op, mp_problem, S_psi=mp_sobolev, max_sweeps=0)
+        assert rep.extras["path_sweeps"] == 0
+        assert rep.extras["path_stop"] == "cap"
 
 
 class TestLichnerowiczExponents:

@@ -188,6 +188,27 @@ class TestInverseIteration:
         assert pl.lambda_star_bracket(negative_op, 3.0, 2.0).lower == 0.0
 
 
+    def test_constant_potential_runs_one_bump(self, ref_op, mp_op, bump_op,
+                                              monkeypatch):
+        # the values are those of the parent's two-bump search; with a
+        # constant potential its second bump repeated the first
+        from paneitzlab import spectral_analysis
+
+        runs = []
+        iterate = spectral_analysis._inverse_iteration
+
+        def counted(*args, **kwargs):
+            runs.append(args)
+            return iterate(*args, **kwargs)
+
+        monkeypatch.setattr(spectral_analysis, "_inverse_iteration", counted)
+        for op, expected, n_runs in ((ref_op, 18.228138486222758, 3),
+                                     (mp_op, 1.0306718461351074, 3),
+                                     (bump_op, 17.398849708202004, 4)):
+            runs.clear()
+            assert pl.sobolev_constant(op) == expected
+            assert len(runs) == n_runs
+
 def test_analyze_report(ref_op):
     rep = pl.analyze(ref_op, fields={"one": pl.ScalarField.constant(ref_op.grid, 1.0)})
     assert rep.invariant_sign == 1
