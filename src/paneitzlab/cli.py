@@ -109,7 +109,6 @@ _SCHEMA = {
     "tmax": ("float", 200.0),
     "flow_sample_every": ("int", 10),
     "lambda_tol": ("float", 1e-3),
-    "lambda_max": ("str", "auto"),
     "solver_budget": ("int", 60),
     "positivity_samples": ("int", 4),
     "sweep_lambdas": ("str", ""),
@@ -506,9 +505,7 @@ def _action_mountain_pass(config, params, grid, op, w: _Writer):
 
 def _action_lambda_star(config, params, grid, op, w: _Writer):
     v = config.values
-    lam_max = None if v["lambda_max"] == "auto" else float(v["lambda_max"])
     result = lambda_star_bisect(op, v["p"], v["q"], tol=v["lambda_tol"],
-                                lambda_max=lam_max,
                                 solver_budget=v["solver_budget"])
     w.json("report.json", {"action": "lambda-star", "result": _jsonable(result)})
     return 0
@@ -588,6 +585,10 @@ _HANDLERS = {
 }
 
 
+def _write_error(writer: _Writer, exc: Exception) -> None:
+    writer.json("error.json", {"error": type(exc).__name__, "message": str(exc)})
+
+
 def run(config: ExperimentConfig, out_dir: str | Path | None = None,
         workers: int | None = None, seed: int | None = None) -> RunManifest:
     """Execute the configured action and write all artifacts plus a manifest."""
@@ -605,7 +606,7 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None,
         params, grid, op = _build(config)
         exit_code = _HANDLERS[values["action"]](config, params, grid, op, writer)
     except (PaneitzLabError, ValueError) as exc:
-        writer.json("error.json", {"error": type(exc).__name__, "message": str(exc)})
+        _write_error(writer, exc)
         exit_code = 2
     manifest = RunManifest(
         action=values["action"],
@@ -653,6 +654,7 @@ def main(argv=None) -> int:
         config = parse_config(text, base_dir=Path(args.config).resolve().parent)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        _write_error(_Writer(Path(out or _SCHEMA["out"][1])), exc)
         return 2
     manifest = run(config, out_dir=out, workers=workers, seed=args.seed)
     print(f"paneitz-lab: action={manifest.action} exit={manifest.exit_code} "

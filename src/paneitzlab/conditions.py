@@ -66,7 +66,11 @@ class LambdaStarResult:
     condition with the constant trial function; ``upper`` the smallest
     coupling certified infeasible by the derived non-existence threshold.
     ``empirical`` (from bisection runs) carries the solver-observed
-    threshold.
+    threshold; the bisection never probes a coupling above ``upper``, where
+    no solution exists.  ``probes`` logs each solver probe as ``lam``,
+    ``feasible`` and, for an infeasible one, a ``reason``: the solver's
+    exception class and message, or ``"non-positive"`` / ``"residual"``
+    when the solve returned a field that fails the feasibility test.
     """
 
     lower: float
@@ -451,20 +455,26 @@ def lambda_star_bracket(op: PaneitzOperator, p: float, q: float,
 
 
 def lambda_star_bisect(op: PaneitzOperator, p: float, q: float, tol: float,
-                       lambda_max: float | None = None,
                        solver_budget: int = 60,
                        S_psi: float | None = None,
                        mp_kwargs: dict | None = None) -> LambdaStarResult:
-    """Empirical threshold by bisection on solver feasibility.
+    """Empirical threshold by bisection on solver feasibility inside [0, upper].
 
-    Feasibility at a coupling means the minimax solver finishes with residual
-    below 1e-6 and a strictly positive field.  The reported empirical value
-    is the largest coupling observed feasible; the enclosing interval is
-    recorded in the ingredients.  The dichotomy is assumed (feasible
-    couplings form an interval down from 0); bisection cannot observe
-    violations directly, but a feasible right endpoint after doubling is
-    flagged as an anomaly.  Probes run with the certificate gate lifted since
-    the interesting couplings lie beyond the certified-existence region.
+    Feasibility at a coupling means the solver (monotone at 0, minimax
+    above) finishes with residual below 1e-6 and a strictly positive field.
+    Couplings above ``upper`` are never probed, because none can be
+    feasible: integrating the equation leaves ``int W u`` on the left (the
+    spectral part has zero mean), and the non-existence certificate rules
+    that identity out for every coupling above ``upper``.  After the base
+    probe at 0 the search probes ``upper``; if it is feasible the empirical
+    value is ``upper``, otherwise [0, upper] is bisected down to ``tol`` or
+    until ``solver_budget`` probes are spent.  With ``upper == 0`` no
+    minimax probe runs.  The dichotomy is assumed (feasible couplings form
+    an interval down from 0).  The certified lower end does not start the
+    search, since the energy certificate can over-certify; an empirical
+    value outside [lower, upper] is flagged as an anomaly.  Probes run with
+    the certificate gate lifted, since the interesting couplings lie beyond
+    the certified-existence region.
     """
     from .mountain_pass import mountain_pass_solve
     from .monotone import find_sub_super, monotone_solve
@@ -481,38 +491,32 @@ def lambda_star_bisect(op: PaneitzOperator, p: float, q: float, tol: float,
 
     def probe(lam: float) -> bool:
         budget[0] -= 1
-        if lam == 0.0:
-            probA = _constant_problem(op, 0.0, p, q, mode=ABSORPTION)
-            try:
+        try:
+            if lam == 0.0:
+                probA = _constant_problem(op, 0.0, p, q, mode=ABSORPTION)
                 rep = monotone_solve(op, probA, find_sub_super(op, probA))
-            except SolverError:
-                return False
-            ok = rep.residual <= 1e-6 and rep.u.min() > 0.0
-        else:
-            prob = _constant_problem(op, lam, p, q)
-            try:
+            else:
+                prob = _constant_problem(op, lam, p, q)
                 rep = mountain_pass_solve(op, prob, require_cond=False, **mp_kwargs)
-            except SolverError:
-                result.probes.append({"lam": lam, "feasible": False})
-                return False
-            ok = bool(rep.converged and rep.residual <= 1e-6 and rep.u.min() > 0.0)
-        result.probes.append({"lam": lam, "feasible": bool(ok)})
-        return ok
+        except SolverError as exc:
+            reason = f"{type(exc).__name__}: {exc}"
+        else:
+            if rep.u.min() <= 0.0:
+                reason = "non-positive"
+            elif not rep.converged or rep.residual > 1e-6:
+                reason = "residual"
+            else:
+                result.probes.append({"lam": lam, "feasible": True})
+                return True
+        result.probes.append({"lam": lam, "feasible": False, "reason": reason})
+        return False
 
-    hi = float(lambda_max) if lambda_max is not None else max(2.0 * result.upper, 10.0 * tol)
     if not probe(0.0):
         result.anomaly = "coupling 0 infeasible; dichotomy violated at the base point"
         return result
-    lo = 0.0
-    expansions = 0
-    while probe(hi) and budget[0] > 0:
+    lo, hi = 0.0, result.upper
+    if hi > 0.0 and probe(hi):
         lo = hi
-        hi *= 2.0
-        expansions += 1
-        if expansions > 10:
-            result.anomaly = f"feasible beyond {lo}; no infeasible coupling found"
-            result.empirical = lo
-            return result
     while hi - lo > tol and budget[0] > 0:
         mid = 0.5 * (lo + hi)
         if probe(mid):

@@ -26,6 +26,8 @@ from .problems import (
     SOURCE,
     ProblemSpec,
     SolverReport,
+    _energy_values,
+    _integrals,
     energy,
     residual_sup,
     smoothed_reaction,
@@ -37,28 +39,6 @@ __all__ = ["mountain_pass_solve", "second_solution_attempt"]
 
 PATH_NODES = 32
 REPARAM_EVERY = 10
-
-
-def _integrals(grid, values):
-    """Quadrature over the trailing grid axes: one value per stacked field."""
-    return np.sum(values, axis=tuple(range(-grid.d, 0))) * grid.cell_weight
-
-
-def _energy_values(op, prob, eps, values, pvalues=None):
-    """Regularized action of one field, or of each field in a stack.
-
-    A leading axis of ``values`` indexes a stack of fields.  ``pvalues`` is
-    the image ``P values`` when the caller already holds it; ``P`` is
-    applied only when it is not given.
-    """
-    grid = op.grid
-    if pvalues is None:
-        pvalues = op.apply_values(values)
-    up = np.maximum(values, 0.0)
-    quad = 0.5 * _integrals(grid, values * pvalues)
-    sing = _integrals(grid, prob.A.values * (eps + up**2) ** (-(prob.p - 1) / 2.0))
-    power = _integrals(grid, prob.B.values * up ** (prob.q + 1.0))
-    return quad + sing / (prob.p - 1.0) - power / (prob.q + 1.0)
 
 
 def _newton_polish(op, prob, eps, u0, tol, accept_tol=None, maxiter=80,

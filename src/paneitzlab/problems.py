@@ -215,6 +215,28 @@ def residual_sup(op: PaneitzOperator, prob: ProblemSpec, u: ScalarField) -> floa
 # -- energy functionals -------------------------------------------------------
 
 
+def _integrals(grid, values):
+    """Quadrature over the trailing grid axes: one value per stacked field."""
+    return np.sum(values, axis=tuple(range(-grid.d, 0))) * grid.cell_weight
+
+
+def _energy_values(op, prob, eps, values, pvalues=None):
+    """Regularized action of one field, or of each field in a stack.
+
+    A leading axis of ``values`` indexes a stack of fields.  ``pvalues`` is
+    the image ``P values`` when the caller already holds it; ``P`` is
+    applied only when it is not given.
+    """
+    grid = op.grid
+    if pvalues is None:
+        pvalues = op.apply_values(values)
+    up = np.maximum(values, 0.0)
+    quad = 0.5 * _integrals(grid, values * pvalues)
+    sing = _integrals(grid, prob.A.values * (eps + up**2) ** (-(prob.p - 1) / 2.0))
+    power = _integrals(grid, prob.B.values * up ** (prob.q + 1.0))
+    return quad + sing / (prob.p - 1.0) - power / (prob.q + 1.0)
+
+
 def energy(op: PaneitzOperator, prob: ProblemSpec, eps: float,
            u: ScalarField) -> float:
     """Regularized action for the source-sign problem.
@@ -230,12 +252,8 @@ def energy(op: PaneitzOperator, prob: ProblemSpec, eps: float,
         raise ValueError("eps must be nonnegative")
     if eps == 0.0 and u.min() <= 0.0:
         raise ValueError("eps = 0 requires min(u) > 0")
-    grid = op.grid
-    up = np.maximum(u.values, 0.0)
-    quad = 0.5 * op.form(u)
-    sing = grid.integrate(prob.A.values * (eps + up**2) ** (-(prob.p - 1) / 2.0))
-    power = grid.integrate(prob.B.values * up ** (prob.q + 1))
-    return quad + sing / (prob.p - 1.0) - power / (prob.q + 1.0)
+    op._check_grid(u)
+    return float(_energy_values(op, prob, eps, u.values))
 
 
 def energy_gradient_values(op: PaneitzOperator, prob: ProblemSpec, eps: float,

@@ -22,6 +22,15 @@ seed = 0
 """
 
 
+# bad input and the error it exits 2 with; lambda_max is a removed key
+INVALID_INPUTS = {
+    "sizes = 60": "ValueError",
+    "A = -1": "ValueError",
+    "p = 0.5": "ValueError",
+    "lambda_max = 5": "ConfigError",
+}
+
+
 def run_config(text, out, **kw):
     return run(parse_config(text), out_dir=out, **kw)
 
@@ -147,13 +156,18 @@ class TestRun:
         assert man.exit_code == 0
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("bad", ["sizes = 60", "A = -1", "p = 0.5"])
+    @pytest.mark.parametrize("bad", list(INVALID_INPUTS))
     def test_invalid_value_exit(self, tmp_path, bad):
-        man = run_config(f"n = 5\naction = solve\n{bad}\n", tmp_path / "out")
-        assert man.exit_code == 2
+        from paneitzlab.cli import main
+
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"n = 5\naction = solve\n{bad}\n")
+        assert main([str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = json.loads((tmp_path / "out" / "error.json").read_text())
-        assert err["error"] == "ValueError"
-        assert (tmp_path / "out" / "manifest.json").exists()
+        assert err["error"] == INVALID_INPUTS[bad]
+        # a config that does not parse runs nothing, so it leaves no manifest
+        parsed = INVALID_INPUTS[bad] != "ConfigError"
+        assert (tmp_path / "out" / "manifest.json").exists() == parsed
 
     def test_solver_error_exit(self, tmp_path):
         # strong scalar-field gradient drives the potential negative while

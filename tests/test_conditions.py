@@ -257,6 +257,40 @@ class TestLambdaStar:
         assert hi_c - lo_c <= 8e-3 and hi_f - lo_f <= 4e-3
         assert lo_c - 1e-12 <= lo_f and hi_f <= hi_c + 1e-12
 
+    def test_bisect_stops_at_feasible_upper(self, bis_op, bis_sobolev):
+        # the certified upper end is the first minimax probe; on constant
+        # data it is feasible, so the search needs no other
+        res = pl.lambda_star_bisect(bis_op, 1.5, 2.0, tol=2e-3, S_psi=bis_sobolev)
+        assert res.probes == [{"lam": 0.0, "feasible": True},
+                              {"lam": res.upper, "feasible": True}]
+        assert res.empirical == res.upper
+        assert res.ingredients["interval"] == [res.upper, res.upper]
+
+    def test_bisect_never_probes_above_upper(self, ref_params, ref_grid):
+        x = ref_grid.meshgrid()[0]
+        psi = pl.ScalarField(ref_grid, np.sqrt(3.0) * np.sin(x))
+        op = pl.build_operator(ref_params, ref_grid, psi=psi)
+        res = pl.lambda_star_bisect(op, 3.0, 2.0, tol=1e-2,
+                                    mp_kwargs={"max_sweeps": 100})
+        assert max(pr["lam"] for pr in res.probes) == res.upper
+        # the value of the search that also probed 2 * upper first: the
+        # probes it drops above upper were all infeasible
+        assert res.empirical == pytest.approx(4.815542143343726, rel=1e-12)
+        infeasible = [pr for pr in res.probes if not pr["feasible"]]
+        assert infeasible and all(
+            pr["reason"].startswith("ConvergenceError: ") for pr in infeasible
+        )
+
+    def test_failed_base_probe_is_logged(self, ref_params, ref_grid):
+        # W = 0 gives upper = 0, and no bracket exists at coupling 0
+        V = pl.ScalarField.constant(ref_grid, ref_params.Qconst)
+        op = pl.build_operator(ref_params, ref_grid, potential=V)
+        res = pl.lambda_star_bisect(op, 3.0, 2.0, tol=1e-3)
+        assert res.upper == 0.0
+        assert [pr["lam"] for pr in res.probes] == [0.0]
+        assert res.probes[0]["reason"].startswith("BracketError: ")
+        assert res.anomaly.startswith("coupling 0 infeasible")
+
     def test_inconsistent_certificates_are_flagged(self, mp_op, mp_sobolev):
         # near unit embedding constant the published existence constant
         # over-certifies: its threshold exceeds the (sharp, on constants)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import paneitzlab as pl
-from paneitzlab.monotone import lipschitz_bound
+from paneitzlab.monotone import ORDER_SLACK, lipschitz_bound
 from paneitzlab.problems import reaction
 
 from _oracles import scalar_absorption_root
@@ -19,6 +20,11 @@ USTAR_B0 = 6.5625**-0.25
 @pytest.fixture(scope="module")
 def ref_prob(ref_grid):
     return constant_problem(ref_grid)
+
+
+@pytest.fixture(scope="module")
+def small_op(ref_params):
+    return pl.build_operator(ref_params, pl.SpectralGrid((16,), (TWO_PI,)))
 
 
 class TestFindSubSuper:
@@ -115,6 +121,25 @@ class TestMonotoneSolve:
             pl.find_sub_super(ref_op, p2),
         )
         assert float((rep1.u.values - rep2.u.values).min()) > -1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), gap=st.floats(0.05, 1.0),
+           p=st.floats(1.5, 4.0), q=st.floats(1.2, 3.0))
+    def test_comparison_in_A_property(self, small_op, seed, gap, p, q):
+        # A1 <= A2 pointwise gives u1 <= u2 pointwise
+        grid = small_op.grid
+        rng = np.random.default_rng(seed)
+        A1 = 0.5 + rng.random(grid.shape)
+        A2 = A1 + gap * rng.random(grid.shape)
+        B = pl.ScalarField(grid, 0.5 + rng.random(grid.shape))
+
+        def solve(A):
+            prob = pl.ProblemSpec(pl.ScalarField(grid, A), B, p, q)
+            return pl.monotone_solve(small_op, prob, pl.find_sub_super(small_op, prob)).u.values
+
+        u1, u2 = solve(A1), solve(A2)
+        assert float((u1 - u2).max()) <= ORDER_SLACK * max(float(u2.max()), 1.0)
+        assert float((u2 - u1).max()) > 0.0
 
     def test_variable_coefficients(self, ref_op, ref_grid):
         x = ref_grid.meshgrid()[0]

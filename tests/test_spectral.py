@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh
 
 import paneitzlab as pl
@@ -121,6 +122,16 @@ class TestSobolevConstant:
         q1 = critical_quotient(ref_op, u)
         q2 = critical_quotient(ref_op, -7.3 * u)
         assert q2 == pytest.approx(q1, rel=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3),
+           negate=st.booleans())
+    def test_quotient_scale_invariance_property(self, ref_op, seed, scale, negate):
+        u = pl.ScalarField(ref_op.grid, np.random.default_rng(seed).standard_normal(64))
+        c = -scale if negate else scale
+        assert critical_quotient(ref_op, c * u) == pytest.approx(
+            critical_quotient(ref_op, u), rel=1e-12
+        )
 
     def test_random_search_oracle_coarse_grid(self, mp_params):
         grid = pl.SpectralGrid((16,), (TWO_PI,))
