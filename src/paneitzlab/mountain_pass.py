@@ -43,7 +43,8 @@ REPARAM_EVERY = 10
 
 def _newton_polish(op, prob, eps, u0, tol, accept_tol=None, maxiter=80,
                    positivity=False):
-    """Newton iteration on P u = smoothed RHS, dense Jacobian on small grids.
+    """Newton iteration on P u = smoothed RHS: a dense Jacobian on small
+    grids, matrix-free MINRES (:meth:`PaneitzOperator.solve_linearized`) above.
 
     Targets residual ``tol``; if the iteration stalls above it but at or
     below ``accept_tol`` the iterate is still accepted (Newton bottoms out at
@@ -51,8 +52,6 @@ def _newton_polish(op, prob, eps, u0, tol, accept_tol=None, maxiter=80,
     line-search candidates to stay positive (used for the exact eps = 0
     equation where the reaction is singular at zero).
     """
-    import scipy.sparse.linalg as spla
-
     grid = op.grid
     u = u0.copy()
     npts = grid.npoints
@@ -80,17 +79,10 @@ def _newton_polish(op, prob, eps, u0, tol, accept_tol=None, maxiter=80,
             except np.linalg.LinAlgError:
                 return give_up(f"singular Jacobian at residual {resid:.3e}")
         else:
-            mv = lambda x: (
-                op.apply_values(x.reshape(grid.shape)) - fp * x.reshape(grid.shape)
-            ).ravel()
-            lin = spla.LinearOperator((npts, npts), matvec=mv)
-            pinv = op.preconditioner(0.0)
-            minv = lambda r: pinv(r.reshape(grid.shape)).ravel()
-            M = spla.LinearOperator((npts, npts), matvec=minv)
-            step, info = spla.minres(lin, -F.ravel(), rtol=1e-10, maxiter=4 * npts, M=M)
-            if info != 0:
+            try:
+                step = op.solve_linearized(fp, -F)
+            except ConvergenceError:
                 return give_up(f"indefinite solve stalled at residual {resid:.3e}")
-            step = step.reshape(grid.shape)
         s = 1.0
         accepted = False
         for _ in range(50):

@@ -89,6 +89,18 @@ class PaneitzOperator:
         margin = float(self.sigma.min() + self.W.min() + lam)
         return margin > 0.0, margin
 
+    def roundoff_floor(self, values: np.ndarray) -> float:
+        """Sup-norm round-off of ``P v``: ``eps * (max sigma + max |W|) * max |v|``.
+
+        A residual of ``P v`` minus anything is not resolved below this, so
+        iterations stop at the larger of their tolerance and this floor.
+        """
+        return float(
+            np.finfo(float).eps
+            * (self.sigma.max() + np.abs(self.W.values).max())
+            * np.abs(values).max()
+        )
+
     # -- linear solves --------------------------------------------------------
 
     def preconditioner(self, lam: float):
@@ -166,6 +178,32 @@ class PaneitzOperator:
         raise ConvergenceError(
             f"linear solve stalled at relative residual {last:.3e}", residual=last
         )
+
+    def solve_linearized(self, fp: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve ``(P - diag fp) x = rhs`` by MINRES, matrix-free.
+
+        The Jacobian of ``P u = f(u)`` at ``u`` with ``fp = f'(u)``; it may be
+        indefinite, so MINRES with the positive preconditioner
+        :meth:`preconditioner` ``(0.0)`` is used instead of conjugate
+        gradients.  Raises ConvergenceError when MINRES does not reach
+        relative residual 1e-10 within ``4 * npoints`` iterations.
+        """
+        import scipy.sparse.linalg as spla
+
+        shape, npts = self.grid.shape, self.grid.npoints
+        pinv = self.preconditioner(0.0)
+        jac = spla.LinearOperator(
+            (npts, npts),
+            matvec=lambda x: (self.apply_values(x.reshape(shape))
+                              - fp * x.reshape(shape)).ravel(),
+        )
+        M = spla.LinearOperator(
+            (npts, npts), matvec=lambda r: pinv(r.reshape(shape)).ravel()
+        )
+        x, info = spla.minres(jac, rhs.ravel(), rtol=1e-10, maxiter=4 * npts, M=M)
+        if info != 0:
+            raise ConvergenceError(f"MINRES stopped with info {info}")
+        return x.reshape(shape)
 
     # -- geometric transform --------------------------------------------------
 

@@ -115,25 +115,92 @@ def _inverse_iteration(op: PaneitzOperator, start: np.ndarray, e: float,
     does not increase from one iterate to the next for any ``e >= 2``
     (Biezuner, Ercole & Martins, J. Funct. Anal. 257, 2009).  Stops when the
     Euler-Lagrange residual ``||P v - Q |v|^(e-2) v||_inf`` drops below
-    ``tol`` times the operator scale and raises ``ConvergenceError`` after
-    ``maxiter`` iterations; returns ``(Q, v, iterations)``.
+    ``tol`` times the operator scale or the operator's round-off floor,
+    whichever is larger, and raises ``ConvergenceError`` after ``maxiter``
+    iterations; returns ``(Q, v, iterations)``.
+
+    The iteration converges only linearly, so for ``e > 2`` and zero shift
+    it tries :func:`_newton_finish` at iterations 10, 20, 40, ... and
+    returns its result when it passes the same stopping test with a
+    quotient no larger than the current one; otherwise it carries on from
+    where it stopped.  Either way the value is an attained quotient.
     """
     grid = op.grid
     scale = _scale(op)
+    target = tol * scale
     v = start / _lp_norm(grid, start, e)
     resid = np.inf
+    attempt = 10 if e > 2.0 and shift == 0.0 else None
     for it in range(1, maxiter + 1):
         rhs = ScalarField(grid, np.abs(v) ** (e - 2.0) * v)
         u = op.solve_shifted(shift, rhs, tol=1e-14, check_coercivity=False)
         v = u.values / _lp_norm(grid, u.values, e)
         pv = op.apply_values(v)
-        Q = grid.inner(v, pv)
-        resid = float(np.abs(pv - Q * np.abs(v) ** (e - 2.0) * v).max()) / scale
-        if resid <= tol:
+        Q, resid = _euler_lagrange(grid, v, pv, e)
+        if resid <= max(target, op.roundoff_floor(v)):
             return Q, v, it
+        if it == attempt:
+            attempt *= 2
+            finish = _newton_finish(op, Q, v, pv, e, target)
+            if finish is not None and finish[0] <= Q:
+                return finish[0], finish[1], it
+    resid /= scale
     raise ConvergenceError(
         f"inverse iteration stalled at residual {resid:.3e}", residual=resid
     )
+
+
+def _euler_lagrange(grid, v: np.ndarray, pv: np.ndarray,
+                    e: float) -> tuple[float, float]:
+    """Quotient ``Q = <v, P v>`` of an ``L^e``-normalized ``v`` and the
+    residual ``||P v - Q |v|^(e-2) v||_inf``, given ``pv = P v``."""
+    Q = grid.inner(v, pv)
+    return Q, float(np.abs(pv - Q * np.abs(v) ** (e - 2.0) * v).max())
+
+
+def _newton_finish(op: PaneitzOperator, Q: float, v: np.ndarray,
+                   pv: np.ndarray, e: float, target: float,
+                   maxiter: int = 20) -> tuple[float, np.ndarray] | None:
+    """Newton's method on ``P w = |w|^(e-2) w`` from ``w = Q^(1/(e-2)) v``.
+
+    The rescaling turns the normalized Euler-Lagrange equation of the
+    inverse iteration's iterate ``v`` (with ``pv = P v`` and the positive
+    quotient ``Q``) into an unnormalized one.  The Jacobian
+    ``P - (e-1)|w|^(e-2)`` is indefinite (Morse index 1 at a ground state),
+    so each step is solved by :meth:`PaneitzOperator.solve_linearized` and
+    backtracked on the sup residual (Knoll & Keyes, J. Comput. Phys. 193,
+    2004).  Returns ``(Q, v)`` with ``v = w / ||w||_e`` once ``v`` meets the
+    inverse iteration's stopping test, or None when a solve fails, the line
+    search stagnates or ``maxiter`` steps pass.
+    """
+    grid = op.grid
+    c = Q ** (1.0 / (e - 2.0))
+    w, pw = c * v, c * pv
+    F = pw - np.abs(w) ** (e - 2.0) * w
+    resid = float(np.abs(F).max())
+    for _ in range(maxiter):
+        try:
+            step = op.solve_linearized((e - 1.0) * np.abs(w) ** (e - 2.0), -F)
+        except ConvergenceError:
+            return None
+        s = 1.0
+        for _ in range(50):
+            cand = w + s * step
+            pc = op.apply_values(cand)
+            Fc = pc - np.abs(cand) ** (e - 2.0) * cand
+            rc = float(np.abs(Fc).max())
+            if rc < resid * (1.0 - 1e-4 * s):
+                break
+            s *= 0.5
+        else:
+            return None
+        w, pw, F, resid = cand, pc, Fc, rc
+        norm = _lp_norm(grid, w, e)
+        v = w / norm
+        Q, r = _euler_lagrange(grid, v, pw / norm, e)
+        if r <= max(target, op.roundoff_floor(v)):
+            return Q, v
+    return None
 
 
 def principal_eigenpair(op: PaneitzOperator, tol: float = 1e-10,
@@ -209,14 +276,15 @@ def sobolev_constant(op: PaneitzOperator, exponent: float | None = None) -> floa
     eigenfunction and from bumps at the box center and, for a non-constant
     potential, at its most favorable point (which keeps the estimate
     equivariant under grid translations of W); the smallest quotient wins.
-    An attained quotient, hence an upper estimate of the infimum.  With
-    ``e = 2`` it is the first eigenvalue.
+    For ``e > 2`` each run is finished by Newton's method once it is close
+    (see :func:`_inverse_iteration`).  An attained quotient, hence an upper
+    estimate of the infimum.  With ``e = 2`` it is the first eigenvalue.
 
     When the operator is not positive definite (``lambda1`` at or below
     ``ZERO_EIGENVALUE_RTOL`` relative to the beta scale) there is nothing
     for the unshifted iteration to invert, and the quotient of the principal
-    eigenfunction is returned: zero or negative.  The value is grid-dependent and is only meaningful together
-    with the grid signature.
+    eigenfunction is returned: zero or negative.  The value is
+    grid-dependent and is only meaningful together with the grid signature.
     """
     grid = op.grid
     e = op.params.two_sharp if exponent is None else exponent

@@ -187,6 +187,32 @@ class TestSolveShifted:
             op.solve_shifted(0.0, pl.ScalarField.constant(ref_grid, 1.0))
 
 
+class TestSolveLinearized:
+    def test_indefinite_solve_matches_dense(self, ref_params):
+        # P - diag fp has two negative eigenvalues: an indefinite system
+        # conjugate gradients cannot take
+        grid = pl.SpectralGrid((32,), (TWO_PI,))
+        x = grid.meshgrid()[0]
+        op = pl.build_operator(ref_params, grid,
+                               potential=pl.ScalarField(grid, 1.0 + np.cos(x)))
+        fp = 12.0 + 3.0 * np.sin(2 * x)
+        J = dense_operator_matrix_1d(ref_params.alpha, 32, TWO_PI, op.W.values)
+        J -= np.diag(fp)
+        assert np.sum(np.linalg.eigvalsh(J) < 0.0) == 2
+        rhs = np.random.default_rng(3).standard_normal(32)
+        xs = op.solve_linearized(fp, rhs)
+        assert xs.shape == grid.shape
+        ref = np.linalg.solve(J, rhs)
+        assert np.abs(xs - ref).max() <= 1e-8 * np.abs(ref).max()
+
+    def test_roundoff_floor_scales_with_operator_and_field(self, ref_op):
+        v = np.cos(ref_op.grid.meshgrid()[0])
+        norm = ref_op.sigma.max() + np.abs(ref_op.W.values).max()
+        floor = ref_op.roundoff_floor(v)
+        assert floor == pytest.approx(np.finfo(float).eps * norm, rel=1e-12)
+        assert ref_op.roundoff_floor(-3.0 * v) == pytest.approx(3.0 * floor, rel=1e-15)
+
+
 class TestConformalQ:
     def test_identity_factor(self, ref_op, ref_params):
         u = pl.ScalarField.constant(ref_op.grid, 1.0)

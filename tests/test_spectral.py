@@ -201,8 +201,9 @@ class TestInverseIteration:
 
     def test_constant_potential_runs_one_bump(self, ref_op, mp_op, bump_op,
                                               monkeypatch):
-        # the values are those of the parent's two-bump search; with a
-        # constant potential its second bump repeated the first
+        # with a constant potential a second bump would repeat the first; the
+        # Newton finish lowered the inverse iteration's own values (old) by
+        # round-off
         from paneitzlab import spectral_analysis
 
         runs = []
@@ -213,12 +214,65 @@ class TestInverseIteration:
             return iterate(*args, **kwargs)
 
         monkeypatch.setattr(spectral_analysis, "_inverse_iteration", counted)
-        for op, expected, n_runs in ((ref_op, 18.228138486222758, 3),
-                                     (mp_op, 1.0306718461351074, 3),
-                                     (bump_op, 17.398849708202004, 4)):
+        for op, expected, old, n_runs in (
+            (ref_op, 18.228138486222747, 18.228138486222758, 3),
+            (mp_op, 1.0306718461351072, 1.0306718461351074, 3),
+            (bump_op, 17.398849708201993, 17.398849708202004, 4),
+        ):
             runs.clear()
             assert pl.sobolev_constant(op) == expected
             assert len(runs) == n_runs
+            assert expected <= old
+            assert expected == pytest.approx(old, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("newton", [True, False])
+    @pytest.mark.parametrize("npts", [128, 256])
+    def test_stops_at_roundoff_floor(self, ref_params, npts, newton, monkeypatch):
+        # 1e-10 times beta lies below the round-off of P v on these grids
+        # (max sigma is 1.7e7 and 2.7e8); the iteration used to stall there,
+        # and must not need the Newton finish to stop
+        from paneitzlab import spectral_analysis
+
+        if not newton:
+            monkeypatch.setattr(spectral_analysis, "_newton_finish",
+                                lambda *args: None)
+        op = pl.build_operator(ref_params, pl.SpectralGrid((npts,), (TWO_PI,)))
+        assert pl.sobolev_constant(op) == pytest.approx(18.2281384862, rel=1e-10)
+
+    def test_newton_finish_cuts_solves(self, mp_params, monkeypatch):
+        # psi != 0 in 2-D, like the minimax benchmark's operator: the inverse
+        # iteration alone made 390 shifted solves here
+        grid = pl.SpectralGrid((16, 16), (TWO_PI, TWO_PI))
+        x, y = grid.meshgrid()
+        op = pl.build_operator(mp_params, grid,
+                               psi=pl.ScalarField(grid, 0.2 * np.sin(x) * np.cos(y)))
+        solves = []
+        solve = pl.PaneitzOperator.solve_shifted
+
+        def counted(self, *args, **kwargs):
+            solves.append(args)
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(pl.PaneitzOperator, "solve_shifted", counted)
+        S = pl.sobolev_constant(op)
+        assert len(solves) <= 390 // 5
+        assert S <= 4.294707291137219
+        assert S == pytest.approx(4.294707291137219, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("finish", ["fails", "higher"])
+    def test_rejected_newton_finish_keeps_iterating(self, ref_op, bump_op,
+                                                    monkeypatch, finish):
+        # a failed or quotient-raising finish leaves the inverse iteration's
+        # own values, bit for bit
+        from paneitzlab import spectral_analysis
+
+        def newton(op, Q, v, pv, e, target):
+            return None if finish == "fails" else (Q * (1.0 + 1e-12), v)
+
+        monkeypatch.setattr(spectral_analysis, "_newton_finish", newton)
+        assert pl.sobolev_constant(ref_op) == 18.228138486222758
+        assert pl.sobolev_constant(bump_op) == 17.398849708202004
+
 
 def test_analyze_report(ref_op):
     rep = pl.analyze(ref_op, fields={"one": pl.ScalarField.constant(ref_op.grid, 1.0)})
