@@ -20,7 +20,7 @@ from .errors import (
 from .conditions import check_existence_cond, lebesgue_norm, power_norm_order
 from .geometry import ScalarField
 from .monotone import ORDER_SLACK, _monotone_iterate, find_sub_super
-from .operator import PaneitzOperator
+from .operator import PaneitzOperator, backtrack
 from .problems import (
     ABSORPTION,
     SOURCE,
@@ -46,6 +46,7 @@ def _newton_polish(op, prob, eps, u0, tol, accept_tol=None, maxiter=80,
     """Newton iteration on P u = smoothed RHS: a dense Jacobian on small
     grids, matrix-free MINRES (:meth:`PaneitzOperator.solve_linearized`) above.
 
+    Each step is backtracked on the sup residual (:func:`backtrack`).
     Targets residual ``tol``; if the iteration stalls above it but at or
     below ``accept_tol`` the iterate is still accepted (Newton bottoms out at
     the roundoff floor of the operator application).  ``positivity`` forces
@@ -66,6 +67,12 @@ def _newton_polish(op, prob, eps, u0, tol, accept_tol=None, maxiter=80,
             return u, resid, it
         raise ConvergenceError(msg, residual=resid)
 
+    def residual_at(cand):
+        if positivity and float(cand.min()) <= 0.0:
+            return None
+        Fc = op.apply_values(cand) - smoothed_reaction(prob, cand, eps)
+        return float(np.abs(Fc).max()), Fc
+
     F = op.apply_values(u) - smoothed_reaction(prob, u, eps)
     for it in range(1, maxiter + 1):
         resid = float(np.abs(F).max())
@@ -83,21 +90,10 @@ def _newton_polish(op, prob, eps, u0, tol, accept_tol=None, maxiter=80,
                 step = op.solve_linearized(fp, -F)
             except ConvergenceError:
                 return give_up(f"indefinite solve stalled at residual {resid:.3e}")
-        s = 1.0
-        accepted = False
-        for _ in range(50):
-            cand = u + s * step
-            if positivity and float(cand.min()) <= 0.0:
-                s *= 0.5
-                continue
-            Fc = op.apply_values(cand) - smoothed_reaction(prob, cand, eps)
-            if float(np.abs(Fc).max()) < resid * (1.0 - 1e-4 * s) + 1e-300:
-                u, F = cand, Fc
-                accepted = True
-                break
-            s *= 0.5
-        if not accepted:
+        found = backtrack(u, step, resid, residual_at)
+        if found is None:
             return give_up(f"polish stagnated at residual {resid:.3e}")
+        u, F, _ = found
     return give_up(f"polish exceeded {maxiter} iterations")
 
 

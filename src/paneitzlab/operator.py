@@ -22,7 +22,7 @@ from .errors import (
 )
 from .geometry import GeometryParams, ScalarField, SpectralGrid, gradient_squared
 
-__all__ = ["PaneitzOperator", "build_operator"]
+__all__ = ["PaneitzOperator", "backtrack", "build_operator"]
 
 
 class PaneitzOperator:
@@ -260,3 +260,23 @@ def build_operator(params: GeometryParams, grid: SpectralGrid,
     else:
         V = potential
     return PaneitzOperator(params, grid, V)
+
+
+def backtrack(x: np.ndarray, step: np.ndarray, resid: float, residual_at):
+    """Backtracking line search for Newton's method on a sup-norm residual.
+
+    Tries ``x + s * step`` for ``s = 1, 1/2, ...`` (50 halvings) and accepts
+    the first candidate whose ``residual_at(cand) = (r, data)`` passes the
+    sufficient-decrease test ``r < resid * (1 - 1e-4 s)`` (Knoll & Keyes,
+    J. Comput. Phys. 193, 2004); ``residual_at`` returns None for an
+    inadmissible candidate.  Returns ``(cand, data, r)``, or None when the
+    search stagnates.
+    """
+    s = 1.0
+    for _ in range(50):
+        cand = x + s * step
+        out = residual_at(cand)
+        if out is not None and out[0] < resid * (1.0 - 1e-4 * s) + 1e-300:
+            return cand, out[1], out[0]
+        s *= 0.5
+    return None

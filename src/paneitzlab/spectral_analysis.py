@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import CoercivityError, ConvergenceError
 from .geometry import ScalarField
-from .operator import PaneitzOperator
+from .operator import PaneitzOperator, backtrack
 
 __all__ = [
     "EigenPair",
@@ -123,7 +123,9 @@ def _inverse_iteration(op: PaneitzOperator, start: np.ndarray, e: float,
     it tries :func:`_newton_finish` at iterations 10, 20, 40, ... and
     returns its result when it passes the same stopping test with a
     quotient no larger than the current one; otherwise it carries on from
-    where it stopped.  Either way the value is an attained quotient.
+    where it stopped.  Either way the value is an attained quotient; the
+    Newton value agrees with the inverse iteration's own limit to round-off
+    but is not ordered against it, and can sit an ulp or two above it.
     """
     grid = op.grid
     scale = _scale(op)
@@ -159,8 +161,8 @@ def _euler_lagrange(grid, v: np.ndarray, pv: np.ndarray,
 
 
 def _newton_finish(op: PaneitzOperator, Q: float, v: np.ndarray,
-                   pv: np.ndarray, e: float, target: float,
-                   maxiter: int = 20) -> tuple[float, np.ndarray] | None:
+                   pv: np.ndarray, e: float,
+                   target: float) -> tuple[float, np.ndarray] | None:
     """Newton's method on ``P w = |w|^(e-2) w`` from ``w = Q^(1/(e-2)) v``.
 
     The rescaling turns the normalized Euler-Lagrange equation of the
@@ -168,33 +170,31 @@ def _newton_finish(op: PaneitzOperator, Q: float, v: np.ndarray,
     quotient ``Q``) into an unnormalized one.  The Jacobian
     ``P - (e-1)|w|^(e-2)`` is indefinite (Morse index 1 at a ground state),
     so each step is solved by :meth:`PaneitzOperator.solve_linearized` and
-    backtracked on the sup residual (Knoll & Keyes, J. Comput. Phys. 193,
-    2004).  Returns ``(Q, v)`` with ``v = w / ||w||_e`` once ``v`` meets the
-    inverse iteration's stopping test, or None when a solve fails, the line
-    search stagnates or ``maxiter`` steps pass.
+    backtracked on the sup residual (:func:`backtrack`).  Returns ``(Q, v)``
+    with ``v = w / ||w||_e`` once ``v`` meets the inverse iteration's
+    stopping test, or None when a solve fails, the line search stagnates or
+    20 steps pass.
     """
     grid = op.grid
+
+    def residual_at(cand):
+        pc = op.apply_values(cand)
+        Fc = pc - np.abs(cand) ** (e - 2.0) * cand
+        return float(np.abs(Fc).max()), (pc, Fc)
+
     c = Q ** (1.0 / (e - 2.0))
     w, pw = c * v, c * pv
     F = pw - np.abs(w) ** (e - 2.0) * w
     resid = float(np.abs(F).max())
-    for _ in range(maxiter):
+    for _ in range(20):
         try:
             step = op.solve_linearized((e - 1.0) * np.abs(w) ** (e - 2.0), -F)
         except ConvergenceError:
             return None
-        s = 1.0
-        for _ in range(50):
-            cand = w + s * step
-            pc = op.apply_values(cand)
-            Fc = pc - np.abs(cand) ** (e - 2.0) * cand
-            rc = float(np.abs(Fc).max())
-            if rc < resid * (1.0 - 1e-4 * s):
-                break
-            s *= 0.5
-        else:
+        found = backtrack(w, step, resid, residual_at)
+        if found is None:
             return None
-        w, pw, F, resid = cand, pc, Fc, rc
+        w, (pw, F), resid = found
         norm = _lp_norm(grid, w, e)
         v = w / norm
         Q, r = _euler_lagrange(grid, v, pw / norm, e)
@@ -212,7 +212,9 @@ def principal_eigenpair(op: PaneitzOperator, tol: float = 1e-10,
     exists even when the potential dips negative; the quotient of the
     unshifted operator is the eigenvalue.  Stops when the eigen-residual
     ``||P phi - lambda phi||_inf`` drops below ``tol`` times the operator
-    scale, and raises ``ConvergenceError`` after ``maxiter`` iterations.
+    scale or the operator's round-off floor
+    (:meth:`PaneitzOperator.roundoff_floor`), whichever is larger, and
+    raises ``ConvergenceError`` after ``maxiter`` iterations.
     """
     shift = max(0.0, -op.W.min()) + 0.05 * _scale(op)
     lam, v, it = _inverse_iteration(op, np.ones(op.grid.shape), 2.0, shift,

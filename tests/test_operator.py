@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import paneitzlab as pl
+from paneitzlab.operator import backtrack
 
 from _oracles import dense_operator_matrix_1d
 
@@ -211,6 +212,43 @@ class TestSolveLinearized:
         floor = ref_op.roundoff_floor(v)
         assert floor == pytest.approx(np.finfo(float).eps * norm, rel=1e-12)
         assert ref_op.roundoff_floor(-3.0 * v) == pytest.approx(3.0 * floor, rel=1e-15)
+
+
+class TestBacktrack:
+    @staticmethod
+    def sup(c):
+        return float(np.abs(c).max()), -c
+
+    def test_full_step_when_it_decreases(self):
+        x, step = np.array([1.0, -2.0]), np.array([-0.5, 1.5])
+        cand, data, r = backtrack(x, step, 2.0, self.sup)
+        assert np.array_equal(cand, x + step)
+        assert np.array_equal(data, -cand)
+        assert r == 0.5
+
+    def test_halves_past_overshoot_and_inadmissible(self):
+        # s = 1 overshoots to -3, s = 1/2 is rejected by the caller and
+        # s = 1/4 lands on 0.75 < 2 (1 - 1e-4 / 4)
+        seen = []
+
+        def residual_at(c):
+            seen.append(float(c[0]))
+            return None if len(seen) == 2 else self.sup(c)
+
+        cand, _, r = backtrack(np.array([2.0]), np.array([-5.0]), 2.0,
+                               residual_at)
+        assert seen == [-3.0, -0.5, 0.75]
+        assert cand[0] == 0.75 and r == 0.75
+
+    def test_stagnation_returns_none(self):
+        calls = []
+
+        def residual_at(c):
+            calls.append(c)
+            return 1.0, None
+
+        assert backtrack(np.zeros(3), np.ones(3), 1.0, residual_at) is None
+        assert len(calls) == 50
 
 
 class TestConformalQ:
