@@ -14,6 +14,7 @@ from .errors import (
     CoercivityError,
     ConfigError,
     ConvergenceError,
+    FieldFileError,
     GridMismatchError,
     MountainPassGeometryError,
     PaneitzLabError,
@@ -70,7 +71,6 @@ from .conditions import (
     ineq_denominator,
     lambda_star_bisect,
     lambda_star_bracket,
-    nonexistence_constant,
     tangent_slope_root,
 )
 

@@ -642,8 +642,7 @@ def main(argv=None) -> int:
 
     out = args.out or os.environ.get("PANEITZLAB_OUT")
     workers = args.workers
-    if workers is None and os.environ.get("PANEITZLAB_WORKERS"):
-        workers = int(os.environ["PANEITZLAB_WORKERS"])
+    env_workers = os.environ.get("PANEITZLAB_WORKERS")
 
     try:
         text = Path(args.config).read_text()
@@ -652,6 +651,13 @@ def main(argv=None) -> int:
         return 2
     try:
         config = parse_config(text, base_dir=Path(args.config).resolve().parent)
+        if workers is None and env_workers:
+            try:
+                workers = int(env_workers)
+            except ValueError:
+                raise ConfigError(
+                    f"PANEITZLAB_WORKERS must be an integer, got {env_workers!r}"
+                ) from None
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         _write_error(_Writer(Path(out or _SCHEMA["out"][1])), exc)

@@ -13,10 +13,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import logsumexp
 
 from .errors import CertificateError, SolverError
-from .geometry import ScalarField
+from .geometry import ScalarField, lebesgue_norm
 from .operator import PaneitzOperator
 from .problems import ABSORPTION, SOURCE, ProblemSpec
 from .spectral_analysis import EigenPair, energy_norm, principal_eigenpair, sobolev_constant
@@ -26,13 +25,11 @@ __all__ = [
     "LambdaStarResult",
     "tangent_slope_root",
     "ineq_denominator",
-    "nonexistence_constant",
     "check_existence_ineq",
     "check_existence_cond",
     "check_nonexistence",
     "lambda_star_bracket",
     "lambda_star_bisect",
-    "lebesgue_norm",
     "power_norm_order",
 ]
 
@@ -87,24 +84,6 @@ class LambdaStarResult:
 # -- norms --------------------------------------------------------------------
 
 
-def lebesgue_norm(grid, values: np.ndarray, s: float) -> float:
-    """Quadrature L^s norm, stable for large s (log-space) and s = inf."""
-    absV = np.abs(values)
-    if math.isinf(s):
-        return float(absV.max())
-    if s <= 0:
-        raise ValueError("norm order must be positive")
-    if s <= 50:
-        return float(grid.integrate(absV**s) ** (1.0 / s))
-    mx = float(absV.max())
-    if mx == 0.0:
-        return 0.0
-    with np.errstate(divide="ignore"):
-        logs = s * np.log(absV.ravel() / mx)
-    total = logsumexp(logs) + math.log(grid.cell_weight)
-    return mx * math.exp(total / s)
-
-
 def power_norm_order(params, q: float, strict: bool = True) -> float:
     """Exponent s = 2# / (2# - q - 1) for the B-norm in the source condition.
 
@@ -124,8 +103,7 @@ def power_norm_order(params, q: float, strict: bool = True) -> float:
 # -- tangency threshold -------------------------------------------------------
 
 
-def tangent_slope_root(a: float, b: float, p: float, q: float,
-                       cross_check: bool = True) -> tuple[float, float]:
+def tangent_slope_root(a: float, b: float, p: float, q: float) -> tuple[float, float]:
     """Slope of the tangent through the origin to t -> a/t^p + b t^q.
 
     Closed form: t0 = (a(p+1) / (b(q-1)))^(1/(p+q)) and
@@ -141,13 +119,12 @@ def tangent_slope_root(a: float, b: float, p: float, q: float,
         raise ValueError(f"no tangency for q <= 1 (got q={q}); the power part is sublinear")
     t0 = (a * (p + 1.0) / (b * (q - 1.0))) ** (1.0 / (p + q))
     lam_c = a / t0 ** (p + 1.0) + b * t0 ** (q - 1.0)
-    if cross_check:
-        g = lambda t: (a / t**p + b * t**q) / t - (-p * a / t ** (p + 1) + q * b * t ** (q - 1))
-        t_num = brentq(g, t0 * 1e-3, t0 * 1e3, xtol=1e-300, rtol=1e-14)
-        if abs(t_num - t0) > 1e-9 * t0:
-            raise ArithmeticError(
-                f"tangency cross-check failed: closed form {t0}, numeric {t_num}"
-            )
+    g = lambda t: (a / t**p + b * t**q) / t - (-p * a / t ** (p + 1) + q * b * t ** (q - 1))
+    t_num = brentq(g, t0 * 1e-3, t0 * 1e3, xtol=1e-300, rtol=1e-14)
+    if abs(t_num - t0) > 1e-9 * t0:
+        raise ArithmeticError(
+            f"tangency cross-check failed: closed form {t0}, numeric {t_num}"
+        )
     return float(t0), float(lam_c)
 
 
@@ -155,20 +132,12 @@ def ineq_denominator(p: float, q: float) -> float:
     """((q-1)/(p+1))^((p+1)/(p+q)) + ((p+1)/(q-1))^((q-1)/(p+q)).
 
     Algebraically equal to the unit-coefficient tangency slope
-    ``tangent_slope_root(1, 1, p, q)[1]``.
+    ``tangent_slope_root(1, 1, p, q)[1]``, and to the minimum over X > 0 of
+    ``[X^((q-1)/q) + K^((p+q)/q) X^(-(p+1)/q)] / K^((q-1)/q)``, attained at
+    ``X* = ((p+1)/(q-1))^(q/(p+q)) * K`` (the non-existence certificate).
     """
     r = (q - 1.0) / (p + 1.0)
     return r ** ((p + 1.0) / (p + q)) + (1.0 / r) ** ((q - 1.0) / (p + q))
-
-
-def nonexistence_constant(p: float, q: float) -> float:
-    """((p+1)/(q-1))^((q-1)/(p+q)) + ((q-1)/(p+1))^((p+1)/(p+q)).
-
-    Value of min_{X>0} [X^((q-1)/q) + K^((p+q)/q) X^(-(p+1)/q)] / K^((q-1)/q);
-    the minimizer sits at X* = ((p+1)/(q-1))^(q/(p+q)) * K.
-    """
-    r = (p + 1.0) / (q - 1.0)
-    return r ** ((q - 1.0) / (p + q)) + (1.0 / r) ** ((p + 1.0) / (p + q))
 
 
 # -- existence certificates -----------------------------------------------------
@@ -296,7 +265,7 @@ def check_nonexistence(op: PaneitzOperator, prob: ProblemSpec) -> ConditionRepor
     at X = int B u^q, with K = int A^(q/(p+q)) B^(p/(p+q)).  The certificate
     fires when even the minimum over X > 0 of the left side (attained at
     X* = ((p+1)/(q-1))^(q/(p+q)) K, value K^((q-1)/q) times
-    :func:`nonexistence_constant`) exceeds the right side.  The literal
+    :func:`ineq_denominator`) exceeds the right side.  The literal
     published expression is evaluated alongside for transparency; only the
     derived minimum is load-bearing.
     """
@@ -323,7 +292,7 @@ def check_nonexistence(op: PaneitzOperator, prob: ProblemSpec) -> ConditionRepor
     rhs_W = grid.integrate(wplus ** (q / (q - 1.0)) * B ** (-1.0 / (q - 1.0))) ** (
         (q - 1.0) / q
     )
-    mconst = nonexistence_constant(p, q)
+    mconst = ineq_denominator(p, q)
     derived = K ** ((q - 1.0) / q) * mconst
     xstar = ((p + 1.0) / (q - 1.0)) ** (q / (p + q)) * K
 
@@ -373,8 +342,7 @@ def _constant_problem(op: PaneitzOperator, lam: float, p: float, q: float,
 
 
 def lambda_star_bracket(op: PaneitzOperator, p: float, q: float,
-                        S_psi: float | None = None,
-                        cond_constant: float | None = None) -> LambdaStarResult:
+                        S_psi: float | None = None) -> LambdaStarResult:
     """Certified bracket [lower, upper] for the threshold coupling.
 
     Both ends come from the implemented certificates, exploiting that for
@@ -386,9 +354,8 @@ def lambda_star_bracket(op: PaneitzOperator, p: float, q: float,
     * non-existence sides scale as lambda^(p(q-1)/(q(p+q))) and
       lambda^(-1/q), giving upper = (rhs(1)/derived_min(1))^((p+q)/(p+1)).
 
-    ``cond_constant`` overrides the existence constant C (diagnostic hook for
-    scaling checks).  The published closed-form bounds are evaluated
-    literally and reported alongside; they are not load-bearing.
+    The published closed-form bounds are evaluated literally and reported
+    alongside; they are not load-bearing.
     """
     if S_psi is None:
         S_psi = sobolev_constant(op)
@@ -398,7 +365,7 @@ def lambda_star_bracket(op: PaneitzOperator, p: float, q: float,
     coercive = S_psi > 1e-12 * scale
     if coercive:
         cond1 = check_existence_cond(op, prob1, S_psi=S_psi)
-        C = cond1.rhs if cond_constant is None else float(cond_constant)
+        C = cond1.rhs
         lower = (C / cond1.lhs) ** ((q - 1.0) / (p + 1.0))
         cond_lhs1 = cond1.lhs
     else:

@@ -9,6 +9,10 @@ class GridMismatchError(PaneitzLabError):
     """Two objects live on different computational grids."""
 
 
+class FieldFileError(PaneitzLabError):
+    """A field file is missing, malformed or does not cover its grid."""
+
+
 class CoercivityError(PaneitzLabError):
     """A quadratic-form positivity requirement failed or could not be certified."""
 

@@ -17,7 +17,13 @@ import numpy as np
 from .errors import SolverError
 from .geometry import ScalarField
 from .operator import PaneitzOperator
-from .problems import ProblemSpec, SolverReport, lyapunov_energy, reaction
+from .problems import (
+    ProblemSpec,
+    SolverReport,
+    lyapunov_energy,
+    reaction,
+    residual_sup,
+)
 
 __all__ = ["FlowSample", "parabolic_flow"]
 
@@ -33,8 +39,7 @@ class FlowSample:
 
 def parabolic_flow(op: PaneitzOperator, prob: ProblemSpec, u0: ScalarField,
                    tau: float, tmax: float, tol_residual: float = 1e-8,
-                   max_halvings: int = 20, sample_every: int = 10,
-                   linear_tol: float = 1e-12):
+                   max_halvings: int = 20, sample_every: int = 10):
     """March the semi-implicit flow until the elliptic residual is small.
 
     Returns ``(report, samples)``.  Reaching ``tmax`` without a steady state
@@ -54,13 +59,10 @@ def parabolic_flow(op: PaneitzOperator, prob: ProblemSpec, u0: ScalarField,
     samples: list[FlowSample] = []
     steps = 0
 
-    def resid_of(vals):
-        return float(np.abs(op.apply_values(vals) - reaction(prob, vals)).max())
-
     def record(vals, tnow):
         samples.append(FlowSample(
             time=tnow,
-            residual=resid_of(vals),
+            residual=residual_sup(op, prob, vals),
             min_u=float(vals.min()),
             max_u=float(vals.max()),
             energy=lyapunov_energy(op, prob, ScalarField(grid, vals)),
@@ -71,9 +73,7 @@ def parabolic_flow(op: PaneitzOperator, prob: ProblemSpec, u0: ScalarField,
     converged = resid <= tol_residual
     while t < tmax and not converged:
         rhs = u / tau + reaction(prob, u)
-        unew = op.solve_shifted(1.0 / tau, ScalarField(grid, rhs),
-                                tol=linear_tol,
-                                x0=ScalarField(grid, u)).values
+        unew = op.solve_shifted(1.0 / tau, rhs, x0=u)
         if float(unew.min()) <= 0.0:
             halvings += 1
             if halvings > max_halvings:
@@ -87,7 +87,7 @@ def parabolic_flow(op: PaneitzOperator, prob: ProblemSpec, u0: ScalarField,
         steps += 1
         if steps % sample_every == 0:
             record(u, t)
-        resid = resid_of(u)
+        resid = residual_sup(op, prob, u)
         if resid <= tol_residual:
             converged = True
     if not samples or samples[-1].time != t:

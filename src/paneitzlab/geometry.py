@@ -17,8 +17,9 @@ from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
+from scipy.special import logsumexp
 
-from .errors import GridMismatchError, PaneitzLabError
+from .errors import FieldFileError, GridMismatchError, PaneitzLabError
 
 __all__ = [
     "GeometryParams",
@@ -26,6 +27,7 @@ __all__ = [
     "ScalarField",
     "derive_coefficients",
     "gradient_squared",
+    "lebesgue_norm",
     "save_field",
     "load_field",
     "field_to_csv",
@@ -230,18 +232,11 @@ class ScalarField:
     def constant(cls, grid: SpectralGrid, value: float) -> "ScalarField":
         return cls(grid, np.full(grid.shape, float(value)))
 
-    @classmethod
-    def from_callable(cls, grid: SpectralGrid, fn) -> "ScalarField":
-        return cls(grid, fn(*grid.meshgrid()))
-
     def min(self) -> float:
         return float(self.values.min())
 
     def max(self) -> float:
         return float(self.values.max())
-
-    def integral(self) -> float:
-        return self.grid.integrate(self.values)
 
     def same_grid(self, other: "ScalarField") -> None:
         if self.grid != other.grid:
@@ -297,6 +292,24 @@ def gradient_squared(psi: ScalarField) -> ScalarField:
     return ScalarField(grid, out)
 
 
+def lebesgue_norm(grid: SpectralGrid, values: np.ndarray, s: float) -> float:
+    """Quadrature L^s norm, stable for large s (log-space) and s = inf."""
+    absV = np.abs(values)
+    if math.isinf(s):
+        return float(absV.max())
+    if s <= 0:
+        raise ValueError("norm order must be positive")
+    if s <= 50:
+        return float(grid.integrate(absV**s) ** (1.0 / s))
+    mx = float(absV.max())
+    if mx == 0.0:
+        return 0.0
+    with np.errstate(divide="ignore"):
+        logs = s * np.log(absV.ravel() / mx)
+    total = logsumexp(logs) + math.log(grid.cell_weight)
+    return mx * math.exp(total / s)
+
+
 # --- field I/O -------------------------------------------------------------
 #
 # Binary format: raw little-endian IEEE-754 binary64, row-major, plus a text
@@ -326,26 +339,31 @@ def load_field(path: str | Path, grid: SpectralGrid | None = None) -> ScalarFiel
     """Read a field written by :func:`save_field`.
 
     If ``grid`` is given it must agree with the sidecar; otherwise the grid is
-    reconstructed from the sidecar.
+    reconstructed from the sidecar.  A missing or malformed file or sidecar
+    raises FieldFileError.
     """
     path = Path(path)
     meta = Path(str(path) + _META_SUFFIX)
-    if not meta.exists():
-        raise PaneitzLabError(f"missing sidecar descriptor {meta}")
-    entries = {}
-    for line in meta.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
-    sizes = tuple(int(x) for x in entries["sizes"].split(","))
-    lengths = tuple(float(x) for x in entries["lengths"].split(","))
-    file_grid = SpectralGrid(sizes, lengths)
+    try:
+        entries = {}
+        for line in meta.read_text().splitlines():
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, _, value = line.partition("=")
+            entries[key.strip()] = value.strip()
+        sizes = tuple(int(x) for x in entries["sizes"].split(","))
+        lengths = tuple(float(x) for x in entries["lengths"].split(","))
+        file_grid = SpectralGrid(sizes, lengths)
+        raw = np.frombuffer(path.read_bytes(), dtype="<f8")
+        values = raw.reshape(sizes).copy()
+    except KeyError as exc:
+        raise FieldFileError(f"sidecar {meta} lacks the key {exc}") from None
+    except (OSError, ValueError) as exc:
+        raise FieldFileError(f"cannot read field {path}: {exc}") from None
     if grid is not None and grid != file_grid:
         raise GridMismatchError(f"file grid {file_grid} does not match expected {grid}")
-    raw = np.frombuffer(path.read_bytes(), dtype="<f8")
-    return ScalarField(file_grid, raw.reshape(sizes).copy())
+    return ScalarField(file_grid, values)
 
 
 def field_to_csv(field: ScalarField, path: str | Path) -> Path:
@@ -360,16 +378,37 @@ def field_to_csv(field: ScalarField, path: str | Path) -> Path:
 
 
 def load_field_csv(path: str | Path, grid: SpectralGrid) -> ScalarField:
-    """Read a 1-D CSV written by :func:`field_to_csv` onto a known grid."""
+    """Read a CSV written by :func:`field_to_csv` onto a known grid.
+
+    The rows must cover every grid point exactly once; a missing file, a
+    malformed row, an index off the grid or a point missed or repeated
+    raises FieldFileError.
+    """
     path = Path(path)
     values = np.zeros(grid.shape)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        ncoord = len(header) - 1
-        if ncoord != grid.d:
-            raise GridMismatchError(f"CSV has {ncoord} index columns, grid is {grid.d}-d")
-        for row in reader:
-            idx = tuple(int(x) for x in row[:ncoord])
-            values[idx] = float(row[ncoord])
+    hits = np.zeros(grid.shape, dtype=int)
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            ncoord = len(next(reader, [])) - 1
+            if ncoord != grid.d:
+                raise GridMismatchError(
+                    f"CSV has {ncoord} index columns, grid is {grid.d}-d"
+                )
+            for row in reader:
+                idx = tuple(int(x) for x in row[:ncoord])
+                if len(row) != ncoord + 1 or not all(
+                        0 <= i < m for i, m in zip(idx, grid.shape)):
+                    raise FieldFileError(
+                        f"{path} line {reader.line_num}: row {row} is off the grid"
+                    )
+                values[idx] = float(row[ncoord])
+                hits[idx] += 1
+    except (OSError, ValueError, csv.Error) as exc:
+        raise FieldFileError(f"cannot read field {path}: {exc}") from None
+    covered = int(np.count_nonzero(hits == 1))
+    if covered != grid.npoints:
+        raise FieldFileError(
+            f"{path} gives {covered} of {grid.npoints} grid points exactly once"
+        )
     return ScalarField(grid, values)

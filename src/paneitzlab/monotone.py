@@ -43,29 +43,24 @@ def _super_margin(op, prob, s, e_vals, pe_vals):
     return float((s * pe_vals - reaction(prob, u)).min())
 
 
-def find_sub_super(op: PaneitzOperator, prob: ProblemSpec,
-                   e: ScalarField | None = None,
-                   max_halvings: int = 200,
-                   max_doublings: int = 200) -> Bracket:
-    """Scale a cone element into a sub/supersolution pair.
+def find_sub_super(op: PaneitzOperator, prob: ProblemSpec) -> Bracket:
+    """Scale the constant cone element ``e = 1`` into a sub/supersolution pair.
 
-    Starting from s = 1, the subsolution scale s1 is halved until
-    ``P(s1 e) <= f(x, s1 e)`` holds everywhere (the singular term always wins
-    for small scales), and the supersolution scale s2 is doubled until the
-    reversed inequality holds.  In absorption mode the doubling terminates
-    whenever B > 0 where the potential is nonpositive; a pure B = 0 problem
-    with the potential dipping nonpositive has no constant supersolution and
-    is reported as such.
+    Starting from s = 1, the subsolution scale s1 is halved (at most 200
+    times) until ``P(s1 e) <= f(x, s1 e)`` holds everywhere (the singular
+    term always wins for small scales), and the supersolution scale s2 is
+    doubled (at most 200 times) until the reversed inequality holds.  In
+    absorption mode the doubling terminates whenever B > 0 where the
+    potential is nonpositive; a pure B = 0 problem with the potential
+    dipping nonpositive has no constant supersolution and is reported as
+    such.
     """
-    if e is None:
-        e = ScalarField.constant(op.grid, 1.0)
-    if e.min() <= 0.0:
-        raise ValueError("cone element must be positive")
+    e = ScalarField.constant(op.grid, 1.0)
     e_vals = e.values
     pe_vals = op.apply_values(e_vals)
 
     s1 = 1.0
-    for _ in range(max_halvings + 1):
+    for _ in range(201):
         if _sub_margin(op, prob, s1, e_vals, pe_vals) >= 0.0:
             break
         s1 *= 0.5
@@ -76,7 +71,7 @@ def find_sub_super(op: PaneitzOperator, prob: ProblemSpec,
         )
 
     s2 = 1.0
-    for _ in range(max_doublings + 1):
+    for _ in range(201):
         if _super_margin(op, prob, s2, e_vals, pe_vals) >= 0.0:
             break
         s2 *= 2.0
@@ -119,8 +114,7 @@ def lipschitz_shift(prob: ProblemSpec, delta: float, M: float) -> float:
 
 
 def _monotone_iterate(op, prob, start_vals, lower_vals, upper_vals,
-                      direction, tol_step, tol_residual, maxiter,
-                      linear_tol=1e-12):
+                      direction, tol_step, tol_residual, maxiter):
     """Core shifted-fixed-point loop between explicit order bounds.
 
     direction +1 iterates upward from a subsolution, -1 downward from a
@@ -128,7 +122,6 @@ def _monotone_iterate(op, prob, start_vals, lower_vals, upper_vals,
     a violation aborts with diagnostics: it signals the discrete solve broke
     the order structure the argument relies on.
     """
-    grid = op.grid
     scale = max(float(np.abs(upper_vals).max()), 1.0)
     slack = ORDER_SLACK * scale
     u = start_vals.copy()
@@ -142,10 +135,7 @@ def _monotone_iterate(op, prob, start_vals, lower_vals, upper_vals,
         M = float(upper_vals.max() if direction > 0 else u.max())
         shift = lipschitz_shift(prob, delta, M)
         rhs = reaction(prob, u) + shift * u
-        unew = op.solve_shifted(
-            shift, ScalarField(grid, rhs), tol=linear_tol,
-            x0=ScalarField(grid, u),
-        ).values
+        unew = op.solve_shifted(shift, rhs, x0=u)
         if direction > 0:
             if float((unew - u).min()) < -slack:
                 monotone_ok = False
@@ -163,7 +153,7 @@ def _monotone_iterate(op, prob, start_vals, lower_vals, upper_vals,
             )
         step = float(np.abs(unew - u).max())
         u = unew
-        resid = float(np.abs(op.apply_values(u) - reaction(prob, u)).max())
+        resid = residual_sup(op, prob, u)
         if step <= tol_step and resid <= tol_residual:
             return u, resid, it, shift, monotone_ok, confined_ok
     raise ConvergenceError(
@@ -175,8 +165,7 @@ def _monotone_iterate(op, prob, start_vals, lower_vals, upper_vals,
 
 def monotone_solve(op: PaneitzOperator, prob: ProblemSpec, bracket: Bracket,
                    start: str = "sub", tol_step: float = 1e-10,
-                   tol_residual: float = 1e-8, maxiter: int = 100000,
-                   check_bracket: bool = True) -> SolverReport:
+                   tol_residual: float = 1e-8, maxiter: int = 100000) -> SolverReport:
     """Monotone fixed-point iteration inside a sub/supersolution bracket.
 
     Iterates ``u_{k+1} = (P + shift)^{-1}(f(u_k) + shift*u_k)`` starting from
@@ -185,16 +174,14 @@ def monotone_solve(op: PaneitzOperator, prob: ProblemSpec, bracket: Bracket,
     recomputed each step from the current sub-bracket, which keeps it as
     small as the order argument allows and speeds convergence.  Stops once
     the sup-norm step is below ``tol_step`` and the equation residual below
-    ``tol_residual``.
+    ``tol_residual``.  The bracket is verified first (:func:`verify_bracket`);
+    an invalid one raises BracketError.
     """
     prob.validate_exponents(op.params)
-    if check_bracket:
-        scale = max(prob.A.max(), abs(op.params.beta), 1.0)
-        sub_ok, super_ok = verify_bracket(op, prob, bracket, slack=1e-10 * scale)
-        if not (sub_ok and super_ok):
-            raise BracketError(
-                f"bracket invalid (sub_ok={sub_ok}, super_ok={super_ok})"
-            )
+    scale = max(prob.A.max(), abs(op.params.beta), 1.0)
+    sub_ok, super_ok = verify_bracket(op, prob, bracket, slack=1e-10 * scale)
+    if not (sub_ok and super_ok):
+        raise BracketError(f"bracket invalid (sub_ok={sub_ok}, super_ok={super_ok})")
     if start not in ("sub", "super"):
         raise ValueError("start must be 'sub' or 'super'")
     lower = bracket.lower.values

@@ -17,8 +17,8 @@ from .errors import (
     MountainPassGeometryError,
     SolverError,
 )
-from .conditions import check_existence_cond, lebesgue_norm, power_norm_order
-from .geometry import ScalarField
+from .conditions import check_existence_cond, power_norm_order
+from .geometry import ScalarField, lebesgue_norm
 from .monotone import ORDER_SLACK, _monotone_iterate, find_sub_super
 from .operator import PaneitzOperator, backtrack
 from .problems import (
@@ -29,6 +29,7 @@ from .problems import (
     _energy_values,
     _integrals,
     energy,
+    reaction,
     residual_sup,
     smoothed_reaction,
     smoothed_reaction_derivative,
@@ -41,15 +42,14 @@ PATH_NODES = 32
 REPARAM_EVERY = 10
 
 
-def _newton_polish(op, prob, eps, u0, tol, accept_tol=None, maxiter=80,
-                   positivity=False):
+def _newton_polish(op, prob, eps, u0, tol, accept_tol=None, positivity=False):
     """Newton iteration on P u = smoothed RHS: a dense Jacobian on small
     grids, matrix-free MINRES (:meth:`PaneitzOperator.solve_linearized`) above.
 
     Each step is backtracked on the sup residual (:func:`backtrack`).
-    Targets residual ``tol``; if the iteration stalls above it but at or
-    below ``accept_tol`` the iterate is still accepted (Newton bottoms out at
-    the roundoff floor of the operator application).  ``positivity`` forces
+    Targets residual ``tol`` within 80 steps; if the iteration stalls above
+    it but at or below ``accept_tol`` the iterate is still accepted (Newton
+    bottoms out at the roundoff floor of the operator application).  ``positivity`` forces
     line-search candidates to stay positive (used for the exact eps = 0
     equation where the reaction is singular at zero).
     """
@@ -74,7 +74,7 @@ def _newton_polish(op, prob, eps, u0, tol, accept_tol=None, maxiter=80,
         return float(np.abs(Fc).max()), Fc
 
     F = op.apply_values(u) - smoothed_reaction(prob, u, eps)
-    for it in range(1, maxiter + 1):
+    for it in range(1, 81):
         resid = float(np.abs(F).max())
         if resid <= tol:
             return u, resid, it
@@ -94,20 +94,20 @@ def _newton_polish(op, prob, eps, u0, tol, accept_tol=None, maxiter=80,
         if found is None:
             return give_up(f"polish stagnated at residual {resid:.3e}")
         u, F, _ = found
-    return give_up(f"polish exceeded {maxiter} iterations")
+    return give_up("polish exceeded 80 iterations")
 
 
-def _path_max(op, prob, eps, nodes, pnodes, refine=8):
+def _path_max(op, prob, eps, nodes, pnodes):
     """Highest energy along the polyline trace, sampling segment interiors.
 
     Node-only maxima can cut the corner of a stiff ridge once descent has
     pulled the nodes down both slopes; interior samples recover the crossing
     (exactly so on a one-parameter family, where every path must pass
     through every intermediate field).  Samples and their images are
-    interpolated from ``nodes`` and ``pnodes = P nodes``, one stack of
-    ``refine`` per segment.
+    interpolated from ``nodes`` and ``pnodes = P nodes``, one stack of 8
+    per segment.
     """
-    ws = (np.arange(refine) / refine).reshape((-1,) + (1,) * op.grid.d)
+    ws = (np.arange(8) / 8).reshape((-1,) + (1,) * op.grid.d)
     best_val = -np.inf
     best = nodes[0]
     for j in range(len(nodes) - 1):
@@ -348,13 +348,10 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
                 residual=resid,
             )
         if witness_ok:
-            green = op.solve_shifted(
-                0.0, ScalarField(grid, prob.B.values * up**q), check_coercivity=False
-            )
-            entry["green_lower_bound"] = green.min()
-            entry["green_ok"] = bool(
-                float((u - green.values).min()) >= -1e-6 * uscale
-            )
+            green = op.solve_shifted(0.0, prob.B.values * up**q,
+                                     check_coercivity=False)
+            entry["green_lower_bound"] = float(green.min())
+            entry["green_ok"] = bool(float((u - green).min()) >= -1e-6 * uscale)
         if lichnerowicz:
             nb = lebesgue_norm(grid, prob.B.values, s)
             nu = energy_norm(op, ScalarField(grid, u))
@@ -366,7 +363,7 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
     sing_bounded = max(sing0) <= 100.0 * max(sing0[0], 1e-300) + 1e-12
 
     final = ScalarField(grid, u)
-    resid_final = residual_sup(op, prob, final)
+    resid_final = residual_sup(op, prob, u)
     report = SolverReport(
         u=final,
         residual=resid_final,
@@ -408,19 +405,17 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
 
 def second_solution_attempt(op: PaneitzOperator, prob: ProblemSpec,
                             u_B: ScalarField, eps_pert: float,
-                            tol_residual: float = 1e-6,
-                            distinct_tol: float = 1e-4,
                             **mp_kwargs) -> SolverReport | None:
     """Bracket the coefficient between B - eps and B + eps and iterate.
 
     Solutions of the perturbed problems sub/supersolve the original one, so a
     monotone iteration between them lands on another solution.  Whether the
-    limit differs from ``u_B`` is recorded as a distinctness flag (no
-    topological multiplicity argument is attempted).  Saddle-type solutions
-    need not be ordered in the coefficient; a violated ordering is reported
-    in the extras and the iteration falls back to descending from the
-    supersolution alone.  Returns None when no valid iteration can be set up
-    or it fails to converge.
+    limit differs from ``u_B`` by more than 1e-4 in sup norm is recorded as
+    a distinctness flag (no topological multiplicity argument is attempted).
+    Saddle-type solutions need not be ordered in the coefficient; a violated
+    ordering is reported in the extras and the iteration falls back to
+    descending from the supersolution alone.  Returns None when no valid iteration can be set up
+    or it fails to reach residual 1e-6.
     """
     if prob.mode != SOURCE:
         raise ValueError("second-solution bracketing addresses the source mode")
@@ -430,7 +425,7 @@ def second_solution_attempt(op: PaneitzOperator, prob: ProblemSpec,
     if eps_pert == 0.0:
         return SolverReport(
             u=u_B,
-            residual=residual_sup(op, prob, u_B),
+            residual=residual_sup(op, prob, u_B.values),
             iterations=0,
             converged=True,
             method="second-solution",
@@ -454,7 +449,7 @@ def second_solution_attempt(op: PaneitzOperator, prob: ProblemSpec,
     try:
         if ordering_ok:
             u, resid, its, shift, mono, conf = _monotone_iterate(
-                op, prob, u_lo, u_lo, u_hi, +1, 1e-10, tol_residual, 100000,
+                op, prob, u_lo, u_lo, u_hi, +1, 1e-10, 1e-6, 100000,
             )
         else:
             # u_hi still supersolves; descend from it above a small constant
@@ -462,8 +457,6 @@ def second_solution_attempt(op: PaneitzOperator, prob: ProblemSpec,
             e = np.ones(grid.shape)
             pe = op.apply_values(e)
             s1 = 1.0
-            from .problems import reaction
-
             for _ in range(200):
                 vals = s1 * e
                 if (float((reaction(prob, vals) - s1 * pe).min()) >= 0.0
@@ -473,14 +466,14 @@ def second_solution_attempt(op: PaneitzOperator, prob: ProblemSpec,
             else:
                 return None
             u, resid, its, shift, mono, conf = _monotone_iterate(
-                op, prob, u_hi, s1 * e, u_hi, -1, 1e-10, tol_residual, 100000,
+                op, prob, u_hi, s1 * e, u_hi, -1, 1e-10, 1e-6, 100000,
             )
     except SolverError:
         return None
-    if resid > tol_residual:
+    if resid > 1e-6:
         return None
     field = ScalarField(grid, u)
-    distinct = bool(float(np.abs(u - u_B.values).max()) > distinct_tol)
+    distinct = bool(float(np.abs(u - u_B.values).max()) > 1e-4)
     return SolverReport(
         u=field,
         residual=resid,

@@ -115,22 +115,28 @@ class PaneitzOperator:
         pre = self._sigma_half + c
         return lambda r: self.grid.irfft(self.grid.rfft(r) / pre)
 
-    def solve_shifted(self, lam: float, rhs: ScalarField, tol: float = 1e-12,
-                      maxiter: int = 10000, check_coercivity: bool = True,
-                      x0: ScalarField | None = None) -> ScalarField:
+    def solve_shifted(self, lam: float, rhs: np.ndarray, tol: float = 1e-12,
+                      check_coercivity: bool = True,
+                      x0: np.ndarray | None = None) -> np.ndarray:
         """Solve (P + lam) u = rhs by preconditioned conjugate gradients.
 
-        The preconditioner inverts the constant-coefficient part
-        ``sigma(t) + mean(W) + lam`` in frequency space, which is exact when
-        the potential is constant.  Stops at relative sup-norm residual
-        ``tol``; raises ConvergenceError past ``maxiter`` iterations.
+        Takes and returns grid values, like :meth:`apply_values`; ``x0`` is
+        an optional starting guess.  The preconditioner inverts the
+        constant-coefficient part ``sigma(t) + mean(W) + lam`` in frequency
+        space, which is exact when the potential is constant.  Stops at
+        relative sup-norm residual ``tol``; raises ConvergenceError past
+        10000 iterations.  A right side off the grid's shape raises
+        GridMismatchError, a non-finite one ValueError.
 
         With ``check_coercivity=True`` (default) the sufficient witness
         ``min sigma + min W + lam > 0`` is required up front.  Callers holding
         an independent positivity certificate (for instance a computed first
         eigenvalue) may disable the check.
         """
-        self._check_grid(rhs)
+        if rhs.shape != self.grid.shape:
+            raise GridMismatchError(
+                f"right side has shape {rhs.shape}, grid has {self.grid.shape}"
+            )
         if check_coercivity:
             ok, margin = self.coercivity_witness(lam)
             if not ok:
@@ -139,30 +145,31 @@ class PaneitzOperator:
                     "operator possibly indefinite under shift "
                     f"lambda={lam!r}"
                 )
-        b = rhs.values
-        bnorm = float(np.abs(b).max())
+        bnorm = float(np.abs(rhs).max())
+        if not np.isfinite(bnorm):
+            raise ValueError("right side must be finite")
         if bnorm == 0.0:
-            return ScalarField(self.grid, np.zeros(self.grid.shape))
+            return np.zeros(self.grid.shape)
         pinv = self.preconditioner(lam)
         # at this breakdown residual the iteration has hit the floating-point
         # floor of the operator application, not a genuine indefiniteness
         breakdown_floor = 1e-8
 
-        x = np.zeros_like(b) if x0 is None else x0.values.copy()
-        r = b - self.apply_values(x) - lam * x if x0 is not None else b.copy()
+        x = np.zeros_like(rhs) if x0 is None else x0.copy()
+        r = rhs - self.apply_values(x) - lam * x if x0 is not None else rhs.copy()
         z = pinv(r)
         p = z.copy()
         rz = float(np.sum(r * z))
         last = float(np.abs(r).max()) / bnorm
-        for _ in range(maxiter):
+        for _ in range(10000):
             last = float(np.abs(r).max()) / bnorm
             if last <= tol:
-                return ScalarField(self.grid, x)
+                return x
             Ap = self.apply_values(p) + lam * p
             pAp = float(np.sum(p * Ap))
             if pAp <= 0.0 or rz <= 0.0:
                 if last <= breakdown_floor:
-                    return ScalarField(self.grid, x)
+                    return x
                 raise CoercivityError(
                     "conjugate gradients met a nonpositive curvature direction "
                     f"at relative residual {last:.3e}; operator indefinite "

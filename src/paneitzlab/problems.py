@@ -28,7 +28,6 @@ __all__ = [
     "Bracket",
     "SolverReport",
     "reaction",
-    "reaction_derivative",
     "smoothed_reaction",
     "energy",
     "energy_gradient_values",
@@ -99,14 +98,6 @@ class ProblemSpec:
 def reaction(prob: ProblemSpec, u: np.ndarray) -> np.ndarray:
     """f(x, u) = A/u^p -/+ B u^q pointwise; u must be positive."""
     return prob.A.values / u**prob.p + prob.sign * prob.B.values * u**prob.q
-
-
-def reaction_derivative(prob: ProblemSpec, u: np.ndarray) -> np.ndarray:
-    """df/du pointwise at positive u."""
-    return (
-        -prob.p * prob.A.values / u ** (prob.p + 1)
-        + prob.sign * prob.q * prob.B.values * u ** (prob.q - 1)
-    )
 
 
 def smoothed_reaction(prob: ProblemSpec, u: np.ndarray, eps: float) -> np.ndarray:
@@ -207,9 +198,9 @@ class SolverReport:
         return out
 
 
-def residual_sup(op: PaneitzOperator, prob: ProblemSpec, u: ScalarField) -> float:
-    """||P u - RHS(u)||_inf at a positive field."""
-    return float(np.abs(op.apply_values(u.values) - reaction(prob, u.values)).max())
+def residual_sup(op: PaneitzOperator, prob: ProblemSpec, u: np.ndarray) -> float:
+    """||P u - RHS(u)||_inf at positive grid values ``u``."""
+    return float(np.abs(op.apply_values(u) - reaction(prob, u)).max())
 
 
 # -- energy functionals -------------------------------------------------------

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CoercivityError, ConvergenceError
-from .geometry import ScalarField
+from .geometry import ScalarField, lebesgue_norm
 from .operator import PaneitzOperator, backtrack
 
 __all__ = [
@@ -57,25 +57,24 @@ class PositivityReport:
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Container for the spectral diagnostics a run requested.
+    """Container for the spectral diagnostics of one operator.
 
     The embedding constant is grid-dependent, so the grid signature always
     travels with it.
     """
 
-    S_psi: float | None = None
-    invariant_sign: int | None = None
-    eigen: EigenPair | None = None
+    S_psi: float
+    invariant_sign: int
+    eigen: EigenPair
     energy_norms: dict = field(default_factory=dict)
     grid_signature: str = ""
 
 
-def analyze(op: PaneitzOperator, want_sobolev: bool = True,
-            want_eigen: bool = True, fields: dict | None = None) -> AnalysisReport:
-    """Bundle the requested spectral diagnostics into one report."""
-    eig = principal_eigenpair(op) if want_eigen else None
-    sign = invariant_sign(op, eig) if want_eigen else None
-    S = sobolev_constant(op) if want_sobolev else None
+def analyze(op: PaneitzOperator, fields: dict | None = None) -> AnalysisReport:
+    """Bundle the spectral diagnostics into one report."""
+    eig = principal_eigenpair(op)
+    sign = invariant_sign(op, eig)
+    S = sobolev_constant(op)
     norms = {name: energy_norm(op, u) for name, u in (fields or {}).items()}
     return AnalysisReport(
         S_psi=S,
@@ -99,14 +98,9 @@ def _scale(op: PaneitzOperator) -> float:
     return max(abs(op.params.beta), float(np.abs(op.W.values).max()), 1.0)
 
 
-def _lp_norm(grid, values: np.ndarray, p: float) -> float:
-    """(integral |u|^p)^(1/p)."""
-    return grid.integrate(np.abs(values) ** p) ** (1.0 / p)
-
-
 def _inverse_iteration(op: PaneitzOperator, start: np.ndarray, e: float,
-                       shift: float, tol: float = 1e-10,
-                       maxiter: int = 20000) -> tuple[float, np.ndarray, int]:
+                       shift: float,
+                       tol: float = 1e-10) -> tuple[float, np.ndarray, int]:
     """Nonlinear inverse power method for the quotient <u, P u> / ||u||_e^2.
 
     Solves ``(P + shift) v = |u|^(e-2) u``, normalizes ``v`` in ``L^e`` and
@@ -116,7 +110,7 @@ def _inverse_iteration(op: PaneitzOperator, start: np.ndarray, e: float,
     (Biezuner, Ercole & Martins, J. Funct. Anal. 257, 2009).  Stops when the
     Euler-Lagrange residual ``||P v - Q |v|^(e-2) v||_inf`` drops below
     ``tol`` times the operator scale or the operator's round-off floor,
-    whichever is larger, and raises ``ConvergenceError`` after ``maxiter``
+    whichever is larger, and raises ``ConvergenceError`` after 20000
     iterations; returns ``(Q, v, iterations)``.
 
     The iteration converges only linearly, so for ``e > 2`` and zero shift
@@ -130,13 +124,13 @@ def _inverse_iteration(op: PaneitzOperator, start: np.ndarray, e: float,
     grid = op.grid
     scale = _scale(op)
     target = tol * scale
-    v = start / _lp_norm(grid, start, e)
+    v = start / lebesgue_norm(grid, start, e)
     resid = np.inf
     attempt = 10 if e > 2.0 and shift == 0.0 else None
-    for it in range(1, maxiter + 1):
-        rhs = ScalarField(grid, np.abs(v) ** (e - 2.0) * v)
-        u = op.solve_shifted(shift, rhs, tol=1e-14, check_coercivity=False)
-        v = u.values / _lp_norm(grid, u.values, e)
+    for it in range(1, 20001):
+        u = op.solve_shifted(shift, np.abs(v) ** (e - 2.0) * v, tol=1e-14,
+                             check_coercivity=False)
+        v = u / lebesgue_norm(grid, u, e)
         pv = op.apply_values(v)
         Q, resid = _euler_lagrange(grid, v, pv, e)
         if resid <= max(target, op.roundoff_floor(v)):
@@ -195,7 +189,7 @@ def _newton_finish(op: PaneitzOperator, Q: float, v: np.ndarray,
         if found is None:
             return None
         w, (pw, F), resid = found
-        norm = _lp_norm(grid, w, e)
+        norm = lebesgue_norm(grid, w, e)
         v = w / norm
         Q, r = _euler_lagrange(grid, v, pw / norm, e)
         if r <= max(target, op.roundoff_floor(v)):
@@ -203,8 +197,7 @@ def _newton_finish(op: PaneitzOperator, Q: float, v: np.ndarray,
     return None
 
 
-def principal_eigenpair(op: PaneitzOperator, tol: float = 1e-10,
-                        maxiter: int = 20000) -> EigenPair:
+def principal_eigenpair(op: PaneitzOperator, tol: float = 1e-10) -> EigenPair:
     """Smallest eigenvalue of the operator by inverse power iteration.
 
     Runs :func:`_inverse_iteration` with ``e = 2`` from the constant field.
@@ -214,11 +207,11 @@ def principal_eigenpair(op: PaneitzOperator, tol: float = 1e-10,
     ``||P phi - lambda phi||_inf`` drops below ``tol`` times the operator
     scale or the operator's round-off floor
     (:meth:`PaneitzOperator.roundoff_floor`), whichever is larger, and
-    raises ``ConvergenceError`` after ``maxiter`` iterations.
+    raises ``ConvergenceError`` after 20000 iterations.
     """
     shift = max(0.0, -op.W.min()) + 0.05 * _scale(op)
     lam, v, it = _inverse_iteration(op, np.ones(op.grid.shape), 2.0, shift,
-                                    tol=tol, maxiter=maxiter)
+                                    tol=tol)
     # normalize to max = 1 with a positive peak
     peak = v.flat[np.argmax(np.abs(v))]
     v = v / peak
@@ -264,7 +257,7 @@ def critical_quotient(op: PaneitzOperator, u: ScalarField,
                       exponent: float | None = None) -> float:
     """<u, P u> / (integral |u|^e)^(2/e), e defaulting to the critical 2n/(n-4)."""
     e = op.params.two_sharp if exponent is None else exponent
-    denom = _lp_norm(op.grid, u.values, e) ** 2
+    denom = lebesgue_norm(op.grid, u.values, e) ** 2
     if denom == 0.0:
         raise ValueError("quotient of the zero field")
     return op.form(u) / denom
@@ -351,18 +344,16 @@ def positivity_check(op: PaneitzOperator, samples: int = 4,
     for j in idx:
         delta = np.zeros(npts)
         delta[j] = 1.0 / grid.cell_weight
-        col = op.solve_shifted(
-            0.0, ScalarField(grid, delta.reshape(grid.shape)),
-            check_coercivity=False,
-        )
-        min_green = min(min_green, col.min())
-        scale = max(scale, float(np.abs(col.values).max()))
+        col = op.solve_shifted(0.0, delta.reshape(grid.shape),
+                               check_coercivity=False)
+        min_green = min(min_green, float(col.min()))
+        scale = max(scale, float(np.abs(col).max()))
     min_rand = np.inf
     for _ in range(max(samples, 1)):
         load = np.abs(rng.standard_normal(grid.shape))
-        sol = op.solve_shifted(0.0, ScalarField(grid, load), check_coercivity=False)
-        min_rand = min(min_rand, sol.min())
-        scale = max(scale, float(np.abs(sol.values).max()))
+        sol = op.solve_shifted(0.0, load, check_coercivity=False)
+        min_rand = min(min_rand, float(sol.min()))
+        scale = max(scale, float(np.abs(sol).max()))
     passed = min_green >= -1e-12 * scale and min_rand >= -1e-12 * scale
     reason = "" if passed else "inverse image of a nonnegative load dips negative"
     return PositivityReport(

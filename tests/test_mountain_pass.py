@@ -237,10 +237,8 @@ class TestSecondSolution:
         # at the coupling where the two scalar roots merge, perturbing the
         # coefficient upward leaves no solution: the attempt reports nothing
         # instead of raising
-        from paneitzlab.conditions import nonexistence_constant
-
         beta = mp_op.params.beta
-        fold = (beta / nonexistence_constant(1.5, 2.0)) ** (3.5 / 2.5)
+        fold = (beta / pl.ineq_denominator(1.5, 2.0)) ** (3.5 / 2.5)
         prob = constant_problem(ref_grid, b=0.999 * fold, p=1.5, q=2.0, mode="source")
         u_B = pl.mountain_pass_solve(mp_op, prob, S_psi=mp_sobolev).u
         rep = pl.second_solution_attempt(

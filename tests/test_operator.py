@@ -125,8 +125,8 @@ class TestTwoDimensional:
         b = grid.inner(u.values, op.apply(v).values)
         assert abs(a - b) < 1e-10 * max(abs(a), abs(b))
         rhs = pl.ScalarField(grid, rng.standard_normal(grid.shape))
-        sol = op.solve_shifted(0.7, rhs)
-        resid = op.apply(sol).values + 0.7 * sol.values - rhs.values
+        sol = op.solve_shifted(0.7, rhs.values)
+        resid = op.apply_values(sol) + 0.7 * sol - rhs.values
         assert np.abs(resid).max() <= 1e-10 * np.abs(rhs.values).max()
 
     def test_constant_solution_matches_1d(self, ref_params):
@@ -150,14 +150,14 @@ class TestSolveShifted:
         t = 4.0
         factor = t * t + 5.5 * t + 6.5625 + lam
         rhs = pl.ScalarField(ref_op.grid, factor * target)
-        u = ref_op.solve_shifted(lam, rhs)
-        assert np.abs(u.values - target).max() < 1e-10
+        u = ref_op.solve_shifted(lam, rhs.values)
+        assert np.abs(u - target).max() < 1e-10
 
     def test_constant_rhs(self, ref_op):
         lam = 2.0
         rhs = pl.ScalarField.constant(ref_op.grid, 3.0)
-        u = ref_op.solve_shifted(lam, rhs)
-        assert np.abs(u.values - 3.0 / (6.5625 + lam)).max() < 1e-11
+        u = ref_op.solve_shifted(lam, rhs.values)
+        assert np.abs(u - 3.0 / (6.5625 + lam)).max() < 1e-11
 
     def test_variable_potential_residual(self, ref_params, ref_grid):
         x = ref_grid.meshgrid()[0]
@@ -165,8 +165,8 @@ class TestSolveShifted:
         op = pl.build_operator(ref_params, ref_grid, potential=V)
         rng = np.random.default_rng(6)
         rhs = pl.ScalarField(ref_grid, rng.standard_normal(64))
-        u = op.solve_shifted(0.5, rhs)
-        resid = op.apply(u).values + 0.5 * u.values - rhs.values
+        u = op.solve_shifted(0.5, rhs.values)
+        resid = op.apply_values(u) + 0.5 * u - rhs.values
         assert np.abs(resid).max() <= 1e-10 * np.abs(rhs.values).max()
 
     def test_roundtrip_band_limited(self, ref_op):
@@ -178,14 +178,30 @@ class TestSolveShifted:
         u = pl.ScalarField(ref_op.grid, vals)
         lam = 1.0
         rhs = pl.ScalarField(ref_op.grid, ref_op.apply(u).values + lam * u.values)
-        back = ref_op.solve_shifted(lam, rhs)
-        assert np.abs(back.values - u.values).max() < 1e-10 * max(np.abs(u.values).max(), 1.0)
+        back = ref_op.solve_shifted(lam, rhs.values)
+        assert np.abs(back - u.values).max() < 1e-10 * max(np.abs(u.values).max(), 1.0)
 
     def test_coercivity_refusal(self, ref_params, ref_grid):
         V = pl.ScalarField.constant(ref_grid, ref_params.Qconst + 30.0)
         op = pl.build_operator(ref_params, ref_grid, potential=V)
         with pytest.raises(pl.CoercivityError):
-            op.solve_shifted(0.0, pl.ScalarField.constant(ref_grid, 1.0))
+            op.solve_shifted(0.0, np.ones(ref_grid.shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_rhs_refused_before_any_application(self, ref_op,
+                                                          monkeypatch, bad):
+        applied = []
+        monkeypatch.setattr(ref_op, "apply_values", applied.append)
+        rhs = np.ones(ref_op.grid.shape)
+        rhs[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ref_op.solve_shifted(0.5, rhs, x0=np.ones(ref_op.grid.shape))
+        assert applied == []
+
+    @pytest.mark.parametrize("shape", [(32,), (8, 8)])
+    def test_wrong_shape_rhs(self, ref_op, shape):
+        with pytest.raises(pl.GridMismatchError):
+            ref_op.solve_shifted(0.5, np.ones(shape))
 
 
 class TestSolveLinearized:
