@@ -32,10 +32,8 @@ from .geometry import (
 )
 from .operator import PaneitzOperator, build_operator
 from .spectral_analysis import (
-    AnalysisReport,
     EigenPair,
     PositivityReport,
-    analyze,
     energy_norm,
     invariant_sign,
     positivity_check,

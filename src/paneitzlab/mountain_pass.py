@@ -9,6 +9,8 @@ which Newton then sharpens while the regularization is driven to zero.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .errors import (
@@ -20,7 +22,7 @@ from .errors import (
 from .conditions import check_existence_cond, power_norm_order
 from .geometry import ScalarField, lebesgue_norm
 from .monotone import ORDER_SLACK, _monotone_iterate, find_sub_super
-from .operator import PaneitzOperator, backtrack
+from .operator import PaneitzOperator, newton
 from .problems import (
     ABSORPTION,
     SOURCE,
@@ -40,61 +42,6 @@ __all__ = ["mountain_pass_solve", "second_solution_attempt"]
 
 PATH_NODES = 32
 REPARAM_EVERY = 10
-
-
-def _newton_polish(op, prob, eps, u0, tol, accept_tol=None, positivity=False):
-    """Newton iteration on P u = smoothed RHS: a dense Jacobian on small
-    grids, matrix-free MINRES (:meth:`PaneitzOperator.solve_linearized`) above.
-
-    Each step is backtracked on the sup residual (:func:`backtrack`).
-    Targets residual ``tol`` within 80 steps; if the iteration stalls above
-    it but at or below ``accept_tol`` the iterate is still accepted (Newton
-    bottoms out at the roundoff floor of the operator application).  ``positivity`` forces
-    line-search candidates to stay positive (used for the exact eps = 0
-    equation where the reaction is singular at zero).
-    """
-    grid = op.grid
-    u = u0.copy()
-    npts = grid.npoints
-    dense = npts <= op.MAX_DENSE
-    if dense:
-        P = op.dense_matrix()
-    accept_tol = tol if accept_tol is None else max(accept_tol, tol)
-    resid = np.inf
-
-    def give_up(msg):
-        if resid <= accept_tol:
-            return u, resid, it
-        raise ConvergenceError(msg, residual=resid)
-
-    def residual_at(cand):
-        if positivity and float(cand.min()) <= 0.0:
-            return None
-        Fc = op.apply_values(cand) - smoothed_reaction(prob, cand, eps)
-        return float(np.abs(Fc).max()), Fc
-
-    F = op.apply_values(u) - smoothed_reaction(prob, u, eps)
-    for it in range(1, 81):
-        resid = float(np.abs(F).max())
-        if resid <= tol:
-            return u, resid, it
-        fp = smoothed_reaction_derivative(prob, u, eps)
-        if dense:
-            J = P - np.diag(fp.ravel())
-            try:
-                step = np.linalg.solve(J, -F.ravel()).reshape(grid.shape)
-            except np.linalg.LinAlgError:
-                return give_up(f"singular Jacobian at residual {resid:.3e}")
-        else:
-            try:
-                step = op.solve_linearized(fp, -F)
-            except ConvergenceError:
-                return give_up(f"indefinite solve stalled at residual {resid:.3e}")
-        found = backtrack(u, step, resid, residual_at)
-        if found is None:
-            return give_up(f"polish stagnated at residual {resid:.3e}")
-        u, F, _ = found
-    return give_up("polish exceeded 80 iterations")
 
 
 def _path_max(op, prob, eps, nodes, pnodes):
@@ -326,12 +273,32 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
     uscale = max(float(np.abs(u).max()), 1.0)
     lichnerowicz = abs((p - 1.0) - (q + 1.0)) <= 1e-12
     witness_ok, _ = op.coercivity_witness(0.0)
+    # Newton's linear solve: dense on small grids, matrix-free MINRES above
+    solve = None
+    if grid.npoints <= op.MAX_DENSE:
+        P = op.dense_matrix()
+
+        def solve(fp, rhs):
+            J = P - np.diag(fp.ravel())
+            return np.linalg.solve(J, rhs.ravel()).reshape(grid.shape)
+
     for eps in eps_schedule:
         target = max(1e-3 * tol_residual, 1e-9 * uscale)
-        u, resid, its = _newton_polish(
-            op, prob, eps, u, target, accept_tol=tol_residual,
-            positivity=(eps == 0.0),
+        u, resid, steps, stop = newton(
+            op, partial(smoothed_reaction, prob, eps=eps),
+            partial(smoothed_reaction_derivative, prob, eps=eps),
+            u, op.apply_values(u), lambda v, pv, r: r <= target, 80,
+            solve=solve,
+            admissible=(lambda c: float(c.min()) > 0.0) if eps == 0.0 else None,
         )
+        # Newton bottoms out at the round-off floor of the operator
+        # application, so a residual within tol_residual is still accepted
+        if stop != "done" and resid > tol_residual:
+            why = {"solve-failed": "linearized solve failed",
+                   "stagnated": "polish stagnated",
+                   "cap": "polish reached 80 steps"}[stop]
+            raise ConvergenceError(f"{why} at residual {resid:.3e}", residual=resid)
+        its = steps + 1
         newton_its += its
         umin = float(u.min())
         uscale = max(float(np.abs(u).max()), 1.0)

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .geometry import GeometryParams, ScalarField, SpectralGrid, gradient_squared
 
-__all__ = ["PaneitzOperator", "backtrack", "build_operator"]
+__all__ = ["PaneitzOperator", "backtrack", "build_operator", "newton"]
 
 
 class PaneitzOperator:
@@ -287,3 +287,43 @@ def backtrack(x: np.ndarray, step: np.ndarray, resid: float, residual_at):
             return cand, out[1], out[0]
         s *= 0.5
     return None
+
+
+def newton(op: PaneitzOperator, f, fprime, u: np.ndarray, pu: np.ndarray,
+           done, maxiter: int, solve=None, admissible=None):
+    """Newton's method on ``P u = f(u)`` from ``u`` with ``pu = P u``.
+
+    Each step solves ``(P - diag f'(u)) s = f(u) - P u`` by
+    ``solve(fprime(u), rhs)`` (default :meth:`PaneitzOperator.solve_linearized`)
+    and is backtracked on the sup residual (:func:`backtrack`); candidates
+    for which ``admissible`` is false are refused.  ``done(u, pu, residual)``
+    is tested before every step.  Returns ``(u, residual, steps, stop)`` with
+    ``stop`` one of ``"done"``, ``"solve-failed"`` (ConvergenceError or
+    LinAlgError from ``solve``), ``"stagnated"`` (the line search found no
+    decrease) or ``"cap"`` (``maxiter`` steps taken).
+    """
+    solve = op.solve_linearized if solve is None else solve
+
+    def residual_at(cand):
+        if admissible is not None and not admissible(cand):
+            return None
+        pc = op.apply_values(cand)
+        Fc = pc - f(cand)
+        return float(np.abs(Fc).max()), (pc, Fc)
+
+    F = pu - f(u)
+    resid = float(np.abs(F).max())
+    steps = 0
+    while not done(u, pu, resid):
+        if steps == maxiter:
+            return u, resid, steps, "cap"
+        try:
+            step = solve(fprime(u), -F)
+        except (ConvergenceError, np.linalg.LinAlgError):
+            return u, resid, steps, "solve-failed"
+        found = backtrack(u, step, resid, residual_at)
+        if found is None:
+            return u, resid, steps, "stagnated"
+        u, (pu, F), resid = found
+        steps += 1
+    return u, resid, steps, "done"

@@ -3,19 +3,17 @@ invariant, energy norm, and empirical positivity diagnostics."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CoercivityError, ConvergenceError
 from .geometry import ScalarField, lebesgue_norm
-from .operator import PaneitzOperator, backtrack
+from .operator import PaneitzOperator, newton
 
 __all__ = [
     "EigenPair",
-    "AnalysisReport",
     "PositivityReport",
-    "analyze",
     "principal_eigenpair",
     "rayleigh_quotient",
     "sobolev_constant",
@@ -53,36 +51,6 @@ class PositivityReport:
     scale: float
     samples: int
     reason: str = ""
-
-
-@dataclass(frozen=True)
-class AnalysisReport:
-    """Container for the spectral diagnostics of one operator.
-
-    The embedding constant is grid-dependent, so the grid signature always
-    travels with it.
-    """
-
-    S_psi: float
-    invariant_sign: int
-    eigen: EigenPair
-    energy_norms: dict = field(default_factory=dict)
-    grid_signature: str = ""
-
-
-def analyze(op: PaneitzOperator, fields: dict | None = None) -> AnalysisReport:
-    """Bundle the spectral diagnostics into one report."""
-    eig = principal_eigenpair(op)
-    sign = invariant_sign(op, eig)
-    S = sobolev_constant(op)
-    norms = {name: energy_norm(op, u) for name, u in (fields or {}).items()}
-    return AnalysisReport(
-        S_psi=S,
-        invariant_sign=sign,
-        eigen=eig,
-        energy_norms=norms,
-        grid_signature=f"sizes={op.grid.sizes} lengths={op.grid.lengths}",
-    )
 
 
 def rayleigh_quotient(op: PaneitzOperator, u: ScalarField) -> float:
@@ -163,38 +131,26 @@ def _newton_finish(op: PaneitzOperator, Q: float, v: np.ndarray,
     inverse iteration's iterate ``v`` (with ``pv = P v`` and the positive
     quotient ``Q``) into an unnormalized one.  The Jacobian
     ``P - (e-1)|w|^(e-2)`` is indefinite (Morse index 1 at a ground state),
-    so each step is solved by :meth:`PaneitzOperator.solve_linearized` and
-    backtracked on the sup residual (:func:`backtrack`).  Returns ``(Q, v)``
-    with ``v = w / ||w||_e`` once ``v`` meets the inverse iteration's
-    stopping test, or None when a solve fails, the line search stagnates or
-    20 steps pass.
+    so the steps are taken by :func:`~paneitzlab.operator.newton` with its
+    matrix-free MINRES solve.  Returns ``(Q, v)`` with ``v = w / ||w||_e``
+    once ``v`` meets the inverse iteration's stopping test, or None when a
+    solve fails, the line search stagnates or 20 steps pass.
     """
     grid = op.grid
+    found = []  # (Q, v) of the latest stopping test
 
-    def residual_at(cand):
-        pc = op.apply_values(cand)
-        Fc = pc - np.abs(cand) ** (e - 2.0) * cand
-        return float(np.abs(Fc).max()), (pc, Fc)
-
-    c = Q ** (1.0 / (e - 2.0))
-    w, pw = c * v, c * pv
-    F = pw - np.abs(w) ** (e - 2.0) * w
-    resid = float(np.abs(F).max())
-    for _ in range(20):
-        try:
-            step = op.solve_linearized((e - 1.0) * np.abs(w) ** (e - 2.0), -F)
-        except ConvergenceError:
-            return None
-        found = backtrack(w, step, resid, residual_at)
-        if found is None:
-            return None
-        w, (pw, F), resid = found
+    def done(w, pw, resid):
         norm = lebesgue_norm(grid, w, e)
         v = w / norm
         Q, r = _euler_lagrange(grid, v, pw / norm, e)
-        if r <= max(target, op.roundoff_floor(v)):
-            return Q, v
-    return None
+        found[:] = [Q, v]
+        return r <= max(target, op.roundoff_floor(v))
+
+    c = Q ** (1.0 / (e - 2.0))
+    stop = newton(op, lambda w: np.abs(w) ** (e - 2.0) * w,
+                  lambda w: (e - 1.0) * np.abs(w) ** (e - 2.0),
+                  c * v, c * pv, done, 20)[3]
+    return tuple(found) if stop == "done" else None
 
 
 def principal_eigenpair(op: PaneitzOperator, tol: float = 1e-10) -> EigenPair:
@@ -275,16 +231,16 @@ def sobolev_constant(op: PaneitzOperator, exponent: float | None = None) -> floa
     (see :func:`_inverse_iteration`).  An attained quotient, hence an upper
     estimate of the infimum.  With ``e = 2`` it is the first eigenvalue.
 
-    When the operator is not positive definite (``lambda1`` at or below
-    ``ZERO_EIGENVALUE_RTOL`` relative to the beta scale) there is nothing
-    for the unshifted iteration to invert, and the quotient of the principal
-    eigenfunction is returned: zero or negative.  The value is
-    grid-dependent and is only meaningful together with the grid signature.
+    When the operator is not positive definite (:func:`invariant_sign` not
+    +1) there is nothing for the unshifted iteration to invert, and the
+    quotient of the principal eigenfunction is returned: zero or negative.
+    The value is grid-dependent and is only meaningful together with its
+    grid's sizes and lengths.
     """
     grid = op.grid
     e = op.params.two_sharp if exponent is None else exponent
     eig = principal_eigenpair(op)
-    if eig.lambda1 <= ZERO_EIGENVALUE_RTOL * max(abs(op.params.beta), 1.0):
+    if invariant_sign(op, eig) <= 0:
         return critical_quotient(op, eig.phi1, e)
     starts = [eig.phi1.values]
     mesh = grid.meshgrid()
@@ -316,20 +272,21 @@ def positivity_check(op: PaneitzOperator, samples: int = 4,
     inverse kernel) and against random nonnegative fields, and reports the
     most negative value seen.  PASS requires all minima >= -1e-12 * scale.
     An indefinite operator (first eigenvalue <= 0) is reported as FAIL with a
-    reason, not raised.
+    reason, not raised; ``samples < 1`` raises ValueError before any solve.
     """
+    if samples < 1:
+        raise ValueError(f"positivity check needs at least one sample, got {samples}")
     grid = op.grid
     ok, margin = op.coercivity_witness(0.0)
     if not ok:
         # fall back on the computed spectrum before giving up
         eig = principal_eigenpair(op)
-        scale = max(abs(op.params.beta), 1.0)
-        if eig.lambda1 <= ZERO_EIGENVALUE_RTOL * scale:
+        if invariant_sign(op, eig) <= 0:
             return PositivityReport(
                 passed=False,
                 min_green=float("nan"),
                 min_random_inverse=float("nan"),
-                scale=scale,
+                scale=max(abs(op.params.beta), 1.0),
                 samples=0,
                 reason=(
                     f"operator not positive definite (lambda1 = {eig.lambda1:.6e}); "
@@ -338,7 +295,7 @@ def positivity_check(op: PaneitzOperator, samples: int = 4,
             )
     rng = np.random.default_rng(seed)
     npts = grid.npoints
-    idx = np.linspace(0, npts - 1, max(samples, 1)).astype(int)
+    idx = np.linspace(0, npts - 1, samples).astype(int)
     min_green = np.inf
     scale = 0.0
     for j in idx:
@@ -349,7 +306,7 @@ def positivity_check(op: PaneitzOperator, samples: int = 4,
         min_green = min(min_green, float(col.min()))
         scale = max(scale, float(np.abs(col).max()))
     min_rand = np.inf
-    for _ in range(max(samples, 1)):
+    for _ in range(samples):
         load = np.abs(rng.standard_normal(grid.shape))
         sol = op.solve_shifted(0.0, load, check_coercivity=False)
         min_rand = min(min_rand, float(sol.min()))

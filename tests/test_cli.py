@@ -187,6 +187,17 @@ class TestRun:
         parsed = INVALID_INPUTS[bad] != "ConfigError"
         assert (tmp_path / "out" / "manifest.json").exists() == parsed
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_positivity_samples_below_one_exit(self, tmp_path, samples):
+        from paneitzlab.cli import main
+
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"n = 5\naction = eigen\npositivity_samples = {samples}\n")
+        assert main([str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert err["error"] == "ValueError"
+        assert not (tmp_path / "out" / "report.json").exists()
+
     @pytest.mark.parametrize("case", list(BAD_FIELD_INPUTS))
     def test_bad_field_input_exit(self, tmp_path, monkeypatch, case):
         from paneitzlab.cli import main

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import paneitzlab as pl
-from paneitzlab.operator import backtrack
+from paneitzlab.operator import backtrack, newton
 
 from _oracles import dense_operator_matrix_1d
 
@@ -265,6 +265,56 @@ class TestBacktrack:
 
         assert backtrack(np.zeros(3), np.ones(3), 1.0, residual_at) is None
         assert len(calls) == 50
+
+
+class TestNewton:
+    """One case per stop reason of the Newton kernel, on ``P u = u^-3`` over
+    the 32-point psi = 0 operator: its solution is the constant
+    ``beta^(-1/4)``, since ``P`` maps constants to ``beta`` times themselves."""
+
+    @staticmethod
+    def f(u):
+        return u ** -3.0
+
+    @staticmethod
+    def fprime(u):
+        return -3.0 * u ** -4.0
+
+    @pytest.fixture
+    def op(self, ref_params):
+        return pl.build_operator(ref_params, pl.SpectralGrid((32,), (TWO_PI,)))
+
+    def run(self, op, maxiter=20, **kw):
+        u = np.ones(op.grid.shape)
+        return newton(op, self.f, self.fprime, u, op.apply_values(u),
+                      lambda v, pv, r: r <= 1e-12, maxiter, **kw)
+
+    def test_done(self, op, ref_params):
+        u, resid, steps, stop = self.run(op)
+        assert stop == "done"
+        assert 1 <= steps <= 8
+        assert resid <= 1e-12
+        assert np.abs(u - ref_params.beta ** -0.25).max() <= 1e-13
+
+    def test_solve_failed(self, op):
+        def solve(fp, rhs):
+            raise pl.ConvergenceError("no solve")
+
+        u, resid, steps, stop = self.run(op, solve=solve)
+        assert (stop, steps) == ("solve-failed", 0)
+        assert np.array_equal(u, np.ones(op.grid.shape))
+        assert resid == pytest.approx(op.params.beta - 1.0, rel=1e-12)
+
+    def test_stagnated(self, op):
+        u, resid, steps, stop = self.run(op, admissible=lambda c: False)
+        assert (stop, steps) == ("stagnated", 0)
+        assert np.array_equal(u, np.ones(op.grid.shape))
+
+    def test_cap(self, op):
+        u, resid, steps, stop = self.run(op, maxiter=0)
+        assert (stop, steps) == ("cap", 0)
+        assert np.array_equal(u, np.ones(op.grid.shape))
+        assert resid == pytest.approx(op.params.beta - 1.0, rel=1e-12)
 
 
 class TestConformalQ:

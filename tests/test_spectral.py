@@ -274,16 +274,6 @@ class TestInverseIteration:
         assert pl.sobolev_constant(bump_op) == 17.398849708202004
 
 
-def test_analyze_report(ref_op):
-    rep = pl.analyze(ref_op, fields={"one": pl.ScalarField.constant(ref_op.grid, 1.0)})
-    assert rep.invariant_sign == 1
-    assert rep.eigen.lambda1 == pytest.approx(6.5625, abs=1e-8)
-    assert rep.S_psi > 0
-    V = ref_op.grid.volume
-    assert rep.energy_norms["one"] == pytest.approx(np.sqrt(6.5625 * V), rel=1e-12)
-    assert "sizes" in rep.grid_signature
-
-
 class TestPositivity:
     def test_reference_operator_passes(self, ref_op):
         rep = pl.positivity_check(ref_op, samples=4, seed=0)
@@ -298,6 +288,15 @@ class TestPositivity:
         centered = np.roll(col, -10)
         assert np.argmax(centered) == 0
         assert np.all(np.diff(centered[:33]) <= 1e-12 * col.max())
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_samples_below_one_refused(self, ref_op, monkeypatch, samples):
+        solves = []
+        monkeypatch.setattr(ref_op, "solve_shifted",
+                            lambda *a, **k: solves.append(a))
+        with pytest.raises(ValueError, match="sample"):
+            pl.positivity_check(ref_op, samples=samples)
+        assert solves == []
 
     def test_engineered_failure_reported(self, ref_params, ref_grid):
         x = ref_grid.meshgrid()[0]
