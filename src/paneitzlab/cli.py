@@ -151,6 +151,12 @@ class RunManifest:
         return True
 
 
+def _finite(x: float) -> float:
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {x}")
+    return x
+
+
 def _parse_value(key: str, raw: str, line: int):
     kind, _ = _SCHEMA[key]
     raw = raw.strip()
@@ -158,7 +164,7 @@ def _parse_value(key: str, raw: str, line: int):
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
+            return _finite(float(raw))
         if kind == "bool":
             low = raw.lower()
             if low in ("true", "yes", "1"):
@@ -169,7 +175,7 @@ def _parse_value(key: str, raw: str, line: int):
         if kind == "ints":
             return tuple(int(x) for x in raw.split(","))
         if kind == "floats":
-            return tuple(float(x) for x in raw.split(","))
+            return tuple(_finite(float(x)) for x in raw.split(","))
         if kind.startswith("choice:"):
             options = kind.split(":", 1)[1].split(",")
             if raw not in options:
@@ -555,9 +561,8 @@ def _action_sweep(config, params, grid, op, w: _Writer):
                      non.satisfied if non.conclusive else "inconclusive",
                      non.margin, outcome, resid)
 
-    workers = max(1, int(v["workers"]))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    if v["workers"] > 1:
+        with ThreadPoolExecutor(max_workers=v["workers"]) as pool:
             results = list(pool.map(run_cell, enumerate(cells)))
     else:
         results = [run_cell(ic) for ic in enumerate(cells)]
@@ -603,6 +608,8 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None,
     writer = _Writer(out)
     exit_code = 0
     try:
+        if values["workers"] < 1:
+            raise ValueError(f"workers must be at least 1, got {values['workers']}")
         params, grid, op = _build(config)
         exit_code = _HANDLERS[values["action"]](config, params, grid, op, writer)
     except (PaneitzLabError, ValueError) as exc:

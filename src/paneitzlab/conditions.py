@@ -329,15 +329,15 @@ def check_nonexistence(op: PaneitzOperator, prob: ProblemSpec) -> ConditionRepor
 # -- threshold coupling ----------------------------------------------------------
 
 
-def _constant_problem(op: PaneitzOperator, lam: float, p: float, q: float,
-                      mode: str = SOURCE) -> ProblemSpec:
+def _constant_problem(op: PaneitzOperator, lam: float, p: float,
+                      q: float) -> ProblemSpec:
     grid = op.grid
     return ProblemSpec(
         A=ScalarField.constant(grid, 1.0),
         B=ScalarField.constant(grid, lam),
         p=p,
         q=q,
-        mode=mode,
+        mode=SOURCE,
     )
 
 
@@ -444,7 +444,6 @@ def lambda_star_bisect(op: PaneitzOperator, p: float, q: float, tol: float,
     the certified-existence region.
     """
     from .mountain_pass import mountain_pass_solve
-    from .monotone import find_sub_super, monotone_solve
 
     if S_psi is None:
         S_psi = sobolev_constant(op)
@@ -459,12 +458,9 @@ def lambda_star_bisect(op: PaneitzOperator, p: float, q: float, tol: float,
     def probe(lam: float) -> bool:
         budget[0] -= 1
         try:
-            if lam == 0.0:
-                probA = _constant_problem(op, 0.0, p, q, mode=ABSORPTION)
-                rep = monotone_solve(op, probA, find_sub_super(op, probA))
-            else:
-                prob = _constant_problem(op, lam, p, q)
-                rep = mountain_pass_solve(op, prob, require_cond=False, **mp_kwargs)
+            # at lam = 0 the solver runs the monotone scheme of the absorption sign
+            rep = mountain_pass_solve(op, _constant_problem(op, lam, p, q),
+                                      require_cond=False, **mp_kwargs)
         except SolverError as exc:
             reason = f"{type(exc).__name__}: {exc}"
         else:

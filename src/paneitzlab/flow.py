@@ -48,6 +48,8 @@ def parabolic_flow(op: PaneitzOperator, prob: ProblemSpec, u0: ScalarField,
     """
     if tau <= 0 or tmax <= 0:
         raise ValueError("tau and tmax must be positive")
+    if sample_every < 1:
+        raise ValueError(f"sample_every must be at least 1, got {sample_every}")
     if u0.min() <= 0.0:
         raise ValueError("initial state must be positive")
     prob.validate_exponents(op.params)

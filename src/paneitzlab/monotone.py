@@ -31,16 +31,30 @@ __all__ = [
 ORDER_SLACK = 1e-12
 
 
-def _sub_margin(op, prob, s, e_vals, pe_vals):
+def _sub_margin(prob, s, e_vals, pe_vals):
     """min over x of f(x, s*e) - P(s*e); >= 0 means subsolution."""
     u = s * e_vals
     return float((reaction(prob, u) - s * pe_vals).min())
 
 
-def _super_margin(op, prob, s, e_vals, pe_vals):
+def _super_margin(prob, s, e_vals, pe_vals):
     """min over x of P(s*e) - f(x, s*e); >= 0 means supersolution."""
     u = s * e_vals
     return float((s * pe_vals - reaction(prob, u)).min())
+
+
+def _scale_search(ok, start: float, factor: float, tries: int) -> float | None:
+    """First ``start * factor**k`` with ``k < tries`` at which ``ok`` holds.
+
+    Returns None when every try fails.  Scales are formed by repeated
+    multiplication, so a factor of 0.5 or 2 gives exact powers of two.
+    """
+    s = start
+    for _ in range(tries):
+        if ok(s):
+            return s
+        s *= factor
+    return None
 
 
 def find_sub_super(op: PaneitzOperator, prob: ProblemSpec) -> Bracket:
@@ -59,31 +73,23 @@ def find_sub_super(op: PaneitzOperator, prob: ProblemSpec) -> Bracket:
     e_vals = e.values
     pe_vals = op.apply_values(e_vals)
 
-    s1 = 1.0
-    for _ in range(201):
-        if _sub_margin(op, prob, s1, e_vals, pe_vals) >= 0.0:
-            break
-        s1 *= 0.5
-    else:
+    s1 = _scale_search(lambda s: _sub_margin(prob, s, e_vals, pe_vals) >= 0.0,
+                       1.0, 0.5, 201)
+    if s1 is None:
         raise BracketError(
-            f"no subsolution scale found down to {s1}; "
+            f"no subsolution scale found down to {0.5**201}; "
             "singular coefficient may be degenerate"
         )
 
-    s2 = 1.0
-    for _ in range(201):
-        if _super_margin(op, prob, s2, e_vals, pe_vals) >= 0.0:
-            break
-        s2 *= 2.0
-    else:
+    s2 = _scale_search(lambda s: _super_margin(prob, s, e_vals, pe_vals) >= 0.0,
+                       1.0, 2.0, 201)
+    if s2 is None:
         hint = ""
         if prob.mode == ABSORPTION and prob.B.min() <= 0.0 and op.W.min() <= 0.0:
             hint = " (B vanishes where the potential is nonpositive)"
         if prob.mode == SOURCE:
             hint = " (source mode: constant supersolutions exist only below the fold)"
-        raise BracketError(f"no supersolution scale found up to {s2}{hint}")
-
-    s2 = max(s2, s1)
+        raise BracketError(f"no supersolution scale found up to {2.0**201}{hint}")
     return Bracket(s1=s1, s2=s2, e=e)
 
 
@@ -92,8 +98,8 @@ def verify_bracket(op: PaneitzOperator, prob: ProblemSpec, bracket: Bracket,
     """Pointwise check of the defining inequalities, with optional slack."""
     e_vals = bracket.e.values
     pe_vals = op.apply_values(e_vals)
-    sub_ok = _sub_margin(op, prob, bracket.s1, e_vals, pe_vals) >= -slack
-    super_ok = _super_margin(op, prob, bracket.s2, e_vals, pe_vals) >= -slack
+    sub_ok = _sub_margin(prob, bracket.s1, e_vals, pe_vals) >= -slack
+    super_ok = _super_margin(prob, bracket.s2, e_vals, pe_vals) >= -slack
     return bool(sub_ok), bool(super_ok)
 
 
@@ -120,13 +126,12 @@ def _monotone_iterate(op, prob, start_vals, lower_vals, upper_vals,
     direction +1 iterates upward from a subsolution, -1 downward from a
     supersolution.  Monotonicity and confinement are asserted every step and
     a violation aborts with diagnostics: it signals the discrete solve broke
-    the order structure the argument relies on.
+    the order structure the argument relies on.  Returns
+    ``(u, residual, steps, shift)``; a return means both held throughout.
     """
     scale = max(float(np.abs(upper_vals).max()), 1.0)
     slack = ORDER_SLACK * scale
     u = start_vals.copy()
-    monotone_ok = True
-    confined_ok = True
     shift = None
     step = np.inf
     resid = np.inf
@@ -136,15 +141,10 @@ def _monotone_iterate(op, prob, start_vals, lower_vals, upper_vals,
         shift = lipschitz_shift(prob, delta, M)
         rhs = reaction(prob, u) + shift * u
         unew = op.solve_shifted(shift, rhs, x0=u)
-        if direction > 0:
-            if float((unew - u).min()) < -slack:
-                monotone_ok = False
-        else:
-            if float((u - unew).min()) < -slack:
-                monotone_ok = False
-        if (float((unew - lower_vals).min()) < -slack
-                or float((upper_vals - unew).min()) < -slack):
-            confined_ok = False
+        rise = unew - u if direction > 0 else u - unew
+        monotone_ok = float(rise.min()) >= -slack
+        confined_ok = (float((unew - lower_vals).min()) >= -slack
+                       and float((upper_vals - unew).min()) >= -slack)
         if not (monotone_ok and confined_ok):
             raise SolverError(
                 "monotone iteration broke the order structure at step "
@@ -155,7 +155,7 @@ def _monotone_iterate(op, prob, start_vals, lower_vals, upper_vals,
         u = unew
         resid = residual_sup(op, prob, u)
         if step <= tol_step and resid <= tol_residual:
-            return u, resid, it, shift, monotone_ok, confined_ok
+            return u, resid, it, shift
     raise ConvergenceError(
         f"monotone iteration stalled after {maxiter} steps "
         f"(step {step:.3e}, residual {resid:.3e})",
@@ -188,7 +188,7 @@ def monotone_solve(op: PaneitzOperator, prob: ProblemSpec, bracket: Bracket,
     upper = bracket.upper.values
     start_vals = lower if start == "sub" else upper
     direction = +1 if start == "sub" else -1
-    u, resid, its, shift, mono, conf = _monotone_iterate(
+    u, resid, its, shift = _monotone_iterate(
         op, prob, start_vals, lower, upper, direction,
         tol_step, tol_residual, maxiter,
     )
@@ -198,8 +198,8 @@ def monotone_solve(op: PaneitzOperator, prob: ProblemSpec, bracket: Bracket,
         iterations=its,
         converged=True,
         method=f"monotone-{start}",
-        monotone_ok=mono,
-        confined_ok=conf,
+        monotone_ok=True,
+        confined_ok=True,
         bracket=bracket,
         shift=shift,
     )
@@ -239,50 +239,41 @@ def epsilon_continuation(op: PaneitzOperator, prob: ProblemSpec,
     trace = []
     diffs = []
     eps_monotone_ok = True
-    report = None
     lower_bound = np.inf
     for eps in schedule:
         prob_eps = prob.with_B(prob.B + eps)
         bracket = find_sub_super(op, prob_eps)
-        if prev is None:
-            report = monotone_solve(op, prob_eps, bracket, tol_step=tol_step,
-                                    tol_residual=tol_residual, maxiter=maxiter)
-        else:
-            # warm start: the previous solution subsolves the new problem
-            lower = np.minimum(prev, bracket.lower.values)
-            upper = np.maximum(prev, bracket.upper.values)
-            u, resid, its, shift, mono, conf = _monotone_iterate(
-                op, prob_eps, prev, lower, upper, +1,
-                tol_step, tol_residual, maxiter,
-            )
-            report = SolverReport(
-                u=ScalarField(op.grid, u), residual=resid, iterations=its,
-                converged=True, method="monotone-continuation",
-                monotone_ok=mono, confined_ok=conf, bracket=bracket,
-                shift=shift,
-            )
-        uvals = report.u.values
+        # warm start: the previous solution subsolves the new problem
+        start = bracket.lower.values if prev is None else prev
+        lower = np.minimum(start, bracket.lower.values)
+        upper = np.maximum(start, bracket.upper.values)
+        u, resid, its, shift = _monotone_iterate(
+            op, prob_eps, start, lower, upper, +1,
+            tol_step, tol_residual, maxiter,
+        )
         if prev is not None:
-            diffs.append(float(np.abs(uvals - prev).max()))
-            if float((uvals - prev).min()) < -ORDER_SLACK * max(uvals.max(), 1.0):
+            diffs.append(float(np.abs(u - prev).max()))
+            if float((u - prev).min()) < -ORDER_SLACK * max(u.max(), 1.0):
                 eps_monotone_ok = False
-        lower_bound = min(lower_bound, float(uvals.min()))
-        trace.append({"eps": eps, "min_u": float(uvals.min()),
-                      "residual": report.residual})
-        prev = uvals
+        lower_bound = min(lower_bound, float(u.min()))
+        trace.append({"eps": eps, "min_u": float(u.min()), "residual": resid})
+        prev = u
 
     cauchy_ok = all(b <= a * 1.5 + 1e-14 for a, b in zip(diffs, diffs[1:]))
     scale = max(prob.A.max(), 1.0)
     degenerate = lower_bound <= 1e-10 * scale
-    report.method = "epsilon-continuation"
-    report.eps_trace = trace
-    report.extras.update({
-        "cauchy_diffs": diffs,
-        "cauchy_ok": bool(cauchy_ok),
-        "eps_monotone_ok": bool(eps_monotone_ok),
-        "uniform_lower_bound": float(lower_bound),
-    })
+    report = SolverReport(
+        u=ScalarField(op.grid, u), residual=resid, iterations=its,
+        converged=not degenerate, method="epsilon-continuation",
+        monotone_ok=True, confined_ok=True, bracket=bracket, shift=shift,
+        eps_trace=trace,
+        extras={
+            "cauchy_diffs": diffs,
+            "cauchy_ok": bool(cauchy_ok),
+            "eps_monotone_ok": bool(eps_monotone_ok),
+            "uniform_lower_bound": float(lower_bound),
+        },
+    )
     if degenerate:
-        report.converged = False
         report.extras["degenerate_lower_bound"] = True
     return report

@@ -21,7 +21,14 @@ from .errors import (
 )
 from .conditions import check_existence_cond, power_norm_order
 from .geometry import ScalarField, lebesgue_norm
-from .monotone import ORDER_SLACK, _monotone_iterate, find_sub_super
+from .monotone import (
+    ORDER_SLACK,
+    _monotone_iterate,
+    _scale_search,
+    _sub_margin,
+    find_sub_super,
+    monotone_solve,
+)
 from .operator import PaneitzOperator, newton
 from .problems import (
     ABSORPTION,
@@ -31,7 +38,6 @@ from .problems import (
     _energy_values,
     _integrals,
     energy,
-    reaction,
     residual_sup,
     smoothed_reaction,
     smoothed_reaction_derivative,
@@ -137,8 +143,6 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
 
     # degenerate power coefficient: the two sign modes coincide
     if float(np.abs(prob.B.values).max()) == 0.0:
-        from .monotone import monotone_solve
-
         probA = ProblemSpec(prob.A, prob.B, p, q, mode=ABSORPTION)
         rep = monotone_solve(op, probA, find_sub_super(op, probA))
         rep.method = "mountain-pass-degenerate-absorption"
@@ -178,23 +182,16 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
         return _energy_values(op, prob, eps0, vals, pvals)
 
     # endpoints below the rim on the ray through phi
-    t0 = None
-    for j in range(1, 61):
-        t = r0 * 0.5**j
-        if E(t * phi_hat) < rim:
-            t0 = t
-            break
+    def below_rim(t):
+        return E(t * phi_hat) < rim
+
+    t0 = _scale_search(below_rim, 0.5 * r0, 0.5, 60)
     if t0 is None:
         raise MountainPassGeometryError(
             "no inner endpoint below the rim; smoothed singular floor "
             f"{E(0.0 * phi_hat):.3e} vs rim {rim:.3e}"
         )
-    t2 = None
-    for j in range(1, 61):
-        t = r0 * 2.0**j
-        if E(t * phi_hat) < rim:
-            t2 = t
-            break
+    t2 = _scale_search(below_rim, 2.0 * r0, 2.0, 60)
     if t2 is None:
         raise MountainPassGeometryError("ray energy never sank below the rim")
 
@@ -413,28 +410,25 @@ def second_solution_attempt(op: PaneitzOperator, prob: ProblemSpec,
     scale = max(float(np.abs(u_hi).max()), 1.0)
     ordering_ok = bool(float((u_hi - u_lo).min()) >= -ORDER_SLACK * scale)
 
+    if ordering_ok:
+        start, lower, direction = u_lo, u_lo, +1
+    else:
+        # u_hi still supersolves; descend from it above a small constant
+        # subsolution
+        e = np.ones(grid.shape)
+        pe = op.apply_values(e)
+        s1 = _scale_search(
+            lambda s: (_sub_margin(prob, s, e, pe) >= 0.0
+                       and float((u_hi - s * e).min()) >= 0.0),
+            1.0, 0.5, 200,
+        )
+        if s1 is None:
+            return None
+        start, lower, direction = u_hi, s1 * e, -1
     try:
-        if ordering_ok:
-            u, resid, its, shift, mono, conf = _monotone_iterate(
-                op, prob, u_lo, u_lo, u_hi, +1, 1e-10, 1e-6, 100000,
-            )
-        else:
-            # u_hi still supersolves; descend from it above a small constant
-            # subsolution
-            e = np.ones(grid.shape)
-            pe = op.apply_values(e)
-            s1 = 1.0
-            for _ in range(200):
-                vals = s1 * e
-                if (float((reaction(prob, vals) - s1 * pe).min()) >= 0.0
-                        and float((u_hi - vals).min()) >= 0.0):
-                    break
-                s1 *= 0.5
-            else:
-                return None
-            u, resid, its, shift, mono, conf = _monotone_iterate(
-                op, prob, u_hi, s1 * e, u_hi, -1, 1e-10, 1e-6, 100000,
-            )
+        u, resid, its, shift = _monotone_iterate(
+            op, prob, start, lower, u_hi, direction, 1e-10, 1e-6, 100000,
+        )
     except SolverError:
         return None
     if resid > 1e-6:
@@ -447,8 +441,8 @@ def second_solution_attempt(op: PaneitzOperator, prob: ProblemSpec,
         iterations=its,
         converged=True,
         method="second-solution",
-        monotone_ok=mono,
-        confined_ok=conf,
+        monotone_ok=True,
+        confined_ok=True,
         shift=shift,
         extras={
             "distinct": distinct,

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,17 @@ INVALID_INPUTS = {
     "A = -1": "ValueError",
     "p = 0.5": "ValueError",
     "lambda_max = 5": "ConfigError",
+    "workers = 0": "ValueError",
+    "tmax = nan": "ConfigError",
+    "lambda_tol = inf": "ConfigError",
+}
+
+# sample counts below 1 that exit 2 with ValueError: config lines by test id
+BELOW_ONE_INPUTS = {
+    "0": "action = eigen\npositivity_samples = 0",
+    "-3": "action = eigen\npositivity_samples = -3",
+    "flow_sample_every = 0": "action = flow\nflow_sample_every = 0",
+    "flow_sample_every = -1": "action = flow\nflow_sample_every = -1",
 }
 
 # bad field files and a bad worker count, each exiting 2 with its error:
@@ -87,6 +99,15 @@ class TestParse:
     def test_duplicate_key(self):
         with pytest.raises(pl.ConfigError, match="duplicate"):
             parse_config("n = 5\nn = 6\naction = eigen\n")
+
+    def test_readme_names_every_key(self):
+        from paneitzlab.cli import _SCHEMA
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("The keys (defaults in parentheses):", 1)[1]
+        block = block.split("```", 2)[1]
+        missing = [k for k in _SCHEMA if not re.search(rf"\b{k}\b", block)]
+        assert not missing
 
     def test_bad_choice(self):
         with pytest.raises(pl.ConfigError, match="one of"):
@@ -187,12 +208,12 @@ class TestRun:
         parsed = INVALID_INPUTS[bad] != "ConfigError"
         assert (tmp_path / "out" / "manifest.json").exists() == parsed
 
-    @pytest.mark.parametrize("samples", [0, -3])
-    def test_positivity_samples_below_one_exit(self, tmp_path, samples):
+    @pytest.mark.parametrize("case", list(BELOW_ONE_INPUTS))
+    def test_positivity_samples_below_one_exit(self, tmp_path, case):
         from paneitzlab.cli import main
 
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text(f"n = 5\naction = eigen\npositivity_samples = {samples}\n")
+        cfg.write_text(f"n = 5\n{BELOW_ONE_INPUTS[case]}\n")
         assert main([str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = json.loads((tmp_path / "out" / "error.json").read_text())
         assert err["error"] == "ValueError"

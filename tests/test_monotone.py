@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import paneitzlab as pl
-from paneitzlab.monotone import ORDER_SLACK, lipschitz_bound
+from paneitzlab.monotone import ORDER_SLACK, _scale_search, lipschitz_bound
 from paneitzlab.problems import reaction
 
 from _oracles import scalar_absorption_root
@@ -59,6 +59,25 @@ class TestFindSubSuper:
         prob = constant_problem(ref_grid, b=0.0)
         with pytest.raises(pl.BracketError):
             pl.find_sub_super(op, prob)
+
+
+class TestScaleSearch:
+    def test_first_passing_power(self):
+        asked = []
+
+        def ok(s):
+            asked.append(s)
+            return s <= 0.1
+
+        assert _scale_search(ok, 1.0, 0.5, 10) == 0.0625
+        # no call past the first pass
+        assert asked == [1.0, 0.5, 0.25, 0.125, 0.0625]
+
+    def test_none_after_tries(self):
+        asked = []
+        assert _scale_search(lambda s: asked.append(s), 3.0, 2.0, 4) is None
+        assert asked == [3.0, 6.0, 12.0, 24.0]
+        assert _scale_search(lambda s: True, 1.0, 2.0, 0) is None
 
 
 class TestLipschitzShift:
