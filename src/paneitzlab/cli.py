@@ -72,7 +72,9 @@ ACTIONS = (
     "sweep",
 )
 
-# key -> (type tag, default); defaults marked REQUIRED must appear
+# key -> (type tag, default); defaults marked REQUIRED must appear.  An
+# "auto|" kind also takes ``auto`` (parsed to None); a "coefficient" is a
+# finite float or an ``@path`` to a field file, kept as its string.
 _REQUIRED = object()
 _SCHEMA = {
     "action": ("choice:" + ",".join(ACTIONS), _REQUIRED),
@@ -85,8 +87,8 @@ _SCHEMA = {
     "psi_amplitude": ("float", 1.0),
     "psi_mode": ("ints", (1,)),
     "psi_file": ("str", ""),
-    "A": ("str", "1.0"),
-    "B": ("str", "1.0"),
+    "A": ("coefficient", 1.0),
+    "B": ("coefficient", 1.0),
     "p": ("float", 3.0),
     "q": ("float", 2.0),
     "mode": ("choice:absorption,source", "absorption"),
@@ -99,8 +101,8 @@ _SCHEMA = {
     "tol_step": ("float", 1e-10),
     "tol_residual": ("float", 1e-8),
     "max_iter": ("int", 100000),
-    "eps_schedule": ("str", "auto"),
-    "eps0": ("str", "auto"),
+    "eps_schedule": ("auto|floats", None),
+    "eps0": ("auto|float", None),
     "mp_tol_residual": ("float", 1e-6),
     "mp_nodes": ("int", 32),
     "mp_max_sweeps": ("int", 600),
@@ -111,9 +113,9 @@ _SCHEMA = {
     "lambda_tol": ("float", 1e-3),
     "solver_budget": ("int", 60),
     "positivity_samples": ("int", 4),
-    "sweep_lambdas": ("str", ""),
-    "sweep_ps": ("str", ""),
-    "sweep_qs": ("str", ""),
+    "sweep_lambdas": ("floats", ()),
+    "sweep_ps": ("floats", ()),
+    "sweep_qs": ("floats", ()),
     "sweep_solve": ("bool", False),
 }
 
@@ -161,6 +163,14 @@ def _parse_value(key: str, raw: str, line: int):
     kind, _ = _SCHEMA[key]
     raw = raw.strip()
     try:
+        if kind.startswith("auto|"):
+            if raw == "auto":
+                return None
+            kind = kind[len("auto|"):]
+        if kind == "coefficient":
+            if raw.startswith("@"):
+                return raw
+            kind = "float"
         if kind == "int":
             return int(raw)
         if kind == "float":
@@ -228,6 +238,17 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
             raise ConfigError(
                 f"action {values['action']!r} requires key {req!r}"
             )
+    if values["psi"] == "mode" and len(values["psi_mode"]) != len(values["sizes"]):
+        raise ConfigError("psi_mode must have one integer per grid axis",
+                          line=seen.get("psi_mode", seen["psi"]))
+    if values["psi"] == "file" and not values["psi_file"]:
+        raise ConfigError("psi = file requires psi_file", line=seen["psi"])
+    if values["action"] == "mountain-pass" and values["mode"] != SOURCE:
+        raise ConfigError("mountain-pass action requires mode = source",
+                          line=seen.get("mode", seen["action"]))
+    # the sweep's exponent lists default to the single configured exponent
+    values["sweep_ps"] = values["sweep_ps"] or (values["p"],)
+    values["sweep_qs"] = values["sweep_qs"] or (values["q"],)
     return ExperimentConfig(values=values, echo=text, base_dir=Path(base_dir))
 
 
@@ -241,11 +262,10 @@ def _load_any_field(spec: str, grid: SpectralGrid, base: Path) -> ScalarField:
     return load_field(path, grid)
 
 
-def _coefficient_field(spec: str, grid: SpectralGrid, base: Path) -> ScalarField:
-    spec = spec.strip()
-    if spec.startswith("@"):
+def _coefficient_field(spec, grid: SpectralGrid, base: Path) -> ScalarField:
+    if isinstance(spec, str):
         return _load_any_field(spec[1:], grid, base)
-    return ScalarField.constant(grid, float(spec))
+    return ScalarField.constant(grid, spec)
 
 
 def _build(config: ExperimentConfig):
@@ -254,17 +274,12 @@ def _build(config: ExperimentConfig):
     grid = SpectralGrid(v["sizes"], v["lengths"])
     psi = None
     if v["psi"] == "mode":
-        mode = v["psi_mode"]
-        if len(mode) != grid.d:
-            raise ConfigError("psi_mode must have one integer per grid axis")
         mesh = grid.meshgrid()
         phase = np.zeros(grid.shape)
-        for m, x, L in zip(mode, mesh, grid.lengths):
+        for m, x, L in zip(v["psi_mode"], mesh, grid.lengths):
             phase = phase + 2.0 * np.pi * m * x / L
         psi = ScalarField(grid, v["psi_amplitude"] * np.sin(phase))
     elif v["psi"] == "file":
-        if not v["psi_file"]:
-            raise ConfigError("psi = file requires psi_file")
         psi = _load_any_field(v["psi_file"], grid, config.base_dir)
     op = build_operator(params, grid, psi=psi)
     return params, grid, op
@@ -281,18 +296,6 @@ def _phi_field(config: ExperimentConfig, grid: SpectralGrid) -> ScalarField | No
     if config.values["phi_file"]:
         return _load_any_field(config.values["phi_file"], grid, config.base_dir)
     return None
-
-
-def _eps_schedule(config: ExperimentConfig):
-    raw = config.values["eps_schedule"]
-    if raw == "auto":
-        return None
-    return [float(x) for x in raw.split(",")]
-
-
-def _eps0(config: ExperimentConfig):
-    raw = config.values["eps0"]
-    return None if raw == "auto" else float(raw)
 
 
 # -- serialization --------------------------------------------------------------
@@ -360,10 +363,6 @@ class _Writer:
 # -- action handlers --------------------------------------------------------------
 
 
-def _solver_report_payload(rep):
-    return rep.summary()
-
-
 def _action_eigen(config, params, grid, op, w: _Writer):
     eig = principal_eigenpair(op)
     sign = invariant_sign(op, eig)
@@ -408,9 +407,8 @@ def _action_solve(config, params, grid, op, w: _Writer):
     prob = _build_problem(config, grid)
     if prob.mode == SOURCE:
         return _minimax(config, grid, op, prob, "solve", w)
-    schedule = _eps_schedule(config)
-    if schedule is not None:
-        rep = epsilon_continuation(op, prob, schedule,
+    if v["eps_schedule"] is not None:
+        rep = epsilon_continuation(op, prob, v["eps_schedule"],
                                    tol_step=v["tol_step"],
                                    tol_residual=v["tol_residual"],
                                    maxiter=v["max_iter"])
@@ -423,7 +421,7 @@ def _action_solve(config, params, grid, op, w: _Writer):
     if v["save_fields"]:
         w.field("solution", rep.u)
     w.json("report.json", {"action": "solve", "outcome": "solved",
-                           "solver": _solver_report_payload(rep)})
+                           "solver": rep.summary()})
     return 0
 
 
@@ -445,8 +443,8 @@ def _minimax(config, grid, op, prob, action, w: _Writer):
     try:
         rep = mountain_pass_solve(op, prob,
                                   phi=_phi_field(config, grid),
-                                  eps0=_eps0(config),
-                                  eps_schedule=_eps_schedule(config),
+                                  eps0=v["eps0"],
+                                  eps_schedule=v["eps_schedule"],
                                   require_cond=v["mp_require_cond"],
                                   n_nodes=v["mp_nodes"],
                                   tol_residual=v["mp_tol_residual"],
@@ -463,7 +461,7 @@ def _minimax(config, grid, op, prob, action, w: _Writer):
     if v["save_fields"]:
         w.field("solution", rep.u)
     w.json("report.json", {"action": action, "outcome": "solved",
-                           "solver": _solver_report_payload(rep)})
+                           "solver": rep.summary()})
     return 0
 
 
@@ -481,7 +479,7 @@ def _action_flow(config, params, grid, op, w: _Writer):
                ["time", "residual", "min_u", "max_u", "energy"],
                [(s.time, s.residual, s.min_u, s.max_u, s.energy) for s in samples])
     w.json("report.json", {"action": "flow", "outcome": "steady" if rep.converged else "tmax",
-                           "solver": _solver_report_payload(rep)})
+                           "solver": rep.summary()})
     return 0
 
 
@@ -503,10 +501,7 @@ def _action_check_nonexistence(config, params, grid, op, w: _Writer):
 
 
 def _action_mountain_pass(config, params, grid, op, w: _Writer):
-    prob = _build_problem(config, grid)
-    if prob.mode != SOURCE:
-        raise ConfigError("mountain-pass action requires mode = source")
-    return _minimax(config, grid, op, prob, "mountain-pass", w)
+    return _minimax(config, grid, op, _build_problem(config, grid), "mountain-pass", w)
 
 
 def _action_lambda_star(config, params, grid, op, w: _Writer):
@@ -519,10 +514,8 @@ def _action_lambda_star(config, params, grid, op, w: _Writer):
 
 def _action_sweep(config, params, grid, op, w: _Writer):
     v = config.values
-    lambdas = [float(x) for x in v["sweep_lambdas"].split(",")]
-    ps = [float(x) for x in v["sweep_ps"].split(",")] if v["sweep_ps"] else [v["p"]]
-    qs = [float(x) for x in v["sweep_qs"].split(",")] if v["sweep_qs"] else [v["q"]]
-    cells = [(p, q, lam) for p in ps for q in qs for lam in lambdas]
+    cells = [(p, q, lam) for p in v["sweep_ps"] for q in v["sweep_qs"]
+             for lam in v["sweep_lambdas"]]
     S = sobolev_constant(op)
 
     def run_cell(idx_cell):

@@ -32,6 +32,12 @@ INVALID_INPUTS = {
     "workers = 0": "ValueError",
     "tmax = nan": "ConfigError",
     "lambda_tol = inf": "ConfigError",
+    "eps0 = nan": "ConfigError",
+    "eps0 = inf": "ConfigError",
+    "eps_schedule = 1e-3,nan": "ConfigError",
+    "sweep_lambdas = 0.05,nan": "ConfigError",
+    "A = abc": "ConfigError",
+    "B = inf": "ConfigError",
 }
 
 # sample counts below 1 that exit 2 with ValueError: config lines by test id
@@ -112,6 +118,32 @@ class TestParse:
     def test_bad_choice(self):
         with pytest.raises(pl.ConfigError, match="one of"):
             parse_config("n = 5\naction = eigen\nmode = mixed\n")
+
+    def test_psi_mode_per_axis(self):
+        with pytest.raises(pl.ConfigError, match="line 4: psi_mode"):
+            parse_config("action = eigen\nsizes = 8,8\nlengths = 1,1\n"
+                         "psi_mode = 1\npsi = mode\n")
+
+    def test_psi_file_required(self):
+        with pytest.raises(pl.ConfigError, match="line 2: psi = file"):
+            parse_config("action = eigen\npsi = file\n")
+
+    def test_mountain_pass_requires_source(self):
+        with pytest.raises(pl.ConfigError, match="line 1: mountain-pass"):
+            parse_config("action = mountain-pass\nn = 5\n")
+
+    def test_typed_values(self):
+        cfg = parse_config("action = sweep\nsweep_lambdas = 0.5\np = 1.5\n")
+        assert cfg["eps0"] is None and cfg["eps_schedule"] is None
+        assert cfg["A"] == cfg["B"] == 1.0
+        assert (cfg["sweep_ps"], cfg["sweep_qs"]) == ((1.5,), (2.0,))
+        cfg = parse_config("action = solve\neps0 = 0.5\neps_schedule = 1,0.1,0\n"
+                           "A = 2\nB = @b.f64\nsweep_qs = 3,4\n")
+        assert cfg["eps0"] == 0.5
+        assert cfg["eps_schedule"] == (1.0, 0.1, 0.0)
+        assert cfg["A"] == 2.0 and isinstance(cfg["A"], float)
+        assert cfg["B"] == "@b.f64"
+        assert cfg["sweep_qs"] == (3.0, 4.0)
 
 
 class TestRun:
@@ -207,6 +239,7 @@ class TestRun:
         # a config that does not parse runs nothing, so it leaves no manifest
         parsed = INVALID_INPUTS[bad] != "ConfigError"
         assert (tmp_path / "out" / "manifest.json").exists() == parsed
+        assert parsed or err["message"].startswith("line 3: ")
 
     @pytest.mark.parametrize("case", list(BELOW_ONE_INPUTS))
     def test_positivity_samples_below_one_exit(self, tmp_path, case):
