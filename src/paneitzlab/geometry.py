@@ -11,6 +11,7 @@ the volume is the box volume.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -367,13 +368,14 @@ def load_field(path: str | Path, grid: SpectralGrid | None = None) -> ScalarFiel
 
 
 def field_to_csv(field: ScalarField, path: str | Path) -> Path:
-    """Write (index coordinates, value) rows for plotting."""
+    """Write (index coordinates, value) rows for plotting, in C order and
+    with the CRLF line ends of :mod:`csv`."""
     path = Path(path)
+    axes = [[str(k) for k in range(m)] for m in field.grid.shape]
+    cells = zip(itertools.product(*axes), map(repr, field.values.ravel().tolist()))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"i{a}" for a in range(field.grid.d)] + ["value"])
-        for idx in np.ndindex(*field.grid.shape):
-            writer.writerow(list(idx) + [repr(float(field.values[idx]))])
+        fh.write(",".join([f"i{a}" for a in range(field.grid.d)] + ["value"]) + "\r\n")
+        fh.writelines(",".join(i) + "," + r + "\r\n" for i, r in cells)
     return path
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import threading
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from .errors import (
     CoercivityError,
@@ -195,22 +196,23 @@ class PaneitzOperator:
         gradients.  Raises ConvergenceError when MINRES does not reach
         relative residual 1e-10 within ``4 * npoints`` iterations.
         """
-        import scipy.sparse.linalg as spla
-
-        shape, npts = self.grid.shape, self.grid.npoints
-        pinv = self.preconditioner(0.0)
-        jac = spla.LinearOperator(
-            (npts, npts),
-            matvec=lambda x: (self.apply_values(x.reshape(shape))
-                              - fp * x.reshape(shape)).ravel(),
-        )
-        M = spla.LinearOperator(
-            (npts, npts), matvec=lambda r: pinv(r.reshape(shape)).ravel()
-        )
-        x, info = spla.minres(jac, rhs.ravel(), rtol=1e-10, maxiter=4 * npts, M=M)
+        jac, M = self._scipy_pair(fp, 0.0)
+        x, info = spla.minres(jac, rhs.ravel(), rtol=1e-10,
+                              maxiter=4 * self.grid.npoints, M=M)
         if info != 0:
             raise ConvergenceError(f"MINRES stopped with info {info}")
-        return x.reshape(shape)
+        return x.reshape(self.grid.shape)
+
+    def _scipy_pair(self, fp, lam: float):
+        """``P - diag fp`` and :meth:`preconditioner` ``(lam)`` as scipy
+        linear operators on flattened grid values, for MINRES and LOBPCG."""
+        shape, npts = self.grid.shape, self.grid.npoints
+        pinv = self.preconditioner(lam)
+        A = spla.LinearOperator((npts, npts), dtype=float, matvec=lambda x: (
+            self.apply_values(x.reshape(shape)) - fp * x.reshape(shape)).ravel())
+        M = spla.LinearOperator((npts, npts), dtype=float,
+                                matvec=lambda r: pinv(r.reshape(shape)).ravel())
+        return A, M
 
     # -- geometric transform --------------------------------------------------
 

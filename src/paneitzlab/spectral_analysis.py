@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from .errors import CoercivityError, ConvergenceError
 from .geometry import ScalarField, lebesgue_norm
@@ -67,13 +68,11 @@ def _scale(op: PaneitzOperator) -> float:
 
 
 def _inverse_iteration(op: PaneitzOperator, start: np.ndarray, e: float,
-                       shift: float,
                        tol: float = 1e-10) -> tuple[float, np.ndarray, int]:
     """Nonlinear inverse power method for the quotient <u, P u> / ||u||_e^2.
 
-    Solves ``(P + shift) v = |u|^(e-2) u``, normalizes ``v`` in ``L^e`` and
-    takes the quotient ``Q = <v, P v>``.  With ``e = 2`` this is inverse power
-    iteration; with zero shift and a positive definite ``P`` the quotient
+    Solves ``P v = |u|^(e-2) u``, normalizes ``v`` in ``L^e`` and takes the
+    quotient ``Q = <v, P v>``; for a positive definite ``P`` the quotient
     does not increase from one iterate to the next for any ``e >= 2``
     (Biezuner, Ercole & Martins, J. Funct. Anal. 257, 2009).  Stops when the
     Euler-Lagrange residual ``||P v - Q |v|^(e-2) v||_inf`` drops below
@@ -81,22 +80,22 @@ def _inverse_iteration(op: PaneitzOperator, start: np.ndarray, e: float,
     whichever is larger, and raises ``ConvergenceError`` after 20000
     iterations; returns ``(Q, v, iterations)``.
 
-    The iteration converges only linearly, so for ``e > 2`` and zero shift
-    it tries :func:`_newton_finish` at iterations 10, 20, 40, ... and
-    returns its result when it passes the same stopping test with a
-    quotient no larger than the current one; otherwise it carries on from
-    where it stopped.  Either way the value is an attained quotient; the
-    Newton value agrees with the inverse iteration's own limit to round-off
-    but is not ordered against it, and can sit an ulp or two above it.
+    The iteration converges only linearly, so for ``e > 2`` it tries
+    :func:`_newton_finish` at iterations 10, 20, 40, ... and returns its
+    result when it passes the same stopping test with a quotient no larger
+    than the current one; otherwise it carries on from where it stopped.
+    Either way the value is an attained quotient; the Newton value agrees
+    with the inverse iteration's own limit to round-off but is not ordered
+    against it, and can sit an ulp or two above it.
     """
     grid = op.grid
     scale = _scale(op)
     target = tol * scale
     v = start / lebesgue_norm(grid, start, e)
     resid = np.inf
-    attempt = 10 if e > 2.0 and shift == 0.0 else None
+    attempt = 10 if e > 2.0 else None
     for it in range(1, 20001):
-        u = op.solve_shifted(shift, np.abs(v) ** (e - 2.0) * v, tol=1e-14,
+        u = op.solve_shifted(0.0, np.abs(v) ** (e - 2.0) * v, tol=1e-14,
                              check_coercivity=False)
         v = u / lebesgue_norm(grid, u, e)
         pv = op.apply_values(v)
@@ -154,31 +153,48 @@ def _newton_finish(op: PaneitzOperator, Q: float, v: np.ndarray,
 
 
 def principal_eigenpair(op: PaneitzOperator, tol: float = 1e-10) -> EigenPair:
-    """Smallest eigenvalue of the operator by inverse power iteration.
+    """Smallest eigenvalue of the operator by LOBPCG (Knyazev, SIAM J. Sci.
+    Comput. 23, 2001) from the constant field.
 
-    Runs :func:`_inverse_iteration` with ``e = 2`` from the constant field.
-    The operator is shifted by ``max(0, -min W) + margin`` so the inverse
-    exists even when the potential dips negative; the quotient of the
-    unshifted operator is the eigenvalue.  Stops when the eigen-residual
-    ``||P phi - lambda phi||_inf`` drops below ``tol`` times the operator
-    scale or the operator's round-off floor
-    (:meth:`PaneitzOperator.roundoff_floor`), whichever is larger, and
-    raises ``ConvergenceError`` after 20000 iterations.
+    Preconditioned by :meth:`PaneitzOperator.preconditioner` shifted by
+    ``max(0, -min W) + margin`` to stay positive.  LOBPCG's Euclidean
+    residual is the ``L^2`` residual of the ``L^2``-normalized vector; it is
+    asked for ``sqrt(cell weight) * tol * scale`` or four round-off floors
+    of a unit vector, whichever is larger.  Up to five preconditioned
+    inverse steps ``v - M (P v - lambda v)`` then damp its high-mode
+    round-off until ``||P v - lambda v||_inf`` is within ``tol`` times the
+    operator scale or :meth:`PaneitzOperator.roundoff_floor`, whichever is
+    larger, else ``ConvergenceError``.  Under 5 grid points, where
+    ``lobpcg`` turns dense, ``eigh`` solves it directly.
     """
-    shift = max(0.0, -op.W.min()) + 0.05 * _scale(op)
-    lam, v, it = _inverse_iteration(op, np.ones(op.grid.shape), 2.0, shift,
-                                    tol=tol)
+    grid, n, scale = op.grid, op.grid.npoints, _scale(op)
+    P, M = op._scipy_pair(0.0, max(0.0, -op.W.min()) + 0.05 * scale)
+    if n < 5:
+        v, it = np.linalg.eigh(P @ np.eye(n))[1][:, 0], 0
+    else:
+        tol_l2 = max(np.sqrt(grid.cell_weight) * tol * scale,
+                     4.0 * op.roundoff_floor(np.ones(1)))
+        _, X, hist = spla.lobpcg(P, np.ones((n, 1)), M=M, tol=tol_l2,
+                                 maxiter=1000, largest=False,
+                                 retResidualNormsHistory=True)
+        v, it = X[:, 0], len(hist) - 2
+    for step in range(6):
+        v = v / lebesgue_norm(grid, v, 2.0)
+        pv = P @ v
+        lam, resid = _euler_lagrange(grid, v, pv, 2.0)
+        if resid <= max(tol * scale, op.roundoff_floor(v)):
+            break
+        v = v - M @ (pv - lam * v)
+    else:
+        raise ConvergenceError(f"LOBPCG stalled at residual {resid / scale:.3e}",
+                               residual=resid / scale)
     # normalize to max = 1 with a positive peak
-    peak = v.flat[np.argmax(np.abs(v))]
-    v = v / peak
-    phi = ScalarField(op.grid, v)
-    pv = op.apply_values(v)
-    resid_abs = float(np.abs(pv - lam * v).max())
+    v = (v / v[np.argmax(np.abs(v))]).reshape(grid.shape)
     return EigenPair(
         lambda1=float(lam),
-        phi1=phi,
-        residual=resid_abs,
-        iterations=it,
+        phi1=ScalarField(grid, v),
+        residual=float(np.abs(op.apply_values(v) - lam * v).max()),
+        iterations=it + step,
         positive=bool(v.min() > 0.0),
     )
 
@@ -222,14 +238,14 @@ def critical_quotient(op: PaneitzOperator, u: ScalarField,
 def sobolev_constant(op: PaneitzOperator, exponent: float | None = None) -> float:
     """Best discrete constant S with ||u||_{L^e}^2 * S <= <u, P u>.
 
-    Estimated by the nonlinear inverse iteration shared with
-    :func:`principal_eigenpair`, run without shift from the principal
-    eigenfunction and from bumps at the box center and, for a non-constant
-    potential, at its most favorable point (which keeps the estimate
-    equivariant under grid translations of W); the smallest quotient wins.
-    For ``e > 2`` each run is finished by Newton's method once it is close
-    (see :func:`_inverse_iteration`).  An attained quotient, hence an upper
-    estimate of the infimum.  With ``e = 2`` it is the first eigenvalue.
+    Estimated by the unshifted nonlinear inverse iteration
+    (:func:`_inverse_iteration`) from two starts, the principal
+    eigenfunction and a bump at the most favorable point of the potential
+    (which keeps the estimate equivariant under grid translations of W), or
+    at the box center when W is constant; the smaller quotient wins.  For
+    ``e > 2`` each run is finished by Newton's method once it is close.  An
+    attained quotient, hence an upper estimate of the infimum.  With
+    ``e = 2`` it is the first eigenvalue.
 
     When the operator is not positive definite (:func:`invariant_sign` not
     +1) there is nothing for the unshifted iteration to invert, and the
@@ -242,23 +258,17 @@ def sobolev_constant(op: PaneitzOperator, exponent: float | None = None) -> floa
     eig = principal_eigenpair(op)
     if invariant_sign(op, eig) <= 0:
         return critical_quotient(op, eig.phi1, e)
-    starts = [eig.phi1.values]
-    mesh = grid.meshgrid()
-    centers = [tuple(L / 2.0 for L in grid.lengths)]
-    # a constant potential has no favorable point: its argmin is index 0,
-    # whose bump is a lattice translate of the center one
-    if np.ptp(op.W.values) > 0.0:
-        k_min = np.unravel_index(int(np.argmin(op.W.values)), grid.shape)
-        centers.append(tuple(x[k_min] for x in mesh))
+    W = op.W.values
+    # a constant potential has no favorable point: take the box center
+    k = (np.unravel_index(int(np.argmin(W)), grid.shape) if np.ptp(W) > 0.0
+         else tuple(m // 2 for m in grid.shape))
     width = min(grid.lengths) / 8.0
-    for c in centers:
-        r2 = np.zeros(grid.shape)
-        for x, L, c_i in zip(mesh, grid.lengths, c):
-            dx = np.abs(x - c_i)
-            dx = np.minimum(dx, L - dx)
-            r2 = r2 + dx**2
-        starts.append(np.exp(-r2 / (2.0 * width**2)))
-    return float(min(_inverse_iteration(op, s, e, 0.0)[0] for s in starts))
+    r2 = 0.0
+    for x, L in zip(grid.meshgrid(), grid.lengths):
+        dx = np.abs(x - x[k])
+        r2 = r2 + np.minimum(dx, L - dx) ** 2
+    starts = (eig.phi1.values, np.exp(-r2 / (2.0 * width**2)))
+    return float(min(_inverse_iteration(op, s, e)[0] for s in starts))
 
 
 # -- positivity diagnostics ---------------------------------------------------

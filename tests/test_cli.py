@@ -179,6 +179,16 @@ class TestRun:
         assert rep["invariant_sign"] == 1
         assert rep["positivity"]["passed"]
 
+    def test_eigen_action_is_byte_identical_across_runs(self, tmp_path):
+        cfg = ("n = 5\nR = 20\naction = eigen\n"
+               "psi = mode\npsi_amplitude = 0.5\npsi_mode = 1\n")
+        run_config(cfg, tmp_path / "r1")
+        run_config(cfg, tmp_path / "r2")
+        for name in ("report.json", "phi1.f64"):
+            b1 = (tmp_path / "r1" / name).read_bytes()
+            b2 = (tmp_path / "r2" / name).read_bytes()
+            assert b1 == b2, name
+
     def test_flow_action_trajectory(self, tmp_path):
         cfg = "n = 5\nR = 20\naction = flow\ntau = 0.05\ntmax = 100\n"
         man = run_config(cfg, tmp_path / "out")

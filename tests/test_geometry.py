@@ -161,6 +161,25 @@ class TestFieldIO:
         with pytest.raises(pl.GridMismatchError):
             pl.load_field(path, grid=pl.SpectralGrid((32,), (1.0,)))
 
+    @pytest.mark.parametrize("sizes", [(8,), (4, 8), (4, 2, 8)])
+    def test_csv_bytes_match_csv_writer(self, tmp_path, sizes):
+        import csv
+
+        grid = pl.SpectralGrid(sizes, (1.0,) * len(sizes))
+        values = np.random.default_rng(len(sizes)).standard_normal(sizes)
+        values.flat[:4] = [-0.0, 1e-300, 1e16, 0.0]
+        f = pl.ScalarField(grid, values)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"i{a}" for a in range(len(sizes))] + ["value"])
+            for idx in np.ndindex(*sizes):
+                writer.writerow(list(idx) + [repr(float(values[idx]))])
+        out = pl.field_to_csv(f, tmp_path / "field.csv")
+        assert out == tmp_path / "field.csv"
+        assert out.read_bytes() == ref.read_bytes()
+        assert b"\r\n" in out.read_bytes()
+
     def test_csv_roundtrip(self, tmp_path):
         grid = pl.SpectralGrid((8,), (1.0,))
         f = pl.ScalarField(grid, np.arange(8.0) / 7.0)

@@ -215,15 +215,25 @@ class TestInverseIteration:
 
         monkeypatch.setattr(spectral_analysis, "_inverse_iteration", counted)
         for op, expected, old, n_runs in (
-            (ref_op, 18.228138486222747, 18.228138486222758, 3),
-            (mp_op, 1.0306718461351072, 1.0306718461351074, 3),
-            (bump_op, 17.398849708201993, 17.398849708202004, 4),
+            (ref_op, 18.228138486222747, 18.228138486222758, 2),
+            (mp_op, 1.0306718461351072, 1.0306718461351074, 2),
+            (bump_op, 17.398849708201993, 17.398849708202004, 2),
         ):
             runs.clear()
             assert pl.sobolev_constant(op) == expected
             assert len(runs) == n_runs
             assert expected <= old
             assert expected == pytest.approx(old, rel=1e-14, abs=0.0)
+
+    def test_two_starts_settle_where_the_center_bump_stalled(self, ref_params,
+                                                             ref_grid):
+        # the center bump, a third start dropped since, stalled here with
+        # "inverse iteration stalled at residual 6.944e-06"
+        x = ref_grid.meshgrid()[0]
+        op = pl.build_operator(ref_params, ref_grid, potential=pl.ScalarField(
+            ref_grid, 0.02 * (1.0 + np.cos(x - 1.0))))
+        assert pl.sobolev_constant(op) == pytest.approx(18.195114062445967,
+                                                        rel=1e-12)
 
     @pytest.mark.parametrize("newton", [True, False])
     @pytest.mark.parametrize("npts", [128, 256])
@@ -272,6 +282,95 @@ class TestInverseIteration:
         monkeypatch.setattr(spectral_analysis, "_newton_finish", newton)
         assert pl.sobolev_constant(ref_op) == 18.228138486222758
         assert pl.sobolev_constant(bump_op) == 17.398849708202004
+
+
+class TestLobpcgEigenpair:
+    """The eigenpair comes from LOBPCG, a short preconditioned finish and one
+    sup-norm acceptance test."""
+
+    @pytest.fixture
+    def lobpcg_iterations(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        iterations = []
+        lobpcg = spla.lobpcg
+
+        def counted(*args, **kwargs):
+            vals, X, hist = lobpcg(*args, **kwargs)
+            iterations.append(len(hist) - 2)
+            return vals, X, hist
+
+        monkeypatch.setattr(spla, "lobpcg", counted)
+        return iterations
+
+    def test_four_point_grid_matches_dense_oracle(self, ref_params,
+                                                  lobpcg_iterations):
+        # lobpcg turns dense below 5 points, warns and drops its history
+        grid = pl.SpectralGrid((4,), (TWO_PI,))
+        x = grid.meshgrid()[0]
+        op = pl.build_operator(ref_params, grid,
+                               potential=pl.ScalarField(grid, 0.5 * (1.0 + np.cos(x))))
+        evals, evecs = eigh(dense_operator_matrix_1d(ref_params.alpha, 4, TWO_PI,
+                                                     op.W.values))
+        eig = pl.principal_eigenpair(op)
+        assert eig.lambda1 == pytest.approx(evals[0], rel=1e-12)
+        vec = evecs[:, 0] / evecs[np.argmax(np.abs(evecs[:, 0])), 0]
+        assert np.abs(eig.phi1.values - vec).max() < 1e-12
+        assert lobpcg_iterations == [] and eig.iterations == 0
+
+    def test_two_by_two_grid_matches_dense_eigh(self, ref_params):
+        grid = pl.SpectralGrid((2, 2), (TWO_PI, TWO_PI))
+        x, y = grid.meshgrid()
+        op = pl.build_operator(ref_params, grid, potential=pl.ScalarField(
+            grid, 1.0 + np.cos(x) + 0.5 * np.cos(y)))
+        # two-point DFT on each axis; wavenumbers 0 and 1 give t = mx^2 + my^2
+        F = np.kron([[1.0, 1.0], [1.0, -1.0]], [[1.0, 1.0], [1.0, -1.0]])
+        t = np.add.outer([0.0, 1.0], [0.0, 1.0]).ravel()
+        P = F @ np.diag(t * t + ref_params.alpha * t) @ F / 4.0
+        evals, evecs = eigh(P + np.diag(op.W.values.ravel()))
+        eig = pl.principal_eigenpair(op)
+        assert eig.lambda1 == pytest.approx(evals[0], rel=1e-12)
+        vec = evecs[:, 0] / evecs[np.argmax(np.abs(evecs[:, 0])), 0]
+        assert np.abs(eig.phi1.values.ravel() - vec).max() < 1e-12
+
+    @pytest.mark.parametrize("size", [1e-6, 1e-2])
+    def test_perturbed_lobpcg_vector_raises(self, bump_op, monkeypatch, size):
+        import scipy.sparse.linalg as spla
+
+        lobpcg = spla.lobpcg
+        mode = np.cos(bump_op.grid.meshgrid()[0]).reshape(-1, 1)
+
+        def perturbed(*args, **kwargs):
+            vals, X, hist = lobpcg(*args, **kwargs)
+            return vals, X + size * np.abs(X).max() * mode, hist
+
+        monkeypatch.setattr(spla, "lobpcg", perturbed)
+        with pytest.raises(pl.ConvergenceError):
+            pl.principal_eigenpair(bump_op)
+
+    def test_roundoff_bound_grids_finish_quietly(self, ref_params,
+                                                 lobpcg_iterations):
+        # at these sizes the sup-norm floor lies below what LOBPCG's own
+        # residual resolves; the finish steps close the gap, and no warning
+        # of lobpcg's gets out (values from the earlier inverse iteration)
+        import warnings
+
+        line = pl.SpectralGrid((128,), (TWO_PI,))
+        x = line.meshgrid()[0]
+        square = pl.SpectralGrid((128, 128), (TWO_PI, TWO_PI))
+        sx, sy = square.meshgrid()
+        for op, lam in (
+            (pl.build_operator(ref_params, line, potential=pl.ScalarField(
+                line, 0.5 * (1.0 + np.cos(x)))), 6.307695554988224),
+            (pl.build_operator(ref_params, square, psi=pl.ScalarField(
+                square, 2.0 * np.sin(sx) * np.cos(sy))), 5.560185218105653),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                eig = pl.principal_eigenpair(op)
+            assert eig.lambda1 == pytest.approx(lam, rel=1e-14)
+            assert eig.iterations > lobpcg_iterations[-1]
+            assert eig.positive
 
 
 class TestPositivity:
