@@ -227,6 +227,13 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
 
     if values["n"] < 5:
         raise ConfigError(f"n must be >= 5, got {values['n']}", line=seen.get("n"))
+    for key in ("tol_step", "tol_residual", "mp_tol_residual", "lambda_tol"):
+        if values[key] <= 0.0:
+            raise ConfigError(f"{key} must be positive, got {values[key]}",
+                              line=seen.get(key))
+    if values["mp_nodes"] < 3:
+        raise ConfigError(f"mp_nodes must be >= 3, got {values['mp_nodes']}",
+                          line=seen.get("mp_nodes"))
     if len(values["sizes"]) != len(values["lengths"]):
         raise ConfigError("sizes and lengths must have the same dimension")
     if values["d"] and values["d"] != len(values["sizes"]):
@@ -425,6 +432,14 @@ def _action_solve(config, params, grid, op, w: _Writer):
     return 0
 
 
+def _mp_kwargs(v: dict) -> dict:
+    """The config's minimax settings as ``mountain_pass_solve`` keywords,
+    shared by the solve, the sweep cells and the lambda-star probes."""
+    return {"eps0": v["eps0"], "eps_schedule": v["eps_schedule"],
+            "n_nodes": v["mp_nodes"], "tol_residual": v["mp_tol_residual"],
+            "max_sweeps": v["mp_max_sweeps"]}
+
+
 def _minimax(config, grid, op, prob, action, w: _Writer):
     """Run the minimax solve unless a certificate blocks it (exit 1).
 
@@ -441,14 +456,9 @@ def _minimax(config, grid, op, prob, action, w: _Writer):
         })
         return 1
     try:
-        rep = mountain_pass_solve(op, prob,
-                                  phi=_phi_field(config, grid),
-                                  eps0=v["eps0"],
-                                  eps_schedule=v["eps_schedule"],
+        rep = mountain_pass_solve(op, prob, phi=_phi_field(config, grid),
                                   require_cond=v["mp_require_cond"],
-                                  n_nodes=v["mp_nodes"],
-                                  tol_residual=v["mp_tol_residual"],
-                                  max_sweeps=v["mp_max_sweeps"])
+                                  **_mp_kwargs(v))
     except CertificateError as exc:
         if exc.certificate is None:
             raise
@@ -507,7 +517,8 @@ def _action_mountain_pass(config, params, grid, op, w: _Writer):
 def _action_lambda_star(config, params, grid, op, w: _Writer):
     v = config.values
     result = lambda_star_bisect(op, v["p"], v["q"], tol=v["lambda_tol"],
-                                solver_budget=v["solver_budget"])
+                                solver_budget=v["solver_budget"],
+                                mp_kwargs=_mp_kwargs(v))
     w.json("report.json", {"action": "lambda-star", "result": _jsonable(result)})
     return 0
 
@@ -537,7 +548,7 @@ def _action_sweep(config, params, grid, op, w: _Writer):
         if v["sweep_solve"]:
             try:
                 rep = mountain_pass_solve(op, prob, require_cond=False,
-                                          tol_residual=v["mp_tol_residual"])
+                                          **_mp_kwargs(v))
                 outcome, resid = "solved", rep.residual
                 solver_payload = rep.summary()
             except PaneitzLabError as exc:

@@ -66,8 +66,7 @@ class LambdaStarResult:
     threshold; the bisection never probes a coupling above ``upper``, where
     no solution exists.  ``probes`` logs each solver probe as ``lam``,
     ``feasible`` and, for an infeasible one, a ``reason``: the solver's
-    exception class and message, or ``"non-positive"`` / ``"residual"``
-    when the solve returned a field that fails the feasibility test.
+    exception class and message.
     """
 
     lower: float
@@ -428,7 +427,8 @@ def lambda_star_bisect(op: PaneitzOperator, p: float, q: float, tol: float,
     """Empirical threshold by bisection on solver feasibility inside [0, upper].
 
     Feasibility at a coupling means the solver (monotone at 0, minimax
-    above) finishes with residual below 1e-6 and a strictly positive field.
+    above) returns: it raises unless its field is converged and positive,
+    and an infeasible probe records that exception as its ``reason``.
     Couplings above ``upper`` are never probed, because none can be
     feasible: integrating the equation leaves ``int W u`` on the left (the
     spectral part has zero mean), and the non-existence certificate rules
@@ -459,20 +459,14 @@ def lambda_star_bisect(op: PaneitzOperator, p: float, q: float, tol: float,
         budget[0] -= 1
         try:
             # at lam = 0 the solver runs the monotone scheme of the absorption sign
-            rep = mountain_pass_solve(op, _constant_problem(op, lam, p, q),
-                                      require_cond=False, **mp_kwargs)
+            mountain_pass_solve(op, _constant_problem(op, lam, p, q),
+                                require_cond=False, **mp_kwargs)
         except SolverError as exc:
-            reason = f"{type(exc).__name__}: {exc}"
-        else:
-            if rep.u.min() <= 0.0:
-                reason = "non-positive"
-            elif not rep.converged or rep.residual > 1e-6:
-                reason = "residual"
-            else:
-                result.probes.append({"lam": lam, "feasible": True})
-                return True
-        result.probes.append({"lam": lam, "feasible": False, "reason": reason})
-        return False
+            result.probes.append({"lam": lam, "feasible": False,
+                                  "reason": f"{type(exc).__name__}: {exc}"})
+            return False
+        result.probes.append({"lam": lam, "feasible": True})
+        return True
 
     if not probe(0.0):
         result.anomaly = "coupling 0 infeasible; dichotomy violated at the base point"

@@ -20,6 +20,7 @@ from .operator import PaneitzOperator
 from .problems import (
     ProblemSpec,
     SolverReport,
+    floor_flag,
     lyapunov_energy,
     reaction,
     residual_sup,
@@ -40,11 +41,13 @@ class FlowSample:
 def parabolic_flow(op: PaneitzOperator, prob: ProblemSpec, u0: ScalarField,
                    tau: float, tmax: float, tol_residual: float = 1e-8,
                    max_halvings: int = 20, sample_every: int = 10):
-    """March the semi-implicit flow until the elliptic residual is small.
+    """March the semi-implicit flow until the elliptic residual is at most
+    ``tol_residual`` or the round-off floor of ``P u``, whichever is larger.
 
     Returns ``(report, samples)``.  Reaching ``tmax`` without a steady state
     is reported (``converged=False``), not raised; losing positivity after
-    ``max_halvings`` step halvings is an error.
+    ``max_halvings`` step halvings is an error.  A stop the floor decided
+    records it in ``extras["residual_floor"]``.
     """
     if tau <= 0 or tmax <= 0:
         raise ValueError("tau and tmax must be positive")
@@ -72,7 +75,7 @@ def parabolic_flow(op: PaneitzOperator, prob: ProblemSpec, u0: ScalarField,
 
     record(u, t)
     resid = samples[0].residual
-    converged = resid <= tol_residual
+    converged = resid <= max(tol_residual, op.roundoff_floor(u))
     while t < tmax and not converged:
         rhs = u / tau + reaction(prob, u)
         unew = op.solve_shifted(1.0 / tau, rhs, x0=u)
@@ -90,9 +93,8 @@ def parabolic_flow(op: PaneitzOperator, prob: ProblemSpec, u0: ScalarField,
         if steps % sample_every == 0:
             record(u, t)
         resid = residual_sup(op, prob, u)
-        if resid <= tol_residual:
-            converged = True
-    if not samples or samples[-1].time != t:
+        converged = resid <= max(tol_residual, op.roundoff_floor(u))
+    if samples[-1].time != t:
         record(u, t)
 
     report = SolverReport(
@@ -101,6 +103,7 @@ def parabolic_flow(op: PaneitzOperator, prob: ProblemSpec, u0: ScalarField,
         iterations=steps,
         converged=bool(converged),
         method="parabolic-flow",
-        extras={"final_time": t, "tau": tau, "halvings": halvings},
+        extras={"final_time": t, "tau": tau, "halvings": halvings,
+                **floor_flag(op, u, resid, tol_residual)},
     )
     return report, samples

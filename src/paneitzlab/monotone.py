@@ -15,6 +15,7 @@ from .problems import (
     Bracket,
     ProblemSpec,
     SolverReport,
+    floor_flag,
     reaction,
     residual_sup,
 )
@@ -132,7 +133,6 @@ def _monotone_iterate(op, prob, start_vals, lower_vals, upper_vals,
     scale = max(float(np.abs(upper_vals).max()), 1.0)
     slack = ORDER_SLACK * scale
     u = start_vals.copy()
-    shift = None
     step = np.inf
     resid = np.inf
     for it in range(1, maxiter + 1):
@@ -154,7 +154,7 @@ def _monotone_iterate(op, prob, start_vals, lower_vals, upper_vals,
         step = float(np.abs(unew - u).max())
         u = unew
         resid = residual_sup(op, prob, u)
-        if step <= tol_step and resid <= tol_residual:
+        if step <= tol_step and resid <= max(tol_residual, op.roundoff_floor(u)):
             return u, resid, it, shift
     raise ConvergenceError(
         f"monotone iteration stalled after {maxiter} steps "
@@ -173,9 +173,10 @@ def monotone_solve(op: PaneitzOperator, prob: ProblemSpec, bracket: Bracket,
     supersolution (``start='super'``, nonincreasing).  The shift is
     recomputed each step from the current sub-bracket, which keeps it as
     small as the order argument allows and speeds convergence.  Stops once
-    the sup-norm step is below ``tol_step`` and the equation residual below
-    ``tol_residual``.  The bracket is verified first (:func:`verify_bracket`);
-    an invalid one raises BracketError.
+    the sup-norm step is below ``tol_step`` and the residual below the larger
+    of ``tol_residual`` and the round-off floor of ``P u``, which is then
+    ``extras["residual_floor"]``.  An invalid bracket (:func:`verify_bracket`)
+    raises BracketError.
     """
     prob.validate_exponents(op.params)
     scale = max(prob.A.max(), abs(op.params.beta), 1.0)
@@ -202,6 +203,7 @@ def monotone_solve(op: PaneitzOperator, prob: ProblemSpec, bracket: Bracket,
         confined_ok=True,
         bracket=bracket,
         shift=shift,
+        extras=floor_flag(op, u, resid, tol_residual),
     )
 
 
@@ -256,7 +258,8 @@ def epsilon_continuation(op: PaneitzOperator, prob: ProblemSpec,
             if float((u - prev).min()) < -ORDER_SLACK * max(u.max(), 1.0):
                 eps_monotone_ok = False
         lower_bound = min(lower_bound, float(u.min()))
-        trace.append({"eps": eps, "min_u": float(u.min()), "residual": resid})
+        trace.append({"eps": eps, "min_u": float(u.min()), "residual": resid,
+                      **floor_flag(op, u, resid, tol_residual)})
         prev = u
 
     cauchy_ok = all(b <= a * 1.5 + 1e-14 for a, b in zip(diffs, diffs[1:]))

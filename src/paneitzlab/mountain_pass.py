@@ -38,6 +38,7 @@ from .problems import (
     _energy_values,
     _integrals,
     energy,
+    floor_flag,
     residual_sup,
     smoothed_reaction,
     smoothed_reaction_derivative,
@@ -125,10 +126,12 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
 
     The regularization is then driven to zero along ``eps_schedule`` (default
     geometric decades from eps0 down, finishing at exactly zero) with Newton
-    warm starts, while two a-priori bounds are monitored: the smoothed
-    singular integral stays bounded, and the field dominates the inverse
-    image of its own power term (inverse positivity keeps it from collapsing
-    at the bottom).  A vanishing minimum aborts with diagnostics.
+    warm starts; each Newton run and the final residual test stop at their
+    tolerance or the round-off floor of ``P u`` (then flagged
+    ``residual_floor``), else ConvergenceError.  Two a-priori bounds are
+    monitored: the smoothed singular integral stays bounded, and the field
+    dominates the inverse image of its own power term (inverse positivity
+    keeps it from collapsing at the bottom).  A vanishing minimum aborts.
 
     ``require_cond=False`` lifts the certificate gate (used by threshold
     bisection, which probes couplings beyond the certified region).
@@ -259,11 +262,10 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
 
     # sharpen along the regularization schedule, ending at the exact equation
     if eps_schedule is None:
-        eps_schedule = [eps0 * 10.0 ** (-k) for k in range(0, 9)] + [0.0]
-    else:
-        eps_schedule = [float(e) for e in eps_schedule]
+        eps_schedule = [eps0 * 10.0 ** (-k) for k in range(9)] + [0.0]
+    eps_schedule = [float(e) for e in eps_schedule]
     if eps_schedule[0] != eps0:
-        eps_schedule = [eps0] + list(eps_schedule)
+        eps_schedule.insert(0, eps0)
 
     trace = []
     newton_its = 0
@@ -284,13 +286,12 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
         u, resid, steps, stop = newton(
             op, partial(smoothed_reaction, prob, eps=eps),
             partial(smoothed_reaction_derivative, prob, eps=eps),
-            u, op.apply_values(u), lambda v, pv, r: r <= target, 80,
+            u, op.apply_values(u),
+            lambda v, pv, r: r <= max(target, op.roundoff_floor(v)), 80,
             solve=solve,
             admissible=(lambda c: float(c.min()) > 0.0) if eps == 0.0 else None,
         )
-        # Newton bottoms out at the round-off floor of the operator
-        # application, so a residual within tol_residual is still accepted
-        if stop != "done" and resid > tol_residual:
+        if stop != "done":
             why = {"solve-failed": "linearized solve failed",
                    "stagnated": "polish stagnated",
                    "cap": "polish reached 80 steps"}[stop]
@@ -299,7 +300,8 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
         newton_its += its
         umin = float(u.min())
         uscale = max(float(np.abs(u).max()), 1.0)
-        entry = {"eps": eps, "residual": resid, "min_u": umin, "newton_iterations": its}
+        entry = {"eps": eps, "residual": resid, "min_u": umin, "newton_iterations": its,
+                 **floor_flag(op, u, resid, target)}
         up = np.maximum(u, 0.0)
         entry["singular_integral"] = grid.integrate(
             prob.A.values * (eps + up**2) ** (-(p + 1.0) / 2.0)
@@ -332,7 +334,8 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
         u=final,
         residual=resid_final,
         iterations=sweeps + newton_its,
-        converged=bool(resid_final <= tol_residual and final.min() > 0.0),
+        converged=bool(resid_final <= max(tol_residual, op.roundoff_floor(u))
+                       and final.min() > 0.0),
         method="mountain-pass",
         pass_level=c_eps,
         rim_value=float(rim),
@@ -356,6 +359,7 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
             ),
             "singular_integral_bounded": bool(sing_bounded),
             "lichnerowicz_exponents": bool(lichnerowicz),
+            **floor_flag(op, u, resid_final, tol_residual),
         },
     )
     if not report.converged:
@@ -378,8 +382,9 @@ def second_solution_attempt(op: PaneitzOperator, prob: ProblemSpec,
     a distinctness flag (no topological multiplicity argument is attempted).
     Saddle-type solutions need not be ordered in the coefficient; a violated
     ordering is reported in the extras and the iteration falls back to
-    descending from the supersolution alone.  Returns None when no valid iteration can be set up
-    or it fails to reach residual 1e-6.
+    descending from the supersolution alone.  The iteration stops at residual
+    1e-6 or the round-off floor of ``P u``, whichever is larger; None is
+    returned when it cannot be set up or fails.
     """
     if prob.mode != SOURCE:
         raise ValueError("second-solution bracketing addresses the source mode")
@@ -431,8 +436,6 @@ def second_solution_attempt(op: PaneitzOperator, prob: ProblemSpec,
         )
     except SolverError:
         return None
-    if resid > 1e-6:
-        return None
     field = ScalarField(grid, u)
     distinct = bool(float(np.abs(u - u_B.values).max()) > 1e-4)
     return SolverReport(
@@ -449,5 +452,6 @@ def second_solution_attempt(op: PaneitzOperator, prob: ProblemSpec,
             "ordering_ok": ordering_ok,
             "perturbation": eps_pert,
             "gap_to_first": float(np.abs(u - u_B.values).max()),
+            **floor_flag(op, u, resid, 1e-6),
         },
     )

@@ -126,8 +126,9 @@ class PaneitzOperator:
         constant-coefficient part ``sigma(t) + mean(W) + lam`` in frequency
         space, which is exact when the potential is constant.  Stops at
         relative sup-norm residual ``tol``; raises ConvergenceError past
-        10000 iterations.  A right side off the grid's shape raises
-        GridMismatchError, a non-finite one ValueError.
+        10000 iterations and CoercivityError at any nonpositive curvature.
+        A right side off the grid's shape raises GridMismatchError, a
+        non-finite one ValueError.
 
         With ``check_coercivity=True`` (default) the sufficient witness
         ``min sigma + min W + lam > 0`` is required up front.  Callers holding
@@ -152,10 +153,6 @@ class PaneitzOperator:
         if bnorm == 0.0:
             return np.zeros(self.grid.shape)
         pinv = self.preconditioner(lam)
-        # at this breakdown residual the iteration has hit the floating-point
-        # floor of the operator application, not a genuine indefiniteness
-        breakdown_floor = 1e-8
-
         x = np.zeros_like(rhs) if x0 is None else x0.copy()
         r = rhs - self.apply_values(x) - lam * x if x0 is not None else rhs.copy()
         z = pinv(r)
@@ -169,8 +166,6 @@ class PaneitzOperator:
             Ap = self.apply_values(p) + lam * p
             pAp = float(np.sum(p * Ap))
             if pAp <= 0.0 or rz <= 0.0:
-                if last <= breakdown_floor:
-                    return x
                 raise CoercivityError(
                     "conjugate gradients met a nonpositive curvature direction "
                     f"at relative residual {last:.3e}; operator indefinite "

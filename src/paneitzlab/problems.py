@@ -32,6 +32,7 @@ __all__ = [
     "energy",
     "energy_gradient_values",
     "residual_sup",
+    "floor_flag",
     "lyapunov_energy",
 ]
 
@@ -201,6 +202,17 @@ class SolverReport:
 def residual_sup(op: PaneitzOperator, prob: ProblemSpec, u: np.ndarray) -> float:
     """||P u - RHS(u)||_inf at positive grid values ``u``."""
     return float(np.abs(op.apply_values(u) - reaction(prob, u)).max())
+
+
+def floor_flag(op: PaneitzOperator, u: np.ndarray, resid: float, tol: float) -> dict:
+    """``{"residual_floor": floor}`` when the round-off floor of ``P u``, not
+    ``tol``, let ``resid`` stop a loop (``tol < resid <= floor``), else ``{}``.
+
+    Every loop on ``P u = f(u)`` stops at ``max(tol, op.roundoff_floor(u))``;
+    a report merges this in, so a stop below its tolerance adds no key.
+    """
+    floor = op.roundoff_floor(u)
+    return {"residual_floor": floor} if tol < resid <= floor else {}
 
 
 # -- energy functionals -------------------------------------------------------

@@ -80,3 +80,14 @@ def constant_problem(grid, a=1.0, b=1.0, p=3.0, q=2.0, mode="absorption"):
         q=q,
         mode=mode,
     )
+
+
+def sin_psi_operator(params, size, amplitude):
+    """1-D operator on ``size`` points of [0, 2 pi) with psi = amplitude sin x.
+
+    From 256 points on, the round-off floor of ``P u`` at a solution of the
+    reference problems is above the default residual tolerances.
+    """
+    grid = pl.SpectralGrid((size,), (TWO_PI,))
+    psi = pl.ScalarField(grid, amplitude * np.sin(grid.meshgrid()[0]))
+    return pl.build_operator(params, grid, psi=psi)

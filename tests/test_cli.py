@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import paneitzlab as pl
-from paneitzlab.cli import parse_config, run
+from paneitzlab.cli import ACTIONS, parse_config, run
 
 REF_SOLVE = """
 n = 5
@@ -38,6 +38,19 @@ INVALID_INPUTS = {
     "sweep_lambdas = 0.05,nan": "ConfigError",
     "A = abc": "ConfigError",
     "B = inf": "ConfigError",
+    "lambda_tol = -1": "ConfigError",
+    "tol_residual = -1": "ConfigError",
+    "tol_step = 0": "ConfigError",
+    "mp_tol_residual = 0": "ConfigError",
+    "mp_nodes = 2": "ConfigError",
+}
+
+# the smallest config each action parses on a 16-point 1-D grid
+TINY_1D = "n = 5\nR = 3.8\nsizes = 16\np = 1.5\nq = 2\nB = 0.05\n"
+ACTION_EXTRA = {
+    "mountain-pass": "mode = source\n",
+    "check-nonexistence": "mode = source\n",
+    "sweep": "mode = source\nsweep_lambdas = 0.05\nsweep_solve = true\n",
 }
 
 # sample counts below 1 that exit 2 with ValueError: config lines by test id
@@ -341,6 +354,43 @@ class TestRun:
             )
             assert cell["cell"] == idx
             assert "nonexistence" in cell
+
+    def test_sweep_cells_take_the_minimax_keys(self, tmp_path):
+        cfg = ("n = 5\nR = 3.8\nsizes = 32\naction = sweep\nmode = source\n"
+               "p = 1.5\nq = 2\nsweep_lambdas = 0.05\nsweep_solve = true\n"
+               "mp_max_sweeps = 0\nmp_nodes = 8\neps_schedule = 0.01,0\n")
+        man = run_config(cfg, tmp_path / "out")
+        assert man.exit_code == 0
+        cell = json.loads((tmp_path / "out" / "cells" / "000" / "report.json").read_text())
+        extras = cell["solver"]["extras"]
+        assert extras["path_sweeps"] == 0
+        trace = [e["eps"] for e in cell["solver"]["eps_trace"]]
+        assert trace == [extras["eps0"], 0.01, 0.0]
+
+    def test_lambda_star_probes_take_the_minimax_keys(self, tmp_path, monkeypatch):
+        import paneitzlab.mountain_pass as mp
+
+        seen = []
+        orig = mp.mountain_pass_solve
+        monkeypatch.setattr(mp, "mountain_pass_solve",
+                            lambda *a, **k: seen.append(k) or orig(*a, **k))
+        cfg = ("n = 5\nR = 20\nsizes = 32\naction = lambda-star\np = 3\nq = 2\n"
+               "lambda_tol = 0.01\nmp_max_sweeps = 50\nmp_nodes = 8\n"
+               "mp_tol_residual = 1e-7\n")
+        assert run_config(cfg, tmp_path / "out").exit_code == 0
+        assert seen and all(
+            (k["max_sweeps"], k["n_nodes"], k["tol_residual"]) == (50, 8, 1e-7)
+            for k in seen
+        )
+
+    @pytest.mark.parametrize("action", ACTIONS)
+    def test_every_action_runs_on_a_tiny_grid(self, tmp_path, action):
+        cfg = f"{TINY_1D}action = {action}\n{ACTION_EXTRA.get(action, '')}"
+        man = run_config(cfg, tmp_path / "out")
+        assert man.exit_code in (0, 1)
+        assert (tmp_path / "out" / "manifest.json").exists()
+        assert (tmp_path / "out" / "report.json").exists()
+        assert not (tmp_path / "out" / "error.json").exists()
 
     def test_lambda_star_action(self, tmp_path):
         cfg = (

@@ -3,7 +3,7 @@ import pytest
 
 import paneitzlab as pl
 
-from conftest import constant_problem
+from conftest import constant_problem, sin_psi_operator
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +55,20 @@ def test_tmax_without_convergence_is_reported(ref_op, ref_prob):
     rep, _ = pl.parabolic_flow(ref_op, ref_prob, br.lower, tau=1e-4, tmax=3e-4)
     assert not rep.converged
     assert rep.extras["final_time"] <= 3e-4 + 1e-12
+
+
+def test_fine_grid_stops_at_the_roundoff_floor(ref_params):
+    # on 512 points the floor of P u (about 5.8e-7) is far above
+    # tol_residual = 1e-8: the flow stops there instead of running to tmax
+    op = sin_psi_operator(ref_params, 512, 0.3)
+    prob = constant_problem(op.grid)
+    u0 = pl.find_sub_super(op, prob).lower
+    rep, _ = pl.parabolic_flow(op, prob, u0, tau=0.05, tmax=5.0)
+    assert rep.converged
+    assert rep.iterations <= 20
+    floor = rep.extras["residual_floor"]
+    assert floor == op.roundoff_floor(rep.u.values)
+    assert 1e-8 < rep.residual <= floor
 
 
 def test_positivity_rejection_recovers(ref_op, ref_grid):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import paneitzlab as pl
-from paneitzlab.geometry import load_field_csv
+from paneitzlab.geometry import lebesgue_norm, load_field_csv
 
 from _oracles import fd_gradient_squared_1d
 
@@ -140,6 +140,26 @@ class TestGradientSquared:
         out = pl.gradient_squared(psi).values
         expected = (np.cos(X) * np.cos(Y)) ** 2 + (np.sin(X) * np.sin(Y)) ** 2
         assert np.abs(out - expected).max() < 1e-12
+
+
+class TestLebesgueNorm:
+    @pytest.mark.parametrize("s", [50.5, 80.0, 200.0])
+    def test_log_space_matches_direct_sum(self, s):
+        # above s = 50 the norm is summed in log space; where the direct
+        # quadrature sum is finite the two agree
+        grid = pl.SpectralGrid((64,), (TWO_PI,))
+        v = 1.5 + np.sin(grid.meshgrid()[0])
+        direct = float(grid.integrate(np.abs(v) ** s) ** (1.0 / s))
+        assert np.isfinite(direct)
+        assert lebesgue_norm(grid, v, s) == pytest.approx(direct, rel=1e-13)
+
+    def test_log_space_survives_where_direct_overflows(self):
+        grid = pl.SpectralGrid((64,), (TWO_PI,))
+        v = np.full(grid.shape, 1e3)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(grid.integrate(v**400.0))
+        expected = 1e3 * grid.volume ** (1.0 / 400.0)
+        assert lebesgue_norm(grid, v, 400.0) == pytest.approx(expected, rel=1e-13)
 
 
 class TestFieldIO:

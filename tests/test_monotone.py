@@ -7,7 +7,7 @@ from paneitzlab.monotone import ORDER_SLACK, _scale_search, lipschitz_bound
 from paneitzlab.problems import reaction
 
 from _oracles import scalar_absorption_root
-from conftest import constant_problem
+from conftest import constant_problem, sin_psi_operator
 
 TWO_PI = 2.0 * np.pi
 
@@ -182,6 +182,23 @@ class TestMonotoneSolve:
         assert rep.residual <= 1e-8
         assert rep.u.min() > 0
         assert rep.monotone_ok and rep.confined_ok
+
+    def test_fine_grid_stops_at_the_roundoff_floor(self, ref_params):
+        # on 256 points the floor of P u (about 3.6e-8) is above
+        # tol_residual = 1e-8, which the iteration could only dip under by
+        # chance (it took 74,838 steps when it ignored the floor)
+        op = sin_psi_operator(ref_params, 256, 0.3)
+        prob = constant_problem(op.grid)
+        rep = pl.monotone_solve(op, prob, pl.find_sub_super(op, prob), maxiter=1000)
+        assert rep.iterations <= 20
+        floor = rep.extras["residual_floor"]
+        assert floor == op.roundoff_floor(rep.u.values)
+        assert 1e-8 < rep.residual <= floor
+
+    def test_stop_at_tolerance_reports_no_floor(self, ref_op, ref_prob):
+        rep = pl.monotone_solve(ref_op, ref_prob, pl.find_sub_super(ref_op, ref_prob))
+        assert rep.residual <= 1e-8
+        assert "residual_floor" not in rep.extras
 
     def test_invalid_bracket_rejected(self, ref_op, ref_prob):
         bad = pl.Bracket(3.0, 4.0, pl.ScalarField.constant(ref_op.grid, 1.0))

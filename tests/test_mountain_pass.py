@@ -6,7 +6,7 @@ from paneitzlab.mountain_pass import _energy_values
 from paneitzlab.problems import energy_gradient_values
 
 from _oracles import scalar_source_roots
-from conftest import constant_problem
+from conftest import constant_problem, sin_psi_operator
 
 TWO_PI = 2.0 * np.pi
 
@@ -143,10 +143,37 @@ class TestStackedPath:
         assert mp_solution.pass_level == pytest.approx(8.262404971810911, rel=1e-12)
         assert mp_solution.extras["path_stop"] == "cap"
 
+    def test_schedule_gets_eps0_prepended(self, mp_op, mp_problem, mp_sobolev):
+        kw = {"S_psi": mp_sobolev, "max_sweeps": 0}
+        eps0 = pl.mountain_pass_solve(mp_op, mp_problem, **kw).extras["eps0"]
+        for schedule in ([0.01 * eps0, 0.0], [eps0, 0.01 * eps0, 0.0]):
+            rep = pl.mountain_pass_solve(mp_op, mp_problem, eps_schedule=schedule, **kw)
+            assert [e["eps"] for e in rep.eps_trace] == [eps0, 0.01 * eps0, 0.0]
+
     def test_no_sweeps_reads_cap(self, mp_op, mp_problem, mp_sobolev):
         rep = pl.mountain_pass_solve(mp_op, mp_problem, S_psi=mp_sobolev, max_sweeps=0)
         assert rep.extras["path_sweeps"] == 0
         assert rep.extras["path_stop"] == "cap"
+
+
+class TestRoundoffFloorStop:
+    """On fine grids Newton cannot reach 1e-9 relative: every run stops at
+    its target or the round-off floor of P u, and nothing else is accepted."""
+
+    def test_128_points_no_entry_reaches_the_step_cap(self, mp_params):
+        op = sin_psi_operator(mp_params, 128, 0.2)
+        prob = constant_problem(op.grid, b=0.05, p=1.5, q=2.0, mode="source")
+        rep = pl.mountain_pass_solve(op, prob, require_cond=False)
+        assert rep.converged
+        assert all(e["newton_iterations"] < 80 for e in rep.eps_trace)
+
+    def test_256_points_solve_with_every_entry_at_the_floor(self, mp_params):
+        op = sin_psi_operator(mp_params, 256, 0.2)
+        prob = constant_problem(op.grid, b=0.05, p=1.5, q=2.0, mode="source")
+        rep = pl.mountain_pass_solve(op, prob, require_cond=False)
+        assert rep.converged and rep.u.min() > 0.0
+        assert rep.residual <= max(1e-6, op.roundoff_floor(rep.u.values))
+        assert all(e["residual"] <= e["residual_floor"] for e in rep.eps_trace)
 
 
 class TestLichnerowiczExponents:
@@ -221,6 +248,28 @@ class TestSecondSolution:
         roots = scalar_source_roots(mp_op.params.beta, 1.0, 0.05, 1.5, 2.0)
         assert min(abs(rep.u.max() - r) for r in roots) < 1e-6
         assert abs(rep.u.max() - u_B.max()) > 1e-4
+
+    def test_ordered_perturbations_iterate_upward(self, mp_op, mp_problem,
+                                                  mp_sobolev, monkeypatch):
+        # the lower (stable) roots of the perturbed problems are ordered in
+        # the coefficient, unlike the mountain-pass ones; given those, the
+        # attempt iterates upward from the lower one to the stable root of B
+        import paneitzlab.mountain_pass as mp
+
+        def stable_root(op, prob, **kw):
+            lo, hi = sorted(scalar_source_roots(op.params.beta, 1.0, prob.B.max(),
+                                                1.5, 2.0))
+            e = pl.ScalarField.constant(op.grid, 1.0)
+            return pl.monotone_solve(op, prob, pl.Bracket(0.5 * lo, 0.5 * (lo + hi), e))
+
+        u_B = pl.mountain_pass_solve(mp_op, mp_problem, S_psi=mp_sobolev).u
+        monkeypatch.setattr(mp, "mountain_pass_solve", stable_root)
+        rep = pl.second_solution_attempt(mp_op, mp_problem, u_B, 0.002)
+        assert rep is not None
+        assert rep.extras["ordering_ok"] and rep.extras["distinct"]
+        assert rep.residual <= 1e-6
+        roots = scalar_source_roots(mp_op.params.beta, 1.0, 0.05, 1.5, 2.0)
+        assert np.abs(rep.u.values - min(roots)).max() < 1e-6
 
     def test_degenerate_perturbation(self, mp_op, mp_problem, mp_sobolev):
         u_B = pl.mountain_pass_solve(mp_op, mp_problem, S_psi=mp_sobolev).u

@@ -187,6 +187,15 @@ class TestSolveShifted:
         with pytest.raises(pl.CoercivityError):
             op.solve_shifted(0.0, np.ones(ref_grid.shape))
 
+    def test_unchecked_indefinite_shift_raises(self, ref_op):
+        # the constant mode of P + lam has eigenvalue beta + lam = -1: with
+        # the up-front witness skipped, conjugate gradients meet negative
+        # curvature on the first step and raise instead of returning
+        lam = -ref_op.params.beta - 1.0
+        with pytest.raises(pl.CoercivityError, match="nonpositive curvature"):
+            ref_op.solve_shifted(lam, np.ones(ref_op.grid.shape),
+                                 check_coercivity=False)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_rhs_refused_before_any_application(self, ref_op,
                                                           monkeypatch, bad):
