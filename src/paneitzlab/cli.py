@@ -36,7 +36,7 @@ from .conditions import (
     lambda_star_bisect,
     lambda_star_bracket,
 )
-from .errors import CertificateError, ConfigError, PaneitzLabError
+from .errors import ConfigError, PaneitzLabError
 from .flow import parabolic_flow
 from .geometry import (
     ScalarField,
@@ -444,7 +444,9 @@ def _minimax(config, grid, op, prob, action, w: _Writer):
     """Run the minimax solve unless a certificate blocks it (exit 1).
 
     The blocking certificates are a certified infeasibility and, when
-    ``mp_require_cond`` is set, the solver's failed existence gate.
+    ``mp_require_cond`` is set, a failed existence condition.  The condition
+    is evaluated once, with the ``S_psi`` the solve then uses, and a solved
+    report carries it beside the solver summary.
     """
     v = config.values
     blocked = _certified_infeasible(config, op, prob)
@@ -455,23 +457,21 @@ def _minimax(config, grid, op, prob, action, w: _Writer):
             "certificate": _jsonable(blocked),
         })
         return 1
-    try:
-        rep = mountain_pass_solve(op, prob, phi=_phi_field(config, grid),
-                                  require_cond=v["mp_require_cond"],
-                                  **_mp_kwargs(v))
-    except CertificateError as exc:
-        if exc.certificate is None:
-            raise
+    phi = _phi_field(config, grid)
+    S = sobolev_constant(op)
+    cond = check_existence_cond(op, prob, phi=phi, S_psi=S)
+    if v["mp_require_cond"] and not cond.satisfied:
         w.json("report.json", {
             "action": action,
             "outcome": "certificate-blocked",
-            "certificate": _jsonable(exc.certificate),
+            "certificate": _jsonable(cond),
         })
         return 1
+    rep = mountain_pass_solve(op, prob, phi=phi, S_psi=S, **_mp_kwargs(v))
     if v["save_fields"]:
         w.field("solution", rep.u)
     w.json("report.json", {"action": action, "outcome": "solved",
-                           "solver": rep.summary()})
+                           "certificate": _jsonable(cond), "solver": rep.summary()})
     return 0
 
 
@@ -547,8 +547,7 @@ def _action_sweep(config, params, grid, op, w: _Writer):
         solver_payload = None
         if v["sweep_solve"]:
             try:
-                rep = mountain_pass_solve(op, prob, require_cond=False,
-                                          **_mp_kwargs(v))
+                rep = mountain_pass_solve(op, prob, **_mp_kwargs(v))
                 outcome, resid = "solved", rep.residual
                 solver_payload = rep.summary()
             except PaneitzLabError as exc:

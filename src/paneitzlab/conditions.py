@@ -9,6 +9,7 @@ holds), and every ingredient value that entered it.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -16,8 +17,9 @@ from scipy.optimize import brentq
 
 from .errors import CertificateError, SolverError
 from .geometry import ScalarField, lebesgue_norm
+from .mountain_pass import mountain_pass_solve
 from .operator import PaneitzOperator
-from .problems import ABSORPTION, SOURCE, ProblemSpec
+from .problems import ABSORPTION, SOURCE, ProblemSpec, power_norm_order
 from .spectral_analysis import EigenPair, energy_norm, principal_eigenpair, sobolev_constant
 
 __all__ = [
@@ -30,7 +32,6 @@ __all__ = [
     "check_nonexistence",
     "lambda_star_bracket",
     "lambda_star_bisect",
-    "power_norm_order",
 ]
 
 
@@ -78,25 +79,6 @@ class LambdaStarResult:
     ingredients: dict = dc_field(default_factory=dict)
     probes: list = dc_field(default_factory=list)
     anomaly: str = ""
-
-
-# -- norms --------------------------------------------------------------------
-
-
-def power_norm_order(params, q: float, strict: bool = True) -> float:
-    """Exponent s = 2# / (2# - q - 1) for the B-norm in the source condition.
-
-    Returns inf at the borderline q = 2# - 1.  With ``strict`` the borderline
-    (and beyond) raises, matching the certificate's domain of validity.
-    """
-    denom = params.two_sharp - q - 1.0
-    if denom < -1e-12 or (strict and denom <= 1e-12):
-        raise CertificateError(
-            f"norm order degenerates: q = {q} not below 2#-1 = {params.two_sharp - 1}"
-        )
-    if denom <= 1e-12:
-        return math.inf
-    return params.two_sharp / denom
 
 
 # -- tangency threshold -------------------------------------------------------
@@ -207,8 +189,6 @@ def check_existence_cond(op: PaneitzOperator, prob: ProblemSpec,
         raise CertificateError("the energy certificate addresses the source sign")
     s = power_norm_order(op.params, prob.q, strict=False)
     if math.isinf(s):
-        import warnings
-
         warnings.warn(
             "borderline exponent q = 2#-1: using the sup norm of B",
             RuntimeWarning,
@@ -439,18 +419,17 @@ def lambda_star_bisect(op: PaneitzOperator, p: float, q: float, tol: float,
     minimax probe runs.  The dichotomy is assumed (feasible couplings form
     an interval down from 0).  The certified lower end does not start the
     search, since the energy certificate can over-certify; an empirical
-    value outside [lower, upper] is flagged as an anomaly.  Probes run with
-    the certificate gate lifted, since the interesting couplings lie beyond
-    the certified-existence region.
+    value outside [lower, upper] is flagged as an anomaly.  Probes evaluate
+    no certificate, since the interesting couplings lie beyond the
+    certified-existence region, so no probe raises CertificateError.  Only a
+    SolverError marks a probe infeasible: a CoercivityError (``S_psi <= 0``,
+    the operator is not coercive) aborts the whole search.
     """
-    from .mountain_pass import mountain_pass_solve
-
     if S_psi is None:
         S_psi = sobolev_constant(op)
     result = lambda_star_bracket(op, p, q, S_psi=S_psi)
     result.tolerance = float(tol)
     mp_kwargs = dict(mp_kwargs or {})
-    mp_kwargs.setdefault("tol_residual", 1e-6)
     mp_kwargs.setdefault("S_psi", S_psi)
 
     budget = [int(solver_budget)]
@@ -459,8 +438,7 @@ def lambda_star_bisect(op: PaneitzOperator, p: float, q: float, tol: float,
         budget[0] -= 1
         try:
             # at lam = 0 the solver runs the monotone scheme of the absorption sign
-            mountain_pass_solve(op, _constant_problem(op, lam, p, q),
-                                require_cond=False, **mp_kwargs)
+            mountain_pass_solve(op, _constant_problem(op, lam, p, q), **mp_kwargs)
         except SolverError as exc:
             result.probes.append({"lam": lam, "feasible": False,
                                   "reason": f"{type(exc).__name__}: {exc}"})

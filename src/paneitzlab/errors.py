@@ -38,14 +38,7 @@ class MountainPassGeometryError(SolverError):
 
 
 class CertificateError(PaneitzLabError):
-    """A certificate was evaluated outside its domain of validity.
-
-    ``certificate`` carries the failed certificate when a gate refused a run.
-    """
-
-    def __init__(self, message, certificate=None):
-        super().__init__(message)
-        self.certificate = certificate
+    """A certificate was evaluated outside its domain of validity."""
 
 
 class ConfigError(PaneitzLabError):

@@ -5,6 +5,7 @@ used when B is only nonnegative."""
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .errors import BracketError, ConvergenceError, SolverError
 from .geometry import ScalarField
@@ -61,36 +62,43 @@ def _scale_search(ok, start: float, factor: float, tries: int) -> float | None:
 def find_sub_super(op: PaneitzOperator, prob: ProblemSpec) -> Bracket:
     """Scale the constant cone element ``e = 1`` into a sub/supersolution pair.
 
-    Starting from s = 1, the subsolution scale s1 is halved (at most 200
-    times) until ``P(s1 e) <= f(x, s1 e)`` holds everywhere (the singular
-    term always wins for small scales), and the supersolution scale s2 is
-    doubled (at most 200 times) until the reversed inequality holds.  In
-    absorption mode the doubling terminates whenever B > 0 where the
-    potential is nonpositive; a pure B = 0 problem with the potential
-    dipping nonpositive has no constant supersolution and is reported as
-    such.
+    The supersolution scale s2 is doubled from 1 (at most 200 times) until
+    ``P(s2 e) >= f(x, s2 e)`` holds everywhere.  In absorption mode the
+    doubling terminates whenever B > 0 where the potential is nonpositive; a
+    pure B = 0 problem with the potential dipping nonpositive has no constant
+    supersolution and is reported as such.  In source mode with B > 0
+    somewhere, the margin ``min_x (s W - A s^-p - B s^q)`` (``W = P 1``) is
+    concave in s, so s2 is its maximizer, and no constant supersolution
+    exists when the maximum is negative.  The subsolution scale s1 is then
+    halved from ``min(1, s2)`` (at most 200 times) until ``P(s1 e) <= f(x,
+    s1 e)`` holds everywhere (the singular term always wins for small scales).
     """
     e = ScalarField.constant(op.grid, 1.0)
     e_vals = e.values
     pe_vals = op.apply_values(e_vals)
 
-    s1 = _scale_search(lambda s: _sub_margin(prob, s, e_vals, pe_vals) >= 0.0,
-                       1.0, 0.5, 201)
-    if s1 is None:
-        raise BracketError(
-            f"no subsolution scale found down to {0.5**201}; "
-            "singular coefficient may be degenerate"
-        )
-
-    s2 = _scale_search(lambda s: _super_margin(prob, s, e_vals, pe_vals) >= 0.0,
-                       1.0, 2.0, 201)
+    if prob.mode == SOURCE and prob.B.max() > 0.0:
+        best = 2.0 ** minimize_scalar(
+            lambda t: -_super_margin(prob, 2.0**t, e_vals, pe_vals)).x
+        s2 = best if _super_margin(prob, best, e_vals, pe_vals) >= 0.0 else None
+    else:
+        s2 = _scale_search(lambda s: _super_margin(prob, s, e_vals, pe_vals) >= 0.0,
+                           1.0, 2.0, 201)
     if s2 is None:
         hint = ""
         if prob.mode == ABSORPTION and prob.B.min() <= 0.0 and op.W.min() <= 0.0:
             hint = " (B vanishes where the potential is nonpositive)"
         if prob.mode == SOURCE:
             hint = " (source mode: constant supersolutions exist only below the fold)"
-        raise BracketError(f"no supersolution scale found up to {2.0**201}{hint}")
+        raise BracketError(f"no supersolution scale found{hint}")
+
+    s1 = _scale_search(lambda s: _sub_margin(prob, s, e_vals, pe_vals) >= 0.0,
+                       min(1.0, s2), 0.5, 201)
+    if s1 is None:
+        raise BracketError(
+            f"no subsolution scale found down to {0.5**201}; "
+            "singular coefficient may be degenerate"
+        )
     return Bracket(s1=s1, s2=s2, e=e)
 
 

@@ -14,12 +14,11 @@ from functools import partial
 import numpy as np
 
 from .errors import (
-    CertificateError,
+    CoercivityError,
     ConvergenceError,
     MountainPassGeometryError,
     SolverError,
 )
-from .conditions import check_existence_cond, power_norm_order
 from .geometry import ScalarField, lebesgue_norm
 from .monotone import (
     ORDER_SLACK,
@@ -39,6 +38,7 @@ from .problems import (
     _integrals,
     energy,
     floor_flag,
+    power_norm_order,
     residual_sup,
     smoothed_reaction,
     smoothed_reaction_derivative,
@@ -106,7 +106,6 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
                         phi: ScalarField | None = None,
                         eps0: float | None = None,
                         eps_schedule=None,
-                        require_cond: bool = True,
                         S_psi: float | None = None,
                         n_nodes: int = PATH_NODES,
                         tol_residual: float = 1e-6,
@@ -133,8 +132,12 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
     dominates the inverse image of its own power term (inverse positivity
     keeps it from collapsing at the bottom).  A vanishing minimum aborts.
 
-    ``require_cond=False`` lifts the certificate gate (used by threshold
-    bisection, which probes couplings beyond the certified region).
+    The solver evaluates no existence certificate: the paper's energy-norm
+    condition is sufficient for this geometry, which is checked directly (a
+    positive rim, endpoints below it, then convergence and positivity).
+    Callers that want the condition evaluate
+    :func:`paneitzlab.conditions.check_existence_cond`.  A nonpositive
+    ``S_psi`` (no coercive embedding) raises CoercivityError.
     ``eps0=None`` picks the regularization so the smoothed singular term at
     zero sits at half the rim value.
     """
@@ -162,11 +165,9 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
 
     if S_psi is None:
         S_psi = sobolev_constant(op)
-    cond = check_existence_cond(op, prob, phi=phi, S_psi=S_psi)
-    if require_cond and not cond.satisfied:
-        raise CertificateError(
-            f"existence condition fails (margin {cond.margin:.3e}); "
-            "pass require_cond=False to attempt the search anyway", certificate=cond
+    if S_psi <= 0.0:
+        raise CoercivityError(
+            f"embedding constant {S_psi} is not positive; operator not coercive"
         )
 
     s = power_norm_order(op.params, q, strict=False)
@@ -296,11 +297,10 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
                    "stagnated": "polish stagnated",
                    "cap": "polish reached 80 steps"}[stop]
             raise ConvergenceError(f"{why} at residual {resid:.3e}", residual=resid)
-        its = steps + 1
-        newton_its += its
+        newton_its += steps
         umin = float(u.min())
         uscale = max(float(np.abs(u).max()), 1.0)
-        entry = {"eps": eps, "residual": resid, "min_u": umin, "newton_iterations": its,
+        entry = {"eps": eps, "residual": resid, "min_u": umin, "newton_iterations": steps,
                  **floor_flag(op, u, resid, target)}
         up = np.maximum(u, 0.0)
         entry["singular_integral"] = grid.integrate(
@@ -350,8 +350,6 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
             "t2": float(t2),
             "S_psi": float(S_psi),
             "norm_B": float(normB),
-            "cond_satisfied": bool(cond.satisfied),
-            "cond_margin": float(cond.margin),
             "path_sweeps": sweeps,
             "path_stop": path_stop,
             "pass_level_in_bracket": bool(

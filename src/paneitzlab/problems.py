@@ -12,12 +12,13 @@ enforced strictly and the borderline value runs best-effort with a warning.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import GridMismatchError
+from .errors import CertificateError, GridMismatchError
 from .geometry import GeometryParams, ScalarField
 from .operator import PaneitzOperator
 
@@ -34,6 +35,7 @@ __all__ = [
     "residual_sup",
     "floor_flag",
     "lyapunov_energy",
+    "power_norm_order",
 ]
 
 ABSORPTION = "absorption"
@@ -95,6 +97,21 @@ class ProblemSpec:
     def with_B(self, B: ScalarField) -> "ProblemSpec":
         return ProblemSpec(self.A, B, self.p, self.q, self.mode)
 
+
+def power_norm_order(params: GeometryParams, q: float, strict: bool = True) -> float:
+    """Exponent s = 2# / (2# - q - 1) for the B-norm in the source condition.
+
+    Returns inf at the borderline q = 2# - 1.  With ``strict`` the borderline
+    (and beyond) raises, matching the certificate's domain of validity.
+    """
+    denom = params.two_sharp - q - 1.0
+    if denom < -1e-12 or (strict and denom <= 1e-12):
+        raise CertificateError(
+            f"norm order degenerates: q = {q} not below 2#-1 = {params.two_sharp - 1}"
+        )
+    if denom <= 1e-12:
+        return math.inf
+    return params.two_sharp / denom
 
 def reaction(prob: ProblemSpec, u: np.ndarray) -> np.ndarray:
     """f(x, u) = A/u^p -/+ B u^q pointwise; u must be positive."""

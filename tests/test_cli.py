@@ -368,11 +368,11 @@ class TestRun:
         assert trace == [extras["eps0"], 0.01, 0.0]
 
     def test_lambda_star_probes_take_the_minimax_keys(self, tmp_path, monkeypatch):
-        import paneitzlab.mountain_pass as mp
+        import paneitzlab.conditions as conditions
 
         seen = []
-        orig = mp.mountain_pass_solve
-        monkeypatch.setattr(mp, "mountain_pass_solve",
+        orig = conditions.mountain_pass_solve
+        monkeypatch.setattr(conditions, "mountain_pass_solve",
                             lambda *a, **k: seen.append(k) or orig(*a, **k))
         cfg = ("n = 5\nR = 20\nsizes = 32\naction = lambda-star\np = 3\nq = 2\n"
                "lambda_tol = 0.01\nmp_max_sweeps = 50\nmp_nodes = 8\n"

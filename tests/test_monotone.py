@@ -52,6 +52,16 @@ class TestFindSubSuper:
         br = pl.find_sub_super(ref_op, prob)
         assert pl.verify_bracket(ref_op, prob, br) == (True, True)
 
+    def test_source_supersolution_between_powers_of_two(self, mp_op, ref_grid):
+        # constant supersolutions fill s in [2.40, 3.93], which holds no
+        # power of two; past the fold (B = 0.06) there are none
+        prob = constant_problem(ref_grid, b=0.052, p=1.5, q=2.0, mode="source")
+        br = pl.find_sub_super(mp_op, prob)
+        assert pl.verify_bracket(mp_op, prob, br) == (True, True)
+        assert 2.4 < br.s2 < 3.93
+        with pytest.raises(pl.BracketError):
+            pl.find_sub_super(mp_op, prob.with_B(pl.ScalarField.constant(ref_grid, 0.06)))
+
     def test_no_supersolution_reported(self, ref_params, ref_grid):
         # potential dips nonpositive and B vanishes: doubling can never stop
         V = pl.ScalarField.constant(ref_grid, ref_params.Qconst + 1.0)

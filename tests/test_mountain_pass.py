@@ -74,11 +74,6 @@ class TestMountainPass:
             rhs = sum(pieces)
             assert lhs == pytest.approx(rhs, rel=1e-6)
 
-    def test_certificate_gate(self, mp_op, ref_grid, mp_sobolev):
-        prob = constant_problem(ref_grid, b=0.12, p=1.5, q=2.0, mode="source")
-        with pytest.raises(pl.CertificateError):
-            pl.mountain_pass_solve(mp_op, prob, S_psi=mp_sobolev)
-
     def test_infeasible_coupling_fails_honestly(self, mp_op, ref_grid, mp_sobolev):
         # beyond the fold no positive solution exists; the solver must not
         # fabricate one
@@ -86,7 +81,30 @@ class TestMountainPass:
         roots = scalar_source_roots(mp_op.params.beta, 1.0, 0.12, 1.5, 2.0)
         assert roots == []
         with pytest.raises(pl.SolverError):
-            pl.mountain_pass_solve(mp_op, prob, S_psi=mp_sobolev, require_cond=False)
+            pl.mountain_pass_solve(mp_op, prob, S_psi=mp_sobolev)
+
+    @pytest.mark.parametrize("S_psi", [0.0, -1.0])
+    def test_nonpositive_embedding_constant_is_not_coercive(self, mp_op, mp_problem,
+                                                            S_psi):
+        with pytest.raises(pl.CoercivityError):
+            pl.mountain_pass_solve(mp_op, mp_problem, S_psi=S_psi)
+
+    def test_newton_iterations_are_the_steps_taken(self, mp_op, mp_problem, mp_sobolev,
+                                                   monkeypatch):
+        import paneitzlab.mountain_pass as mp
+
+        steps = []
+        newton = mp.newton
+
+        def counted(*args, **kwargs):
+            out = newton(*args, **kwargs)
+            steps.append(out[2])
+            return out
+
+        monkeypatch.setattr(mp, "newton", counted)
+        rep = pl.mountain_pass_solve(mp_op, mp_problem, S_psi=mp_sobolev, max_sweeps=0)
+        assert [e["newton_iterations"] for e in rep.eps_trace] == steps
+        assert rep.iterations == rep.extras["path_sweeps"] + sum(steps)
 
     def test_zero_B_routes_to_absorption(self, mp_op, ref_grid):
         prob = constant_problem(ref_grid, b=0.0, p=1.5, q=2.0, mode="source")
@@ -163,14 +181,14 @@ class TestRoundoffFloorStop:
     def test_128_points_no_entry_reaches_the_step_cap(self, mp_params):
         op = sin_psi_operator(mp_params, 128, 0.2)
         prob = constant_problem(op.grid, b=0.05, p=1.5, q=2.0, mode="source")
-        rep = pl.mountain_pass_solve(op, prob, require_cond=False)
+        rep = pl.mountain_pass_solve(op, prob)
         assert rep.converged
         assert all(e["newton_iterations"] < 80 for e in rep.eps_trace)
 
     def test_256_points_solve_with_every_entry_at_the_floor(self, mp_params):
         op = sin_psi_operator(mp_params, 256, 0.2)
         prob = constant_problem(op.grid, b=0.05, p=1.5, q=2.0, mode="source")
-        rep = pl.mountain_pass_solve(op, prob, require_cond=False)
+        rep = pl.mountain_pass_solve(op, prob)
         assert rep.converged and rep.u.min() > 0.0
         assert rep.residual <= max(1e-6, op.roundoff_floor(rep.u.values))
         assert all(e["residual"] <= e["residual_floor"] for e in rep.eps_trace)
@@ -182,9 +200,7 @@ class TestLichnerowiczExponents:
         # with a warning and the power-term bound recorded via the embedding
         with pytest.warns(RuntimeWarning):
             prob = constant_problem(ref_grid, b=1.0, p=11.0, q=9.0, mode="source")
-            rep = pl.mountain_pass_solve(
-                ref_op, prob, S_psi=ref_sobolev, require_cond=False
-            )
+            rep = pl.mountain_pass_solve(ref_op, prob, S_psi=ref_sobolev)
         assert rep.residual <= 1e-6
         assert rep.u.min() > 0
         assert rep.extras["lichnerowicz_exponents"]
