@@ -48,7 +48,6 @@ from .problems import (
     ProblemSpec,
     SolverReport,
     energy,
-    lyapunov_energy,
     residual_sup,
 )
 from .monotone import (

@@ -34,7 +34,6 @@ from .conditions import (
     check_existence_ineq,
     check_nonexistence,
     lambda_star_bisect,
-    lambda_star_bracket,
 )
 from .errors import ConfigError, PaneitzLabError
 from .flow import parabolic_flow
@@ -288,8 +287,7 @@ def _build(config: ExperimentConfig):
         psi = ScalarField(grid, v["psi_amplitude"] * np.sin(phase))
     elif v["psi"] == "file":
         psi = _load_any_field(v["psi_file"], grid, config.base_dir)
-    op = build_operator(params, grid, psi=psi)
-    return params, grid, op
+    return build_operator(params, grid, psi=psi)
 
 
 def _build_problem(config: ExperimentConfig, grid: SpectralGrid) -> ProblemSpec:
@@ -370,7 +368,7 @@ class _Writer:
 # -- action handlers --------------------------------------------------------------
 
 
-def _action_eigen(config, params, grid, op, w: _Writer):
+def _action_eigen(config, op, w: _Writer):
     eig = principal_eigenpair(op)
     sign = invariant_sign(op, eig)
     pos = positivity_check(op, samples=config.values["positivity_samples"],
@@ -389,13 +387,13 @@ def _action_eigen(config, params, grid, op, w: _Writer):
     return 0
 
 
-def _action_sobolev(config, params, grid, op, w: _Writer):
+def _action_sobolev(config, op, w: _Writer):
     S = sobolev_constant(op)
     w.json("report.json", {
         "action": "sobolev",
         "S_psi": S,
-        "grid": {"sizes": list(grid.sizes), "lengths": list(grid.lengths)},
-        "critical_exponent": params.two_sharp,
+        "grid": {"sizes": list(op.grid.sizes), "lengths": list(op.grid.lengths)},
+        "critical_exponent": op.params.two_sharp,
     })
     return 0
 
@@ -409,11 +407,11 @@ def _certified_infeasible(config, op, prob):
     return None
 
 
-def _action_solve(config, params, grid, op, w: _Writer):
+def _action_solve(config, op, w: _Writer):
     v = config.values
-    prob = _build_problem(config, grid)
+    prob = _build_problem(config, op.grid)
     if prob.mode == SOURCE:
-        return _minimax(config, grid, op, prob, "solve", w)
+        return _minimax(config, op, prob, "solve", w)
     if v["eps_schedule"] is not None:
         rep = epsilon_continuation(op, prob, v["eps_schedule"],
                                    tol_step=v["tol_step"],
@@ -440,7 +438,7 @@ def _mp_kwargs(v: dict) -> dict:
             "max_sweeps": v["mp_max_sweeps"]}
 
 
-def _minimax(config, grid, op, prob, action, w: _Writer):
+def _minimax(config, op, prob, action, w: _Writer):
     """Run the minimax solve unless a certificate blocks it (exit 1).
 
     The blocking certificates are a certified infeasibility and, when
@@ -457,7 +455,7 @@ def _minimax(config, grid, op, prob, action, w: _Writer):
             "certificate": _jsonable(blocked),
         })
         return 1
-    phi = _phi_field(config, grid)
+    phi = _phi_field(config, op.grid)
     S = sobolev_constant(op)
     cond = check_existence_cond(op, prob, phi=phi, S_psi=S)
     if v["mp_require_cond"] and not cond.satisfied:
@@ -475,9 +473,9 @@ def _minimax(config, grid, op, prob, action, w: _Writer):
     return 0
 
 
-def _action_flow(config, params, grid, op, w: _Writer):
+def _action_flow(config, op, w: _Writer):
     v = config.values
-    prob = _build_problem(config, grid)
+    prob = _build_problem(config, op.grid)
     bracket = find_sub_super(op, prob)
     u0 = bracket.lower
     rep, samples = parabolic_flow(op, prob, u0, tau=v["tau"], tmax=v["tmax"],
@@ -493,28 +491,28 @@ def _action_flow(config, params, grid, op, w: _Writer):
     return 0
 
 
-def _action_check_existence(config, params, grid, op, w: _Writer):
-    prob = _build_problem(config, grid)
+def _action_check_existence(config, op, w: _Writer):
+    prob = _build_problem(config, op.grid)
     if prob.mode == ABSORPTION:
         rep = check_existence_ineq(op, prob)
     else:
-        rep = check_existence_cond(op, prob, phi=_phi_field(config, grid))
+        rep = check_existence_cond(op, prob, phi=_phi_field(config, op.grid))
     w.json("report.json", {"action": "check-existence", "certificate": _jsonable(rep)})
     return 0
 
 
-def _action_check_nonexistence(config, params, grid, op, w: _Writer):
-    prob = _build_problem(config, grid)
+def _action_check_nonexistence(config, op, w: _Writer):
+    prob = _build_problem(config, op.grid)
     rep = check_nonexistence(op, prob)
     w.json("report.json", {"action": "check-nonexistence", "certificate": _jsonable(rep)})
     return 0
 
 
-def _action_mountain_pass(config, params, grid, op, w: _Writer):
-    return _minimax(config, grid, op, _build_problem(config, grid), "mountain-pass", w)
+def _action_mountain_pass(config, op, w: _Writer):
+    return _minimax(config, op, _build_problem(config, op.grid), "mountain-pass", w)
 
 
-def _action_lambda_star(config, params, grid, op, w: _Writer):
+def _action_lambda_star(config, op, w: _Writer):
     v = config.values
     result = lambda_star_bisect(op, v["p"], v["q"], tol=v["lambda_tol"],
                                 solver_budget=v["solver_budget"],
@@ -523,7 +521,7 @@ def _action_lambda_star(config, params, grid, op, w: _Writer):
     return 0
 
 
-def _action_sweep(config, params, grid, op, w: _Writer):
+def _action_sweep(config, op, w: _Writer):
     v = config.values
     cells = [(p, q, lam) for p in v["sweep_ps"] for q in v["sweep_qs"]
              for lam in v["sweep_lambdas"]]
@@ -531,8 +529,8 @@ def _action_sweep(config, params, grid, op, w: _Writer):
 
     def run_cell(idx_cell):
         idx, (p, q, lam) = idx_cell
-        A = ScalarField.constant(grid, 1.0)
-        B = ScalarField.constant(grid, lam)
+        A = ScalarField.constant(op.grid, 1.0)
+        B = ScalarField.constant(op.grid, lam)
         prob = ProblemSpec(A=A, B=B, p=p, q=q, mode=SOURCE)
         try:
             cond = check_existence_cond(op, prob, S_psi=S)
@@ -613,8 +611,8 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None,
     try:
         if values["workers"] < 1:
             raise ValueError(f"workers must be at least 1, got {values['workers']}")
-        params, grid, op = _build(config)
-        exit_code = _HANDLERS[values["action"]](config, params, grid, op, writer)
+        op = _build(config)
+        exit_code = _HANDLERS[values["action"]](config, op, writer)
     except (PaneitzLabError, ValueError) as exc:
         _write_error(writer, exc)
         exit_code = 2

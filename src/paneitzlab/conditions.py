@@ -334,7 +334,9 @@ def lambda_star_bracket(op: PaneitzOperator, p: float, q: float,
       lambda^(-1/q), giving upper = (rhs(1)/derived_min(1))^((p+q)/(p+1)).
 
     The published closed-form bounds are evaluated literally and reported
-    alongside; they are not load-bearing.
+    alongside; they are not load-bearing.  When ``lower > upper`` the two
+    certificates contradict each other, and ``anomaly`` says that the
+    existence certificate over-certifies there.
     """
     if S_psi is None:
         S_psi = sobolev_constant(op)
@@ -380,6 +382,10 @@ def lambda_star_bracket(op: PaneitzOperator, p: float, q: float,
         * norm_qpsi ** (q * (p + q - 2.0) / (p * q + q - 2.0))
     )
 
+    anomaly = ""
+    if lower > upper:
+        anomaly = (f"certified lower end {lower} exceeds the certified upper end "
+                   f"{upper}: the existence certificate over-certifies here")
     return LambdaStarResult(
         lower=float(lower),
         upper=float(upper),
@@ -397,6 +403,7 @@ def lambda_star_bracket(op: PaneitzOperator, p: float, q: float,
             "K_at_1": non1.ingredients.get("K"),
             "volume": vol,
         },
+        anomaly=anomaly,
     )
 
 
@@ -419,7 +426,8 @@ def lambda_star_bisect(op: PaneitzOperator, p: float, q: float, tol: float,
     minimax probe runs.  The dichotomy is assumed (feasible couplings form
     an interval down from 0).  The certified lower end does not start the
     search, since the energy certificate can over-certify; an empirical
-    value outside [lower, upper] is flagged as an anomaly.  Probes evaluate
+    value outside [lower, upper] is flagged as an anomaly, appended to the
+    bracket's own after ``"; "``.  Probes evaluate
     no certificate, since the interesting couplings lie beyond the
     certified-existence region, so no probe raises CertificateError.  Only a
     SolverError marks a probe infeasible: a CoercivityError (``S_psi <= 0``,
@@ -446,8 +454,11 @@ def lambda_star_bisect(op: PaneitzOperator, p: float, q: float, tol: float,
         result.probes.append({"lam": lam, "feasible": True})
         return True
 
+    def flag(text: str) -> None:
+        result.anomaly = f"{result.anomaly}; {text}" if result.anomaly else text
+
     if not probe(0.0):
-        result.anomaly = "coupling 0 infeasible; dichotomy violated at the base point"
+        flag("coupling 0 infeasible; dichotomy violated at the base point")
         return result
     lo, hi = 0.0, result.upper
     if hi > 0.0 and probe(hi):
@@ -463,8 +474,6 @@ def lambda_star_bisect(op: PaneitzOperator, p: float, q: float, tol: float,
     result.ingredients["budget_left"] = budget[0]
     slack = 1e-9 * max(1.0, result.upper)
     if not (result.lower - slack <= result.empirical <= result.upper + slack):
-        result.anomaly = (
-            f"empirical {result.empirical} escaped the certified bracket "
-            f"[{result.lower}, {result.upper}]"
-        )
+        flag(f"empirical {result.empirical} escaped the certified bracket "
+             f"[{result.lower}, {result.upper}]")
     return result

@@ -12,16 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import SolverError
 from .geometry import ScalarField
 from .operator import PaneitzOperator
 from .problems import (
     ProblemSpec,
     SolverReport,
+    energy,
     floor_flag,
-    lyapunov_energy,
     reaction,
     residual_sup,
 )
@@ -70,7 +68,7 @@ def parabolic_flow(op: PaneitzOperator, prob: ProblemSpec, u0: ScalarField,
             residual=residual_sup(op, prob, vals),
             min_u=float(vals.min()),
             max_u=float(vals.max()),
-            energy=lyapunov_energy(op, prob, ScalarField(grid, vals)),
+            energy=energy(op, prob, 0.0, ScalarField(grid, vals)),
         ))
 
     record(u, t)

@@ -33,16 +33,14 @@ __all__ = [
 ORDER_SLACK = 1e-12
 
 
-def _sub_margin(prob, s, e_vals, pe_vals):
-    """min over x of f(x, s*e) - P(s*e); >= 0 means subsolution."""
-    u = s * e_vals
-    return float((reaction(prob, u) - s * pe_vals).min())
+def _sub_margin(prob, s, W):
+    """min over x of f(x, s) - P s = f(x, s) - s W; >= 0 means subsolution."""
+    return float((reaction(prob, np.full(W.shape, s)) - s * W).min())
 
 
-def _super_margin(prob, s, e_vals, pe_vals):
-    """min over x of P(s*e) - f(x, s*e); >= 0 means supersolution."""
-    u = s * e_vals
-    return float((s * pe_vals - reaction(prob, u)).min())
+def _super_margin(prob, s, W):
+    """min over x of P s - f(x, s) = s W - f(x, s); >= 0 means supersolution."""
+    return float((s * W - reaction(prob, np.full(W.shape, s))).min())
 
 
 def _scale_search(ok, start: float, factor: float, tries: int) -> float | None:
@@ -60,30 +58,27 @@ def _scale_search(ok, start: float, factor: float, tries: int) -> float | None:
 
 
 def find_sub_super(op: PaneitzOperator, prob: ProblemSpec) -> Bracket:
-    """Scale the constant cone element ``e = 1`` into a sub/supersolution pair.
+    """Two constants s1 <= s2 that sub- and supersolve the problem.
 
-    The supersolution scale s2 is doubled from 1 (at most 200 times) until
-    ``P(s2 e) >= f(x, s2 e)`` holds everywhere.  In absorption mode the
-    doubling terminates whenever B > 0 where the potential is nonpositive; a
-    pure B = 0 problem with the potential dipping nonpositive has no constant
-    supersolution and is reported as such.  In source mode with B > 0
-    somewhere, the margin ``min_x (s W - A s^-p - B s^q)`` (``W = P 1``) is
-    concave in s, so s2 is its maximizer, and no constant supersolution
-    exists when the maximum is negative.  The subsolution scale s1 is then
-    halved from ``min(1, s2)`` (at most 200 times) until ``P(s1 e) <= f(x,
-    s1 e)`` holds everywhere (the singular term always wins for small scales).
+    A constant s has ``P s = s W``, with W the operator's potential, so no
+    operator is applied.  The supersolution scale s2 is doubled from 1 (at
+    most 200 times) until ``s2 W >= f(x, s2)`` holds everywhere.  In
+    absorption mode the doubling terminates whenever B > 0 where the
+    potential is nonpositive; a pure B = 0 problem with the potential
+    dipping nonpositive has no constant supersolution and is reported as
+    such.  In source mode with B > 0 somewhere, the margin ``min_x (s W -
+    A s^-p - B s^q)`` is concave in s, so s2 is its maximizer, and no
+    constant supersolution exists when the maximum is negative.  The
+    subsolution scale s1 is then halved from ``min(1, s2)`` (at most 200
+    times) until ``s1 W <= f(x, s1)`` holds everywhere (the singular term
+    always wins for small scales).
     """
-    e = ScalarField.constant(op.grid, 1.0)
-    e_vals = e.values
-    pe_vals = op.apply_values(e_vals)
-
+    W = op.W.values
     if prob.mode == SOURCE and prob.B.max() > 0.0:
-        best = 2.0 ** minimize_scalar(
-            lambda t: -_super_margin(prob, 2.0**t, e_vals, pe_vals)).x
-        s2 = best if _super_margin(prob, best, e_vals, pe_vals) >= 0.0 else None
+        best = 2.0 ** minimize_scalar(lambda t: -_super_margin(prob, 2.0**t, W)).x
+        s2 = best if _super_margin(prob, best, W) >= 0.0 else None
     else:
-        s2 = _scale_search(lambda s: _super_margin(prob, s, e_vals, pe_vals) >= 0.0,
-                           1.0, 2.0, 201)
+        s2 = _scale_search(lambda s: _super_margin(prob, s, W) >= 0.0, 1.0, 2.0, 201)
     if s2 is None:
         hint = ""
         if prob.mode == ABSORPTION and prob.B.min() <= 0.0 and op.W.min() <= 0.0:
@@ -92,23 +87,21 @@ def find_sub_super(op: PaneitzOperator, prob: ProblemSpec) -> Bracket:
             hint = " (source mode: constant supersolutions exist only below the fold)"
         raise BracketError(f"no supersolution scale found{hint}")
 
-    s1 = _scale_search(lambda s: _sub_margin(prob, s, e_vals, pe_vals) >= 0.0,
-                       min(1.0, s2), 0.5, 201)
+    s1 = _scale_search(lambda s: _sub_margin(prob, s, W) >= 0.0, min(1.0, s2), 0.5, 201)
     if s1 is None:
         raise BracketError(
             f"no subsolution scale found down to {0.5**201}; "
             "singular coefficient may be degenerate"
         )
-    return Bracket(s1=s1, s2=s2, e=e)
+    return Bracket(s1, s2, op.grid)
 
 
 def verify_bracket(op: PaneitzOperator, prob: ProblemSpec, bracket: Bracket,
                    slack: float = 0.0) -> tuple[bool, bool]:
     """Pointwise check of the defining inequalities, with optional slack."""
-    e_vals = bracket.e.values
-    pe_vals = op.apply_values(e_vals)
-    sub_ok = _sub_margin(prob, bracket.s1, e_vals, pe_vals) >= -slack
-    super_ok = _super_margin(prob, bracket.s2, e_vals, pe_vals) >= -slack
+    W = op.W.values
+    sub_ok = _sub_margin(prob, bracket.s1, W) >= -slack
+    super_ok = _super_margin(prob, bracket.s2, W) >= -slack
     return bool(sub_ok), bool(super_ok)
 
 

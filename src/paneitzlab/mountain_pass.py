@@ -58,23 +58,19 @@ def _path_max(op, prob, eps, nodes, pnodes):
     pulled the nodes down both slopes; interior samples recover the crossing
     (exactly so on a one-parameter family, where every path must pass
     through every intermediate field).  Samples and their images are
-    interpolated from ``nodes`` and ``pnodes = P nodes``, one stack of 8
-    per segment.
+    interpolated from ``nodes`` and ``pnodes = P nodes``, 8 per segment plus
+    the last node, and evaluated as one stack.
     """
-    ws = (np.arange(8) / 8).reshape((-1,) + (1,) * op.grid.d)
-    best_val = -np.inf
-    best = nodes[0]
-    for j in range(len(nodes) - 1):
-        v = (1.0 - ws) * nodes[j] + ws * nodes[j + 1]
-        pv = (1.0 - ws) * pnodes[j] + ws * pnodes[j + 1]
-        vals = _energy_values(op, prob, eps, v, pv)
-        k = int(np.argmax(vals))
-        if vals[k] > best_val:
-            best_val, best = vals[k], v[k]
-    val = _energy_values(op, prob, eps, nodes[-1], pnodes[-1])
-    if val > best_val:
-        best_val, best = val, nodes[-1]
-    return float(best_val), best.copy()
+    ws = (np.arange(8) / 8).reshape((1, -1) + (1,) * op.grid.d)
+
+    def samples(x):
+        inner = (1.0 - ws) * x[:-1, None] + ws * x[1:, None]
+        return np.concatenate([inner.reshape((-1,) + x.shape[1:]), x[-1:]])
+
+    v = samples(nodes)
+    vals = _energy_values(op, prob, eps, v, samples(pnodes))
+    k = int(np.argmax(vals))
+    return float(vals[k]), v[k].copy()
 
 
 def _reparametrize(op, nodes, pnodes):
@@ -201,9 +197,7 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
 
     e_t0 = E(t0 * phi_hat)
     e_t2 = E(t2 * phi_hat)
-    energy_at_r0 = None
-    if float((r0 * phi_hat).min()) > 0.0:
-        energy_at_r0 = energy(op, prob, 0.0, ScalarField(grid, r0 * phi_hat))
+    energy_at_r0 = energy(op, prob, 0.0, ScalarField(grid, r0 * phi_hat))
 
     # path deformation: descend the highest interior node, with the step
     # capped by half the local node spacing (uncapped descent runs away down
@@ -341,7 +335,7 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
         rim_value=float(rim),
         energy_at_endpoints=(float(e_t0), float(e_t2)),
         energy_at_r0=energy_at_r0,
-        energy_at_solution=energy(op, prob, 0.0, final) if final.min() > 0 else None,
+        energy_at_solution=energy(op, prob, 0.0, final),
         eps_trace=trace,
         extras={
             "eps0": eps0,
@@ -352,9 +346,7 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
             "norm_B": float(normB),
             "path_sweeps": sweeps,
             "path_stop": path_stop,
-            "pass_level_in_bracket": bool(
-                rim < c_eps < (energy_at_r0 if energy_at_r0 is not None else np.inf)
-            ),
+            "pass_level_in_bracket": bool(rim < c_eps < energy_at_r0),
             "singular_integral_bounded": bool(sing_bounded),
             "lichnerowicz_exponents": bool(lichnerowicz),
             **floor_flag(op, u, resid_final, tol_residual),
@@ -418,16 +410,13 @@ def second_solution_attempt(op: PaneitzOperator, prob: ProblemSpec,
     else:
         # u_hi still supersolves; descend from it above a small constant
         # subsolution
-        e = np.ones(grid.shape)
-        pe = op.apply_values(e)
         s1 = _scale_search(
-            lambda s: (_sub_margin(prob, s, e, pe) >= 0.0
-                       and float((u_hi - s * e).min()) >= 0.0),
+            lambda s: _sub_margin(prob, s, op.W.values) >= 0.0 and float(u_hi.min()) >= s,
             1.0, 0.5, 200,
         )
         if s1 is None:
             return None
-        start, lower, direction = u_hi, s1 * e, -1
+        start, lower, direction = u_hi, np.full(grid.shape, s1), -1
     try:
         u, resid, its, shift = _monotone_iterate(
             op, prob, start, lower, u_hi, direction, 1e-10, 1e-6, 100000,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import CertificateError, GridMismatchError
-from .geometry import GeometryParams, ScalarField
+from .geometry import GeometryParams, ScalarField, SpectralGrid
 from .operator import PaneitzOperator
 
 __all__ = [
@@ -31,10 +31,8 @@ __all__ = [
     "reaction",
     "smoothed_reaction",
     "energy",
-    "energy_gradient_values",
     "residual_sup",
     "floor_flag",
-    "lyapunov_energy",
     "power_norm_order",
 ]
 
@@ -139,30 +137,27 @@ def smoothed_reaction_derivative(prob: ProblemSpec, u: np.ndarray, eps: float) -
 
 @dataclass(frozen=True)
 class Bracket:
-    """Sub/supersolution pair of the form s1*e <= s2*e.
+    """Sub/supersolution pair of constants ``s1 <= s2`` on ``grid``.
 
-    ``e`` is an interior element of the positive cone (default the constant
-    one); s1*e is expected to be a subsolution and s2*e a supersolution,
+    The constant s1 is expected to be a subsolution and s2 a supersolution,
     which :func:`paneitzlab.monotone.verify_bracket` checks pointwise.
     """
 
     s1: float
     s2: float
-    e: ScalarField
+    grid: SpectralGrid
 
     def __post_init__(self):
         if not (self.s1 > 0 and self.s2 >= self.s1):
             raise ValueError(f"need 0 < s1 <= s2, got ({self.s1}, {self.s2})")
-        if self.e.min() <= 0.0:
-            raise ValueError("cone element e must be positive everywhere")
 
     @property
     def lower(self) -> ScalarField:
-        return ScalarField(self.e.grid, self.s1 * self.e.values)
+        return ScalarField.constant(self.grid, self.s1)
 
     @property
     def upper(self) -> ScalarField:
-        return ScalarField(self.e.grid, self.s2 * self.e.values)
+        return ScalarField.constant(self.grid, self.s2)
 
 
 @dataclass
@@ -254,43 +249,25 @@ def _energy_values(op, prob, eps, values, pvalues=None):
     quad = 0.5 * _integrals(grid, values * pvalues)
     sing = _integrals(grid, prob.A.values * (eps + up**2) ** (-(prob.p - 1) / 2.0))
     power = _integrals(grid, prob.B.values * up ** (prob.q + 1.0))
-    return quad + sing / (prob.p - 1.0) - power / (prob.q + 1.0)
+    return quad + sing / (prob.p - 1.0) - prob.sign * power / (prob.q + 1.0)
 
 
 def energy(op: PaneitzOperator, prob: ProblemSpec, eps: float,
            u: ScalarField) -> float:
-    """Regularized action for the source-sign problem.
+    """Action of either sign mode, regularized by ``eps`` in source mode.
 
     E_eps(u) = 1/2 <u, P u> + 1/(p-1) * int A (eps+(u+)^2)^{-(p-1)/2}
-               - 1/(q+1) * int B (u+)^{q+1}
+               -/+ 1/(q+1) * int B (u+)^{q+1}
 
-    ``eps = 0`` is allowed only for fields bounded away from zero.
+    with ``-`` in source mode and ``+`` in absorption mode.  At ``eps = 0``
+    it is the Lyapunov energy of the gradient flow and takes only fields
+    bounded away from zero; ``eps > 0`` is allowed in source mode only.
     """
-    if prob.mode != SOURCE:
-        raise ValueError("energy functional is defined for the source mode")
     if eps < 0:
         raise ValueError("eps must be nonnegative")
+    if eps > 0.0 and prob.mode != SOURCE:
+        raise ValueError("the regularized action (eps > 0) is defined for the source mode")
     if eps == 0.0 and u.min() <= 0.0:
         raise ValueError("eps = 0 requires min(u) > 0")
     op._check_grid(u)
     return float(_energy_values(op, prob, eps, u.values))
-
-
-def energy_gradient_values(op: PaneitzOperator, prob: ProblemSpec, eps: float,
-                           u: np.ndarray) -> np.ndarray:
-    """Variational derivative of E_eps: P u - smoothed RHS."""
-    return op.apply_values(u) - smoothed_reaction(prob, u, eps)
-
-
-def lyapunov_energy(op: PaneitzOperator, prob: ProblemSpec, u: ScalarField) -> float:
-    """Energy decreasing along the gradient flow (either sign mode).
-
-    1/2 <u, P u> - int F(x, u) with dF/du = f; for p > 1 the primitive of the
-    singular part is -A u^{1-p}/(p-1).
-    """
-    uv = u.values
-    F = (
-        -prob.A.values * uv ** (1.0 - prob.p) / (prob.p - 1.0)
-        + prob.sign * prob.B.values * uv ** (prob.q + 1.0) / (prob.q + 1.0)
-    )
-    return 0.5 * op.form(u) - op.grid.integrate(F)

@@ -291,6 +291,33 @@ class TestLambdaStar:
         assert res.probes[0]["reason"].startswith("BracketError: ")
         assert res.anomaly.startswith("coupling 0 infeasible")
 
+    @pytest.mark.parametrize("w, contradicts", [(0.1, True), (1.0, False)])
+    def test_contradictory_bracket_is_flagged(self, ref_params, ref_grid, w, contradicts):
+        # a constant potential W = w; at w = 0.1 (S_psi = 0.435) the existence
+        # certificate holds at coupling 1, where non-existence is certified
+        # too and the minimax rim is negative, so lower 2.38 > upper 0.0301;
+        # at w = 1 the bracket is consistent (1.37e-3 < 0.535)
+        V = pl.ScalarField.constant(ref_grid, ref_params.Qconst - w / ref_params.b_n)
+        op = pl.build_operator(ref_params, ref_grid, potential=V)
+        S = pl.sobolev_constant(op)
+        res = pl.lambda_star_bracket(op, 3.0, 2.0, S_psi=S)
+        assert (res.lower > res.upper) == contradicts
+        assert ("over-certifies" in res.anomaly) == contradicts
+        if not contradicts:
+            assert res.anomaly == ""
+            return
+        prob = constant_problem(ref_grid, b=1.0, p=3.0, q=2.0, mode="source")
+        assert pl.check_existence_cond(op, prob, S_psi=S).satisfied
+        assert pl.check_nonexistence(op, prob).satisfied
+        with pytest.raises(pl.MountainPassGeometryError):
+            pl.mountain_pass_solve(op, prob, S_psi=S)
+        # the search keeps the bracket's anomaly and appends its own
+        found = pl.lambda_star_bisect(op, 3.0, 2.0, tol=1e-2, S_psi=S,
+                                      mp_kwargs={"max_sweeps": 100})
+        first, *rest = found.anomaly.split("; ")
+        assert first == res.anomaly
+        assert len(rest) == 1 and rest[0].startswith("empirical ")
+
     def test_inconsistent_certificates_are_flagged(self, mp_op, mp_sobolev):
         # near unit embedding constant the published existence constant
         # over-certifies: its threshold exceeds the (sharp, on constants)

@@ -50,6 +50,17 @@ def test_lyapunov_energy_decreases(ref_op, ref_prob):
     assert all(b <= a + 1e-9 * max(abs(a), 1.0) for a, b in zip(energies, energies[1:]))
 
 
+@pytest.mark.parametrize("mode, sign", [("absorption", 1.0), ("source", -1.0)])
+def test_energy_on_constants_takes_the_problem_sign(ref_op, ref_grid, mode, sign):
+    # E(c) = |box| (beta c^2/2 + A c^(1-p)/(p-1) +/- B c^(q+1)/(q+1)), the
+    # power term with + in absorption mode and - in source mode
+    c, beta, vol = 1.3, ref_op.params.beta, ref_grid.volume
+    prob = constant_problem(ref_grid, a=0.7, b=0.4, p=3.0, q=2.0, mode=mode)
+    expected = vol * (0.5 * beta * c**2 + 0.7 * c**-2.0 / 2.0 + sign * 0.4 * c**3.0 / 3.0)
+    got = pl.energy(ref_op, prob, 0.0, pl.ScalarField.constant(ref_grid, c))
+    assert got == pytest.approx(expected, rel=1e-13)
+
+
 def test_tmax_without_convergence_is_reported(ref_op, ref_prob):
     br = pl.find_sub_super(ref_op, ref_prob)
     rep, _ = pl.parabolic_flow(ref_op, ref_prob, br.lower, tau=1e-4, tmax=3e-4)

@@ -75,3 +75,30 @@ def test_no_function_imports_a_package_module():
     lazy = {f"{name}.py:{line}" for name, found in IMPORTS.items()
             for _, line, in_function in found if in_function}
     assert lazy == set()
+
+
+def _unused_imports(tree):
+    """Names bound by the module's imports that it never reads or exports."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    return {name: line for name, line in bound.items() if name not in used}
+
+
+def test_every_import_is_used():
+    assert _unused_imports(ast.parse("import os\nfrom a import b as c\n")) == {"os": 1, "c": 2}
+    assert _unused_imports(ast.parse("import os.path\n__all__ = ['x']\nos.sep\n")) == {}
+    unused = {f"{name}.py:{line} {imported}"
+              for name, path in MODULES.items() if name != "__init__"
+              for imported, line in _unused_imports(ast.parse(path.read_text())).items()}
+    assert unused == set()

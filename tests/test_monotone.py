@@ -35,7 +35,7 @@ class TestFindSubSuper:
 
     def test_spec_pair_is_admissible(self, ref_op, ref_prob):
         # (0.25, 4) satisfies the defining inequalities directly
-        br = pl.Bracket(0.25, 4.0, pl.ScalarField.constant(ref_op.grid, 1.0))
+        br = pl.Bracket(0.25, 4.0, ref_op.grid)
         assert pl.verify_bracket(ref_op, ref_prob, br) == (True, True)
         # scalar check: W*s vs A/s^p - B*s^q at both ends
         assert 6.5625 * 0.25 <= 1 / 0.25**3 - 0.25**2
@@ -211,7 +211,7 @@ class TestMonotoneSolve:
         assert "residual_floor" not in rep.extras
 
     def test_invalid_bracket_rejected(self, ref_op, ref_prob):
-        bad = pl.Bracket(3.0, 4.0, pl.ScalarField.constant(ref_op.grid, 1.0))
+        bad = pl.Bracket(3.0, 4.0, ref_op.grid)
         with pytest.raises(pl.BracketError):
             pl.monotone_solve(ref_op, ref_prob, bad)
 

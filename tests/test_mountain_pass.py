@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import paneitzlab as pl
-from paneitzlab.mountain_pass import _energy_values
-from paneitzlab.problems import energy_gradient_values
+from paneitzlab.mountain_pass import _energy_values, _path_max
+from paneitzlab.problems import smoothed_reaction
 
 from _oracles import scalar_source_roots
 from conftest import constant_problem, sin_psi_operator
@@ -59,7 +59,7 @@ class TestMountainPass:
         u = mp_solution.u
         for eps in (0.3, 0.0):
             lhs = (q + 1.0) * pl.energy(mp_op, mp_problem, eps, u)
-            grad = energy_gradient_values(mp_op, mp_problem, eps, u.values)
+            grad = mp_op.apply_values(u.values) - smoothed_reaction(mp_problem, u.values, eps)
             lhs -= grid.inner(grad, u.values)
             up = np.maximum(u.values, 0.0)
             i1 = grid.integrate(mp_problem.A.values * (eps + up**2) ** (-(p - 1) / 2))
@@ -140,6 +140,17 @@ class TestStackedPath:
         assert stacked.shape == (5,)
         assert np.array_equal(stacked, per_field)
         assert np.array_equal(stacked, reference)
+
+        # the stacked path maximum is the largest per-sample energy along
+        # the polyline through the stack, 8 samples per segment
+        nodes = np.abs(stack) + 0.1
+        best, field = _path_max(op, prob, 0.1, nodes, op.apply_values(nodes))
+        samples = [(1.0 - w / 8) * a + (w / 8) * b
+                   for a, b in zip(nodes, nodes[1:]) for w in range(8)] + [nodes[-1]]
+        energies = [pl.energy(op, prob, 0.1, pl.ScalarField(grid, v)) for v in samples]
+        k = int(np.argmax(energies))
+        assert best == pytest.approx(energies[k], rel=1e-13)
+        assert np.array_equal(field, samples[k])
 
     def test_application_count(self, mp_op, mp_problem, mp_sobolev, monkeypatch):
         # one application per sweep plus one batched refresh per
@@ -275,8 +286,7 @@ class TestSecondSolution:
         def stable_root(op, prob, **kw):
             lo, hi = sorted(scalar_source_roots(op.params.beta, 1.0, prob.B.max(),
                                                 1.5, 2.0))
-            e = pl.ScalarField.constant(op.grid, 1.0)
-            return pl.monotone_solve(op, prob, pl.Bracket(0.5 * lo, 0.5 * (lo + hi), e))
+            return pl.monotone_solve(op, prob, pl.Bracket(0.5 * lo, 0.5 * (lo + hi), op.grid))
 
         u_B = pl.mountain_pass_solve(mp_op, mp_problem, S_psi=mp_sobolev).u
         monkeypatch.setattr(mp, "mountain_pass_solve", stable_root)

@@ -19,6 +19,17 @@ class TestApply:
         out = ref_op.apply(u)
         assert np.abs(out.values - 6.5625).max() < 1e-12
 
+    @pytest.mark.parametrize("R", [20.0, 3.8, -5.0])
+    @pytest.mark.parametrize("sizes", [(64,), (16, 8), (8, 4, 4)])
+    def test_constant_one_maps_to_the_potential(self, sizes, R):
+        # P 1 = W to the last bit, so constant brackets need no application
+        grid = pl.SpectralGrid(sizes, (TWO_PI,) * len(sizes))
+        rng = np.random.default_rng(len(sizes))
+        psi = pl.ScalarField(grid, 0.3 * rng.standard_normal(sizes))
+        op = pl.build_operator(pl.derive_coefficients(5, R), grid, psi=psi)
+        assert op.W.max() > op.W.min()
+        assert np.array_equal(op.apply_values(np.ones(sizes)), op.W.values)
+
     def test_single_cosine_mode(self, ref_op):
         x = ref_op.grid.meshgrid()[0]
         u = pl.ScalarField(ref_op.grid, np.cos(x))
