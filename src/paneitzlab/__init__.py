@@ -2,9 +2,9 @@
 type with a constant-coefficient Paneitz-Branson principal part.
 
 The pieces compose in layers: geometry (coefficients, grid, fields), the
-spectral operator, spectral diagnostics (eigenpair, Sobolev constant,
-positivity), nonlinear solvers (monotone bracket iteration, semi-implicit
-flow, minimax search), and computable existence / non-existence certificates
+spectral operator, spectral diagnostics (eigenpair, Sobolev constant, a
+proof of inverse positivity), nonlinear solvers (monotone bracket
+iteration, semi-implicit flow, minimax search), and computable existence / non-existence certificates
 with the threshold-coupling bracket.
 """
 

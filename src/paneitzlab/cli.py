@@ -111,11 +111,15 @@ _SCHEMA = {
     "flow_sample_every": ("int", 10),
     "lambda_tol": ("float", 1e-3),
     "solver_budget": ("int", 60),
-    "positivity_samples": ("int", 4),
     "sweep_lambdas": ("floats", ()),
     "sweep_ps": ("floats", ()),
     "sweep_qs": ("floats", ()),
     "sweep_solve": ("bool", False),
+}
+
+# removed key -> why it went; setting one exits 2 with the reason
+_REMOVED = {
+    "positivity_samples": "the positivity check is exact now and takes no samples",
 }
 
 _ACTION_REQUIRES = {
@@ -211,6 +215,8 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
             raise ConfigError(f"expected 'key = value', got {raw_line!r}", line=lineno)
         key, _, value = line.partition("=")
         key = key.strip()
+        if key in _REMOVED:
+            raise ConfigError(f"removed key {key!r}: {_REMOVED[key]}", line=lineno)
         if key not in _SCHEMA:
             raise ConfigError(f"unknown key {key!r}", line=lineno)
         if key in seen:
@@ -371,8 +377,7 @@ class _Writer:
 def _action_eigen(config, op, w: _Writer):
     eig = principal_eigenpair(op)
     sign = invariant_sign(op, eig)
-    pos = positivity_check(op, samples=config.values["positivity_samples"],
-                           seed=config.values["seed"])
+    pos = positivity_check(op, eig)
     if config.values["save_fields"]:
         w.field("phi1", eig.phi1)
     w.json("report.json", {

@@ -129,17 +129,21 @@ def _monotone_iterate(op, prob, start_vals, lower_vals, upper_vals,
     supersolution.  Monotonicity and confinement are asserted every step and
     a violation aborts with diagnostics: it signals the discrete solve broke
     the order structure the argument relies on.  Returns
-    ``(u, residual, steps, shift)``; a return means both held throughout.
+    ``(u, residual, steps, shift, order_certified)`` with the last shift and
+    :meth:`PaneitzOperator.comparison_floor`'s ``ok`` at the largest one;
+    a return means both held throughout.
     """
     scale = max(float(np.abs(upper_vals).max()), 1.0)
     slack = ORDER_SLACK * scale
     u = start_vals.copy()
     step = np.inf
     resid = np.inf
+    top = 0.0
     for it in range(1, maxiter + 1):
         delta = max(float(u.min() if direction > 0 else lower_vals.min()), 1e-300)
         M = float(upper_vals.max() if direction > 0 else u.max())
         shift = lipschitz_shift(prob, delta, M)
+        top = max(top, shift)
         rhs = reaction(prob, u) + shift * u
         unew = op.solve_shifted(shift, rhs, x0=u)
         rise = unew - u if direction > 0 else u - unew
@@ -156,7 +160,7 @@ def _monotone_iterate(op, prob, start_vals, lower_vals, upper_vals,
         u = unew
         resid = residual_sup(op, prob, u)
         if step <= tol_step and resid <= max(tol_residual, op.roundoff_floor(u)):
-            return u, resid, it, shift
+            return u, resid, it, shift, op.comparison_floor(top)[0]
     raise ConvergenceError(
         f"monotone iteration stalled after {maxiter} steps "
         f"(step {step:.3e}, residual {resid:.3e})",
@@ -176,8 +180,10 @@ def monotone_solve(op: PaneitzOperator, prob: ProblemSpec, bracket: Bracket,
     small as the order argument allows and speeds convergence.  Stops once
     the sup-norm step is below ``tol_step`` and the residual below the larger
     of ``tol_residual`` and the round-off floor of ``P u``, which is then
-    ``extras["residual_floor"]``.  An invalid bracket (:func:`verify_bracket`)
-    raises BracketError.
+    ``extras["residual_floor"]``.  ``extras["order_certified"]`` says whether
+    inverse positivity of ``P + shift`` is proved at the largest shift used;
+    the order is checked after every step either way.  An invalid bracket
+    (:func:`verify_bracket`) raises BracketError.
     """
     prob.validate_exponents(op.params)
     scale = max(prob.A.max(), abs(op.params.beta), 1.0)
@@ -190,7 +196,7 @@ def monotone_solve(op: PaneitzOperator, prob: ProblemSpec, bracket: Bracket,
     upper = bracket.upper.values
     start_vals = lower if start == "sub" else upper
     direction = +1 if start == "sub" else -1
-    u, resid, its, shift = _monotone_iterate(
+    u, resid, its, shift, certified = _monotone_iterate(
         op, prob, start_vals, lower, upper, direction,
         tol_step, tol_residual, maxiter,
     )
@@ -204,7 +210,8 @@ def monotone_solve(op: PaneitzOperator, prob: ProblemSpec, bracket: Bracket,
         confined_ok=True,
         bracket=bracket,
         shift=shift,
-        extras=floor_flag(op, u, resid, tol_residual),
+        extras={"order_certified": certified,
+                **floor_flag(op, u, resid, tol_residual)},
     )
 
 
@@ -221,10 +228,11 @@ def epsilon_continuation(op: PaneitzOperator, prob: ProblemSpec,
     nonincreasing and nonnegative; a trailing 0 entry finishes with an exact
     solve of the target problem whenever it admits a bracket.
 
-    The report's solution is the last entry's; the trace records the
-    sup-norm Cauchy differences, the cross-entry monotonicity flag, and the
-    uniform lower bound observed.  A collapsing lower bound is reported as a
-    non-converged result with diagnostics rather than raised.
+    The report's solution is the last entry's; each trace entry carries its
+    ``order_certified`` (see :func:`monotone_solve`), and the extras record
+    the sup-norm Cauchy differences, the cross-entry monotonicity flag, and
+    the uniform lower bound observed.  A collapsing lower bound is reported
+    as a non-converged result with diagnostics rather than raised.
     """
     if prob.mode != ABSORPTION:
         raise ValueError("continuation applies to the absorption mode")
@@ -250,7 +258,7 @@ def epsilon_continuation(op: PaneitzOperator, prob: ProblemSpec,
         start = bracket.lower.values if prev is None else prev
         lower = np.minimum(start, bracket.lower.values)
         upper = np.maximum(start, bracket.upper.values)
-        u, resid, its, shift = _monotone_iterate(
+        u, resid, its, shift, certified = _monotone_iterate(
             op, prob_eps, start, lower, upper, +1,
             tol_step, tol_residual, maxiter,
         )
@@ -260,6 +268,7 @@ def epsilon_continuation(op: PaneitzOperator, prob: ProblemSpec,
                 eps_monotone_ok = False
         lower_bound = min(lower_bound, float(u.min()))
         trace.append({"eps": eps, "min_u": float(u.min()), "residual": resid,
+                      "order_certified": certified,
                       **floor_flag(op, u, resid, tol_residual)})
         prev = u
 

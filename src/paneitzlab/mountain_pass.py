@@ -418,7 +418,7 @@ def second_solution_attempt(op: PaneitzOperator, prob: ProblemSpec,
             return None
         start, lower, direction = u_hi, np.full(grid.shape, s1), -1
     try:
-        u, resid, its, shift = _monotone_iterate(
+        u, resid, its, shift, certified = _monotone_iterate(
             op, prob, start, lower, u_hi, direction, 1e-10, 1e-6, 100000,
         )
     except SolverError:
@@ -439,6 +439,7 @@ def second_solution_attempt(op: PaneitzOperator, prob: ProblemSpec,
             "ordering_ok": ordering_ok,
             "perturbation": eps_pert,
             "gap_to_first": float(np.abs(u - u_B.values).max()),
+            "order_certified": certified,
             **floor_flag(op, u, resid, 1e-6),
         },
     )

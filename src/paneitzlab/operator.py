@@ -90,6 +90,23 @@ class PaneitzOperator:
         margin = float(self.sigma.min() + self.W.min() + lam)
         return margin > 0.0, margin
 
+    def comparison_floor(self, lam: float = 0.0) -> tuple[bool, float]:
+        """``(ok, min G0 / max G0)`` for the kernel ``G0`` of the comparison
+        operator ``sigma + max W + lam``, one inverse FFT.
+
+        ``ok`` when the ratio clears the FFT round-off ``4 eps log2 N``; with
+        ``P + lam`` positive definite, ``(P + lam)^{-1} >= G0 >= 0`` then
+        (see :func:`~paneitzlab.spectral_analysis.positivity_check`).  The
+        ratio is ``-inf`` when ``max W + lam <= 0``: there is no such operator.
+        """
+        c = float(self.W.max()) + lam
+        if c <= 0.0:
+            return False, float("-inf")
+        G0 = self.grid.irfft(1.0 / (self._sigma_half + c))
+        floor = float(G0.min() / G0.max())
+        roundoff = 4.0 * np.finfo(float).eps * np.log2(self.grid.npoints)
+        return bool(floor > roundoff), floor
+
     def roundoff_floor(self, values: np.ndarray) -> float:
         """Sup-norm round-off of ``P v``: ``eps * (max sigma + max |W|) * max |v|``.
 

@@ -1,5 +1,6 @@
 """Principal eigenpair, discrete Sobolev constant, sign of the conformal
-invariant, energy norm, and empirical positivity diagnostics."""
+invariant, energy norm, and a proof of inverse positivity by comparison
+with a constant-coefficient kernel."""
 
 from __future__ import annotations
 
@@ -47,11 +48,9 @@ class EigenPair:
 @dataclass(frozen=True)
 class PositivityReport:
     passed: bool
-    min_green: float
-    min_random_inverse: float
-    scale: float
-    samples: int
-    reason: str = ""
+    lambda1: float
+    kernel_floor: float
+    reason: str
 
 
 def rayleigh_quotient(op: PaneitzOperator, u: ScalarField) -> float:
@@ -271,63 +270,30 @@ def sobolev_constant(op: PaneitzOperator, exponent: float | None = None) -> floa
     return float(min(_inverse_iteration(op, s, e)[0] for s in starts))
 
 
-# -- positivity diagnostics ---------------------------------------------------
+# -- inverse positivity --------------------------------------------------------
 
 
-def positivity_check(op: PaneitzOperator, samples: int = 4,
-                     seed: int = 0) -> PositivityReport:
-    """Empirical inverse-positivity check.
+def positivity_check(op: PaneitzOperator,
+                     eig: EigenPair | None = None) -> PositivityReport:
+    """Proof, without a linear solve, that ``P^{-1} >= 0`` entrywise.
 
-    Solves against discrete delta loads at ``samples`` points (columns of the
-    inverse kernel) and against random nonnegative fields, and reports the
-    most negative value seen.  PASS requires all minima >= -1e-12 * scale.
-    An indefinite operator (first eigenvalue <= 0) is reported as FAIL with a
-    reason, not raised; ``samples < 1`` raises ValueError before any solve.
+    ``P = P0 - D`` with ``P0 = sigma + max W`` and ``D = diag(max W - W)``.
+    When the kernel ``G0`` of ``P0`` is positive (one inverse FFT,
+    :meth:`PaneitzOperator.comparison_floor`) and ``P`` is positive
+    definite (:func:`invariant_sign` of ``eig``, computed when not given),
+    ``rho(G0 D) < 1`` and ``P^{-1} = sum_k (G0 D)^k G0 >= G0`` (Varga,
+    *Matrix Iterative Analysis*, ch. 3).  Reports ``kernel_floor``, the
+    ratio ``min G0 / max G0``; ``reason`` is empty when the check passed,
+    else "not positive definite" or "inconclusive: ...".
     """
-    if samples < 1:
-        raise ValueError(f"positivity check needs at least one sample, got {samples}")
-    grid = op.grid
-    ok, margin = op.coercivity_witness(0.0)
-    if not ok:
-        # fall back on the computed spectrum before giving up
+    if eig is None:
         eig = principal_eigenpair(op)
-        if invariant_sign(op, eig) <= 0:
-            return PositivityReport(
-                passed=False,
-                min_green=float("nan"),
-                min_random_inverse=float("nan"),
-                scale=max(abs(op.params.beta), 1.0),
-                samples=0,
-                reason=(
-                    f"operator not positive definite (lambda1 = {eig.lambda1:.6e}); "
-                    "inverse kernel has no sign"
-                ),
-            )
-    rng = np.random.default_rng(seed)
-    npts = grid.npoints
-    idx = np.linspace(0, npts - 1, samples).astype(int)
-    min_green = np.inf
-    scale = 0.0
-    for j in idx:
-        delta = np.zeros(npts)
-        delta[j] = 1.0 / grid.cell_weight
-        col = op.solve_shifted(0.0, delta.reshape(grid.shape),
-                               check_coercivity=False)
-        min_green = min(min_green, float(col.min()))
-        scale = max(scale, float(np.abs(col).max()))
-    min_rand = np.inf
-    for _ in range(samples):
-        load = np.abs(rng.standard_normal(grid.shape))
-        sol = op.solve_shifted(0.0, load, check_coercivity=False)
-        min_rand = min(min_rand, float(sol.min()))
-        scale = max(scale, float(np.abs(sol).max()))
-    passed = min_green >= -1e-12 * scale and min_rand >= -1e-12 * scale
-    reason = "" if passed else "inverse image of a nonnegative load dips negative"
-    return PositivityReport(
-        passed=bool(passed),
-        min_green=float(min_green),
-        min_random_inverse=float(min_rand),
-        scale=float(scale),
-        samples=int(samples),
-        reason=reason,
-    )
+    ok, floor = op.comparison_floor()
+    if invariant_sign(op, eig) != 1:
+        reason = "not positive definite"
+    elif not ok:
+        reason = f"inconclusive: kernel dips to {floor:.3e} of its maximum"
+    else:
+        reason = ""
+    return PositivityReport(passed=not reason, lambda1=eig.lambda1,
+                            kernel_floor=floor, reason=reason)

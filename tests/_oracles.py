@@ -1,9 +1,9 @@
 """Independent oracles used by the test suite.
 
 Everything here is deliberately built from primitives only (plain bisection,
-explicit DFT matrices, centered finite differences, golden-section search,
-dense random search) so it shares no code path with the package routines it
-checks.
+explicit DFT matrices, dense inverses, centered finite differences,
+golden-section search, dense random search) so it shares no code path with
+the package routines it checks.
 """
 
 import numpy as np
@@ -87,6 +87,26 @@ def dense_operator_matrix_1d(alpha, n_points, length, w_values):
     sigma = t**2 + alpha * t
     P = (Finv @ np.diag(sigma) @ F).real + np.diag(np.asarray(w_values).ravel())
     return 0.5 * (P + P.T)
+
+
+def dense_inverse(alpha, sizes, lengths, w_values):
+    """Dense inverse of the operator on a periodic lattice of any dimension.
+
+    The negative Laplacian is the Kronecker sum of the 1-D matrices
+    ``Finv diag(t) F`` built from explicit DFT matrices, in row-major point
+    order; the operator is ``L^2 + alpha L + diag(W)``, inverted by
+    ``np.linalg.inv``.  No FFT is shared with the package.
+    """
+    lap = np.zeros((1, 1))
+    for N, length in zip(sizes, lengths):
+        j = np.arange(N)
+        F = np.exp(-2j * np.pi * np.outer(j, j) / N)
+        m = np.where(j <= N // 2, j, j - N)
+        t = (2.0 * np.pi * m / length) ** 2
+        lap1 = (np.conj(F) / N @ np.diag(t) @ F).real
+        lap = np.kron(lap, np.eye(N)) + np.kron(np.eye(len(lap)), lap1)
+    P = lap @ lap + alpha * lap + np.diag(np.asarray(w_values, dtype=float).ravel())
+    return np.linalg.inv(0.5 * (P + P.T))
 
 
 def fd_gradient_squared_1d(values, length, order=4):

@@ -53,12 +53,13 @@ ACTION_EXTRA = {
     "sweep": "mode = source\nsweep_lambdas = 0.05\nsweep_solve = true\n",
 }
 
-# sample counts below 1 that exit 2 with ValueError: config lines by test id
+# sample counts below 1 that exit 2: (config lines, error) by test id;
+# positivity_samples is a removed key, refused before anything runs
 BELOW_ONE_INPUTS = {
-    "0": "action = eigen\npositivity_samples = 0",
-    "-3": "action = eigen\npositivity_samples = -3",
-    "flow_sample_every = 0": "action = flow\nflow_sample_every = 0",
-    "flow_sample_every = -1": "action = flow\nflow_sample_every = -1",
+    "0": ("action = eigen\npositivity_samples = 0", "ConfigError"),
+    "-3": ("action = eigen\npositivity_samples = -3", "ConfigError"),
+    "flow_sample_every = 0": ("action = flow\nflow_sample_every = 0", "ValueError"),
+    "flow_sample_every = -1": ("action = flow\nflow_sample_every = -1", "ValueError"),
 }
 
 # bad field files and a bad worker count, each exiting 2 with its error:
@@ -114,6 +115,11 @@ class TestParse:
     def test_malformed_value(self):
         with pytest.raises(pl.ConfigError, match="line 1"):
             parse_config("n = five\naction = eigen\n")
+
+    def test_removed_key_says_why(self):
+        with pytest.raises(pl.ConfigError, match="line 2: removed key "
+                           "'positivity_samples': the positivity check is exact"):
+            parse_config("action = eigen\npositivity_samples = 4\n")
 
     def test_duplicate_key(self):
         with pytest.raises(pl.ConfigError, match="duplicate"):
@@ -191,6 +197,8 @@ class TestRun:
         assert rep["lambda1"] == pytest.approx(6.5625, abs=1e-8)
         assert rep["invariant_sign"] == 1
         assert rep["positivity"]["passed"]
+        assert rep["positivity"]["lambda1"] == rep["lambda1"]
+        assert set(rep["positivity"]) == {"passed", "lambda1", "kernel_floor", "reason"}
 
     def test_eigen_action_is_byte_identical_across_runs(self, tmp_path):
         cfg = ("n = 5\nR = 20\naction = eigen\n"
@@ -268,11 +276,12 @@ class TestRun:
     def test_positivity_samples_below_one_exit(self, tmp_path, case):
         from paneitzlab.cli import main
 
+        lines, error = BELOW_ONE_INPUTS[case]
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text(f"n = 5\n{BELOW_ONE_INPUTS[case]}\n")
+        cfg.write_text(f"n = 5\n{lines}\n")
         assert main([str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = json.loads((tmp_path / "out" / "error.json").read_text())
-        assert err["error"] == "ValueError"
+        assert err["error"] == error
         assert not (tmp_path / "out" / "report.json").exists()
 
     @pytest.mark.parametrize("case", list(BAD_FIELD_INPUTS))

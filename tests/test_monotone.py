@@ -210,6 +210,18 @@ class TestMonotoneSolve:
         assert rep.residual <= 1e-8
         assert "residual_floor" not in rep.extras
 
+    def test_order_certified_at_the_largest_shift(self, ref_op, ref_prob, mp_op,
+                                                  ref_grid):
+        # proved order on ref_op ends between shifts 10 and 20, and the
+        # reference problem's last shift is 23.5; the pure singular problem
+        # at R = 3.8 stays inside its window
+        rep = pl.monotone_solve(ref_op, ref_prob, pl.find_sub_super(ref_op, ref_prob))
+        assert rep.extras["order_certified"] is False
+        prob = constant_problem(ref_grid, b=0.0, p=1.5)
+        rep = pl.monotone_solve(mp_op, prob, pl.find_sub_super(mp_op, prob))
+        assert rep.extras["order_certified"] is True
+        assert rep.monotone_ok and rep.confined_ok
+
     def test_invalid_bracket_rejected(self, ref_op, ref_prob):
         bad = pl.Bracket(3.0, 4.0, ref_op.grid)
         with pytest.raises(pl.BracketError):
@@ -223,6 +235,13 @@ class TestEpsilonContinuation:
         assert np.abs(rep.u.values - USTAR_B0).max() < 1e-6
         assert rep.extras["eps_monotone_ok"]
         assert rep.extras["uniform_lower_bound"] > 0.1
+
+    def test_order_certified_per_entry(self, mp_op, ref_grid):
+        # B + 1 needs a shift past the window of proved order; the
+        # warm-started later entries stay inside it
+        prob = constant_problem(ref_grid, b=0.0, p=1.5)
+        rep = pl.epsilon_continuation(mp_op, prob, [1.0, 0.1, 0.0])
+        assert [e["order_certified"] for e in rep.eps_trace] == [False, True, True]
 
     def test_monotone_in_eps(self, ref_op, ref_grid):
         prob = constant_problem(ref_grid, b=1.0)

@@ -6,7 +6,8 @@ from scipy.linalg import eigh
 import paneitzlab as pl
 from paneitzlab.spectral_analysis import critical_quotient
 
-from _oracles import dense_operator_matrix_1d
+from _oracles import dense_inverse, dense_operator_matrix_1d
+from conftest import sin_psi_operator
 
 TWO_PI = 2.0 * np.pi
 
@@ -373,11 +374,83 @@ class TestLobpcgEigenpair:
             assert eig.positive
 
 
+def _sin_psi_2d(params, size, amplitude, my):
+    """``size^2`` operator with psi = amplitude sin x cos(my y)."""
+    grid = pl.SpectralGrid((size, size), (TWO_PI, TWO_PI))
+    x, y = grid.meshgrid()
+    return pl.build_operator(params, grid, psi=pl.ScalarField(
+        grid, amplitude * np.sin(x) * np.cos(my * y)))
+
+
+# operators of at most 4096 points on which inverse positivity is proved:
+# test id -> (R, builder from the coefficients)
+PROVED_OPERATORS = {
+    "1d-psi0-R20": (20.0, lambda prm: sin_psi_operator(prm, 64, 0.0)),
+    "1d-psi0-R3.8": (3.8, lambda prm: sin_psi_operator(prm, 64, 0.0)),
+    "1d-sqrt10-sin": (20.0, lambda prm: sin_psi_operator(prm, 64, np.sqrt(10.0))),
+    # max |grad psi|^2 = 27 > Qconst = 13.125: the potential changes sign
+    "16x16-strong": (20.0, lambda prm: _sin_psi_2d(prm, 16, np.sqrt(27.0) / 2.0, 2)),
+    # max |grad psi|^2 = 0.08, as in the minimax benchmark
+    "32x32-minimax": (3.8, lambda prm: _sin_psi_2d(prm, 32, np.sqrt(0.08), 1)),
+}
+
+
+def _dense_kernels(op, lam=0.0):
+    """Dense ``inv(P + lam)`` and the comparison kernel ``inv(P0 + lam)``."""
+    args = (op.params.alpha, op.grid.sizes, op.grid.lengths)
+    W = op.W.values + lam
+    return dense_inverse(*args, W), dense_inverse(*args, np.full(W.shape, W.max()))
+
+
 class TestPositivity:
+    @pytest.mark.parametrize("case", list(PROVED_OPERATORS))
+    def test_verdict_agrees_with_the_dense_inverse(self, case):
+        R, build = PROVED_OPERATORS[case]
+        op = build(pl.derive_coefficients(5, R))
+        rep = pl.positivity_check(op)
+        assert rep.passed and rep.reason == ""
+        assert rep.lambda1 > 0.0
+        inv, g0 = _dense_kernels(op)
+        # P^{-1} = sum_k (G0 D)^k G0 >= G0 > 0 entrywise
+        assert (inv - g0).min() >= -1e-9 * inv.max()
+        assert g0.min() > 0.0
+        assert rep.kernel_floor == pytest.approx(g0.min() / g0.max(), rel=1e-9)
+
+    @pytest.mark.parametrize("lam, ok", [(10.0, True), (20.0, False)])
+    def test_comparison_floor_under_shift(self, ref_op, lam, ok):
+        # the window of proved order for P + lam on the reference operator
+        # ends between these shifts
+        inv, g0 = _dense_kernels(ref_op, lam)
+        got, floor = ref_op.comparison_floor(lam)
+        assert got is ok
+        assert floor == pytest.approx(g0.min() / g0.max(), rel=1e-9)
+        assert bool(inv.min() >= 0.0) is ok
+
+    def test_negative_kernel_is_inconclusive(self, ref_params, ref_grid):
+        # W = beta + 20 everywhere: P = P0, so the kernel's negative entries
+        # are the inverse's own, and a definite P is still not proved
+        V = pl.ScalarField.constant(ref_grid, -20.0 / ref_params.b_n)
+        op = pl.build_operator(ref_params, ref_grid, potential=V)
+        rep = pl.positivity_check(op)
+        assert not rep.passed and rep.lambda1 > 0.0
+        assert rep.reason.startswith("inconclusive: kernel dips to -5.800e-03")
+        assert _dense_kernels(op)[0].min() < 0.0
+
+    def test_makes_no_solve(self, monkeypatch):
+        op = PROVED_OPERATORS["1d-sqrt10-sin"][1](pl.derive_coefficients(5, 20))
+        solves = []
+        solve = pl.PaneitzOperator.solve_shifted
+        monkeypatch.setattr(pl.PaneitzOperator, "solve_shifted",
+                            lambda *a, **k: solves.append(a) or solve(*a, **k))
+        eig = pl.principal_eigenpair(op)
+        assert pl.positivity_check(op, eig) == pl.positivity_check(op)
+        assert solves == []
+
     def test_reference_operator_passes(self, ref_op):
-        rep = pl.positivity_check(ref_op, samples=4, seed=0)
+        rep = pl.positivity_check(ref_op)
         assert rep.passed
-        assert rep.min_green >= -1e-12 * rep.scale
+        assert rep.lambda1 == pytest.approx(6.5625, rel=1e-12)
+        assert rep.kernel_floor > 0.0
 
     def test_green_column_profile(self, ref_op):
         delta = np.zeros(64)
@@ -388,21 +461,13 @@ class TestPositivity:
         assert np.argmax(centered) == 0
         assert np.all(np.diff(centered[:33]) <= 1e-12 * col.max())
 
-    @pytest.mark.parametrize("samples", [0, -3])
-    def test_samples_below_one_refused(self, ref_op, monkeypatch, samples):
-        solves = []
-        monkeypatch.setattr(ref_op, "solve_shifted",
-                            lambda *a, **k: solves.append(a))
-        with pytest.raises(ValueError, match="sample"):
-            pl.positivity_check(ref_op, samples=samples)
-        assert solves == []
-
     def test_engineered_failure_reported(self, ref_params, ref_grid):
         x = ref_grid.meshgrid()[0]
         V = pl.ScalarField(
             ref_grid, ref_params.Qconst + 60.0 * np.exp(-8.0 * (x - np.pi) ** 2)
         )
         op = pl.build_operator(ref_params, ref_grid, potential=V)
-        rep = pl.positivity_check(op, samples=4, seed=0)
+        rep = pl.positivity_check(op)
         assert not rep.passed
-        assert rep.reason
+        assert rep.reason == "not positive definite"
+        assert rep.lambda1 < 0.0
