@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
-"""Solving P u = A/u^p - B u^q by bracketed monotone iteration.
+"""Solving P u = A/u^p - B u^q inside a sub/supersolution bracket.
 
 The singular term blows up at small scales and the power term dominates at
-large ones, so scaled constants give a subsolution and a supersolution; the
-shifted fixed-point iteration then climbs monotonically to the solution,
-which is unique for this sign of the nonlinearity.
+large ones, so scaled constants give a subsolution and a supersolution.  The
+solve takes full Newton steps while each stays monotone and inside the
+bracket; from the subsolution they climb to the solution in a few steps.
+From the supersolution the first Newton step overshoots the bracket, so the
+solve restarts there with the shifted fixed-point iteration, which descends
+monotonically.  Both reach the same solution, which is unique for this sign
+of the nonlinearity.
 
 Run:  python demos/02_singular_absorption.py
 """
@@ -33,9 +37,11 @@ print(f"order-preserving shift on the bracket: "
 
 up = pl.monotone_solve(op, prob, bracket, start="sub")
 down = pl.monotone_solve(op, prob, bracket, start="super")
-print(f"\nupward iteration:  u = {up.u.max():.12f} in {up.iterations} steps, "
-      f"residual {up.residual:.2e}")
-print(f"downward iteration: u = {down.u.max():.12f} in {down.iterations} steps")
+print(f"\nupward solve:   u = {up.u.max():.12f} in {up.iterations} steps "
+      f"({up.extras['newton_steps']} Newton), residual {up.residual:.2e}")
+print(f"downward solve: u = {down.u.max():.12f} in {down.iterations} steps "
+      f"({down.extras['newton_steps']} Newton, refused at step "
+      f"{down.extras['newton_refused_at']}), residual {down.residual:.2e}")
 print(f"uniqueness gap: {np.abs(up.u.values - down.u.values).max():.2e}")
 print("(for constant data this is the root of beta*u = 1/u^3 - u^2)")
 

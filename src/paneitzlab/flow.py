@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import SolverError
 from .geometry import ScalarField
 from .operator import PaneitzOperator
@@ -21,7 +23,6 @@ from .problems import (
     energy,
     floor_flag,
     reaction,
-    residual_sup,
 )
 
 __all__ = ["FlowSample", "parabolic_flow"]
@@ -62,21 +63,32 @@ def parabolic_flow(op: PaneitzOperator, prob: ProblemSpec, u0: ScalarField,
     samples: list[FlowSample] = []
     steps = 0
 
-    def record(vals, tnow):
-        samples.append(FlowSample(
-            time=tnow,
-            residual=residual_sup(op, prob, vals),
-            min_u=float(vals.min()),
-            max_u=float(vals.max()),
-            energy=energy(op, prob, 0.0, ScalarField(grid, vals)),
-        ))
+    def settle(vals, tnow, sample):
+        """``(f(vals), residual, converged)`` at the state ``vals``.
 
-    record(u, t)
-    resid = samples[0].residual
-    converged = resid <= max(tol_residual, op.roundoff_floor(u))
+        ``P vals`` is applied once; it also gives the energy of the sample
+        taken here when ``sample`` holds or the flow stops at this state.
+        """
+        fvals, pvals = reaction(prob, vals), op.apply_values(vals)
+        resid = float(np.abs(pvals - fvals).max())
+        done = resid <= max(tol_residual, op.roundoff_floor(vals))
+        if sample or done or tnow >= tmax:
+            samples.append(FlowSample(
+                time=tnow,
+                residual=resid,
+                min_u=float(vals.min()),
+                max_u=float(vals.max()),
+                energy=energy(op, prob, 0.0, ScalarField(grid, vals), pvalues=pvals),
+            ))
+        return fvals, resid, done
+
+    fu, resid, converged = settle(u, t, True)
     while t < tmax and not converged:
-        rhs = u / tau + reaction(prob, u)
-        unew = op.solve_shifted(1.0 / tau, rhs, x0=u)
+        # the right side u/tau + f(u) is formed in f(u)'s array, so no extra
+        # full-grid array is alive during the solve; a rejected step
+        # recomputes f(u)
+        fu += u / tau
+        unew = op.solve_shifted(1.0 / tau, fu, x0=u)
         if float(unew.min()) <= 0.0:
             halvings += 1
             if halvings > max_halvings:
@@ -84,16 +96,12 @@ def parabolic_flow(op: PaneitzOperator, prob: ProblemSpec, u0: ScalarField,
                     f"positivity lost and step halved {max_halvings} times"
                 )
             tau *= 0.5
+            fu = reaction(prob, u)
             continue
         u = unew
         t += tau
         steps += 1
-        if steps % sample_every == 0:
-            record(u, t)
-        resid = residual_sup(op, prob, u)
-        converged = resid <= max(tol_residual, op.roundoff_floor(u))
-    if samples[-1].time != t:
-        record(u, t)
+        fu, resid, converged = settle(u, t, steps % sample_every == 0)
 
     report = SolverReport(
         u=ScalarField(grid, u),

@@ -1,13 +1,18 @@
 """Sub/supersolution search, order-preserving shift, and the monotone
-steady-state iteration, plus the continuation in the power-term coefficient
-used when B is only nonnegative."""
+steady-state solve, plus the continuation in the power-term coefficient used
+when B is only nonnegative.
+
+The solve takes guarded Newton steps (Ortega & Rheinboldt 1970, section 13.3;
+Pao 1992, ch. 3), each held to the order checks of a monotone step, and falls
+back to the shifted fixed-point iteration from the start at the first step
+that fails them."""
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .errors import BracketError, ConvergenceError, SolverError
+from .errors import BracketError, CoercivityError, ConvergenceError, SolverError
 from .geometry import ScalarField
 from .operator import PaneitzOperator
 from .problems import (
@@ -18,6 +23,7 @@ from .problems import (
     SolverReport,
     floor_flag,
     reaction,
+    reaction_derivative,
     residual_sup,
 )
 
@@ -123,33 +129,76 @@ def lipschitz_shift(prob: ProblemSpec, delta: float, M: float) -> float:
 
 def _monotone_iterate(op, prob, start_vals, lower_vals, upper_vals,
                       direction, tol_step, tol_residual, maxiter):
-    """Core shifted-fixed-point loop between explicit order bounds.
+    """Guarded Newton steps, then the shifted fixed-point loop, between
+    explicit order bounds.
 
     direction +1 iterates upward from a subsolution, -1 downward from a
-    supersolution.  Monotonicity and confinement are asserted every step and
-    a violation aborts with diagnostics: it signals the discrete solve broke
-    the order structure the argument relies on.  Returns
-    ``(u, residual, steps, shift, order_certified)`` with the last shift and
-    :meth:`PaneitzOperator.comparison_floor`'s ``ok`` at the largest one;
-    a return means both held throughout.
+    supersolution.  Each step first tries a full Newton step, solving
+    ``(P + diag d) s = f(u) - P u`` with ``d = -f'(u)``.  It is accepted when
+    the new iterate is positive, moves in ``direction`` and stays between the
+    bounds (up to the order slack): the checks every monotone step must pass.
+    At the first refusal, a failed or indefinite solve included, Newton is
+    given up and the shifted loop ``(P + shift) u_{k+1} = f(u_k) + shift u_k``
+    runs from ``start_vals``.  Its monotonicity and confinement are asserted
+    every step and a violation aborts with diagnostics: it signals the
+    discrete solve broke the order structure the argument relies on.
+
+    Returns ``(u, residual, steps, shift, info)``.  ``steps`` counts accepted
+    Newton steps and loop steps, ``shift`` is the last solve's (``max d`` for
+    a Newton step), and ``info`` holds ``order_certified``
+    (:meth:`PaneitzOperator.comparison_floor`'s ``ok`` at the largest shift
+    any step used), ``newton_steps`` and, after a refusal,
+    ``newton_refused_at``; a return means the order held throughout.
     """
     scale = max(float(np.abs(upper_vals).max()), 1.0)
     slack = ORDER_SLACK * scale
-    u = start_vals.copy()
+
+    def ordered(unew, u):
+        rise = unew - u if direction > 0 else u - unew
+        return (float(rise.min()) >= -slack,
+                float((unew - lower_vals).min()) >= -slack
+                and float((upper_vals - unew).min()) >= -slack)
+
+    def info(newton, top, refused):
+        out = {"order_certified": op.comparison_floor(top)[0], "newton_steps": newton}
+        return {**out, "newton_refused_at": newton + 1} if refused else out
+
+    # one application of P per step: the accepted iterate's f(u) - P u is
+    # both the stop test's residual and the next Newton right side
+    u = start_vals
+    F = reaction(prob, u) - op.apply_values(u)
     step = np.inf
     resid = np.inf
     top = 0.0
-    for it in range(1, maxiter + 1):
+    newton = 0
+    while newton < maxiter:
+        d = -reaction_derivative(prob, u)
+        try:
+            unew = op.solve_shifted(d, F)
+        except (CoercivityError, ConvergenceError):
+            break
+        unew += u
+        if not (float(unew.min()) > 0.0 and all(ordered(unew, u))):
+            break
+        newton += 1
+        shift = float(d.max())
+        top = max(top, shift)
+        step = float(np.abs(unew - u).max())
+        u = unew
+        F = reaction(prob, u) - op.apply_values(u)
+        resid = float(np.abs(F).max())
+        if step <= tol_step and resid <= max(tol_residual, op.roundoff_floor(u)):
+            return u, resid, newton, shift, info(newton, top, False)
+
+    u = start_vals.copy()
+    for it in range(newton + 1, maxiter + 1):
         delta = max(float(u.min() if direction > 0 else lower_vals.min()), 1e-300)
         M = float(upper_vals.max() if direction > 0 else u.max())
         shift = lipschitz_shift(prob, delta, M)
         top = max(top, shift)
         rhs = reaction(prob, u) + shift * u
         unew = op.solve_shifted(shift, rhs, x0=u)
-        rise = unew - u if direction > 0 else u - unew
-        monotone_ok = float(rise.min()) >= -slack
-        confined_ok = (float((unew - lower_vals).min()) >= -slack
-                       and float((upper_vals - unew).min()) >= -slack)
+        monotone_ok, confined_ok = ordered(unew, u)
         if not (monotone_ok and confined_ok):
             raise SolverError(
                 "monotone iteration broke the order structure at step "
@@ -160,7 +209,7 @@ def _monotone_iterate(op, prob, start_vals, lower_vals, upper_vals,
         u = unew
         resid = residual_sup(op, prob, u)
         if step <= tol_step and resid <= max(tol_residual, op.roundoff_floor(u)):
-            return u, resid, it, shift, op.comparison_floor(top)[0]
+            return u, resid, it, shift, info(newton, top, True)
     raise ConvergenceError(
         f"monotone iteration stalled after {maxiter} steps "
         f"(step {step:.3e}, residual {resid:.3e})",
@@ -171,18 +220,28 @@ def _monotone_iterate(op, prob, start_vals, lower_vals, upper_vals,
 def monotone_solve(op: PaneitzOperator, prob: ProblemSpec, bracket: Bracket,
                    start: str = "sub", tol_step: float = 1e-10,
                    tol_residual: float = 1e-8, maxiter: int = 100000) -> SolverReport:
-    """Monotone fixed-point iteration inside a sub/supersolution bracket.
+    """Monotone solve inside a sub/supersolution bracket.
 
-    Iterates ``u_{k+1} = (P + shift)^{-1}(f(u_k) + shift*u_k)`` starting from
-    the subsolution (``start='sub'``, nondecreasing iterates) or from the
-    supersolution (``start='super'``, nonincreasing).  The shift is
-    recomputed each step from the current sub-bracket, which keeps it as
-    small as the order argument allows and speeds convergence.  Stops once
-    the sup-norm step is below ``tol_step`` and the residual below the larger
-    of ``tol_residual`` and the round-off floor of ``P u``, which is then
-    ``extras["residual_floor"]``.  ``extras["order_certified"]`` says whether
-    inverse positivity of ``P + shift`` is proved at the largest shift used;
-    the order is checked after every step either way.  An invalid bracket
+    Starts from the subsolution (``start='sub'``, nondecreasing iterates) or
+    from the supersolution (``start='super'``, nonincreasing).  Each step
+    first tries a full Newton step ``(P + diag d) s = f(u) - P u`` with
+    ``d = -f'(u)``, accepted when the iterate stays positive, monotone and
+    inside the bracket.  At the first refusal the solve restarts from the
+    same end of the bracket with the shifted fixed-point iteration
+    ``u_{k+1} = (P + shift)^{-1}(f(u_k) + shift*u_k)``, the shift recomputed
+    each step from the current sub-bracket, which keeps it as small as the
+    order argument allows.  From the subsolution Newton usually converges
+    with no refusal; from the supersolution it usually overshoots the
+    bracket and is refused.  Stops once the sup-norm step is below
+    ``tol_step`` and the residual below the larger of ``tol_residual`` and
+    the round-off floor of ``P u``, which is then ``extras["residual_floor"]``.
+    ``iterations`` counts accepted Newton steps and loop steps;
+    ``extras["newton_steps"]`` the former, and ``extras["newton_refused_at"]``
+    names the refused step when there was one.  ``shift`` is the last
+    solve's (``max d`` after a Newton step).  ``extras["order_certified"]``
+    says whether inverse positivity of ``P + shift`` is proved at the largest
+    shift used, with ``max d`` standing for a Newton step; the order is
+    checked after every step either way.  An invalid bracket
     (:func:`verify_bracket`) raises BracketError.
     """
     prob.validate_exponents(op.params)
@@ -196,7 +255,7 @@ def monotone_solve(op: PaneitzOperator, prob: ProblemSpec, bracket: Bracket,
     upper = bracket.upper.values
     start_vals = lower if start == "sub" else upper
     direction = +1 if start == "sub" else -1
-    u, resid, its, shift, certified = _monotone_iterate(
+    u, resid, its, shift, info = _monotone_iterate(
         op, prob, start_vals, lower, upper, direction,
         tol_step, tol_residual, maxiter,
     )
@@ -210,8 +269,7 @@ def monotone_solve(op: PaneitzOperator, prob: ProblemSpec, bracket: Bracket,
         confined_ok=True,
         bracket=bracket,
         shift=shift,
-        extras={"order_certified": certified,
-                **floor_flag(op, u, resid, tol_residual)},
+        extras={**info, **floor_flag(op, u, resid, tol_residual)},
     )
 
 
@@ -221,15 +279,17 @@ def epsilon_continuation(op: PaneitzOperator, prob: ProblemSpec,
                          maxiter: int = 100000) -> SolverReport:
     """Continuation B -> B + eps for absorption problems with B >= 0.
 
-    Each schedule entry is solved by the monotone iteration with the previous
-    solution as warm start; since shrinking eps raises the right side, the
+    Each schedule entry is solved as in :func:`monotone_solve`, upward from
+    the previous solution as warm start (Newton steps first, the shifted
+    loop after a refusal); since shrinking eps raises the right side, the
     previous solution is a subsolution of the next problem and the solutions
     are pointwise nondecreasing along the schedule.  The schedule must be
     nonincreasing and nonnegative; a trailing 0 entry finishes with an exact
     solve of the target problem whenever it admits a bracket.
 
     The report's solution is the last entry's; each trace entry carries its
-    ``order_certified`` (see :func:`monotone_solve`), and the extras record
+    ``order_certified``, ``newton_steps`` and, after a refusal,
+    ``newton_refused_at`` (see :func:`monotone_solve`), and the extras record
     the sup-norm Cauchy differences, the cross-entry monotonicity flag, and
     the uniform lower bound observed.  A collapsing lower bound is reported
     as a non-converged result with diagnostics rather than raised.
@@ -258,7 +318,7 @@ def epsilon_continuation(op: PaneitzOperator, prob: ProblemSpec,
         start = bracket.lower.values if prev is None else prev
         lower = np.minimum(start, bracket.lower.values)
         upper = np.maximum(start, bracket.upper.values)
-        u, resid, its, shift, certified = _monotone_iterate(
+        u, resid, its, shift, info = _monotone_iterate(
             op, prob_eps, start, lower, upper, +1,
             tol_step, tol_residual, maxiter,
         )
@@ -268,8 +328,7 @@ def epsilon_continuation(op: PaneitzOperator, prob: ProblemSpec,
                 eps_monotone_ok = False
         lower_bound = min(lower_bound, float(u.min()))
         trace.append({"eps": eps, "min_u": float(u.min()), "residual": resid,
-                      "order_certified": certified,
-                      **floor_flag(op, u, resid, tol_residual)})
+                      **info, **floor_flag(op, u, resid, tol_residual)})
         prev = u
 
     cauchy_ok = all(b <= a * 1.5 + 1e-14 for a, b in zip(diffs, diffs[1:]))

@@ -367,7 +367,10 @@ def second_solution_attempt(op: PaneitzOperator, prob: ProblemSpec,
     """Bracket the coefficient between B - eps and B + eps and iterate.
 
     Solutions of the perturbed problems sub/supersolve the original one, so a
-    monotone iteration between them lands on another solution.  Whether the
+    monotone solve between them (guarded Newton steps first, see
+    :func:`~paneitzlab.monotone.monotone_solve`, whose ``order_certified``,
+    ``newton_steps`` and ``newton_refused_at`` the extras carry) lands on
+    another solution.  Whether the
     limit differs from ``u_B`` by more than 1e-4 in sup norm is recorded as
     a distinctness flag (no topological multiplicity argument is attempted).
     Saddle-type solutions need not be ordered in the coefficient; a violated
@@ -418,7 +421,7 @@ def second_solution_attempt(op: PaneitzOperator, prob: ProblemSpec,
             return None
         start, lower, direction = u_hi, np.full(grid.shape, s1), -1
     try:
-        u, resid, its, shift, certified = _monotone_iterate(
+        u, resid, its, shift, info = _monotone_iterate(
             op, prob, start, lower, u_hi, direction, 1e-10, 1e-6, 100000,
         )
     except SolverError:
@@ -439,7 +442,7 @@ def second_solution_attempt(op: PaneitzOperator, prob: ProblemSpec,
             "ordering_ok": ordering_ok,
             "perturbation": eps_pert,
             "gap_to_first": float(np.abs(u - u_B.values).max()),
-            "order_certified": certified,
+            **info,
             **floor_flag(op, u, resid, 1e-6),
         },
     )

@@ -80,14 +80,15 @@ class PaneitzOperator:
         self._check_grid(u)
         return self.grid.inner(u.values, self.apply_values(u.values))
 
-    def coercivity_witness(self, lam: float = 0.0) -> tuple[bool, float]:
-        """Sufficient positivity margin min sigma + min W + lam.
+    def coercivity_witness(self, lam=0.0) -> tuple[bool, float]:
+        """Sufficient positivity margin min sigma + min W + min lam.
 
+        ``lam`` is a scalar shift or a pointwise one (an array on the grid).
         Positive margin certifies the shifted operator is positive definite;
         a nonpositive margin is inconclusive (the operator may still be
         definite through the interplay of symbol and potential).
         """
-        margin = float(self.sigma.min() + self.W.min() + lam)
+        margin = float(self.sigma.min() + self.W.min() + np.min(lam))
         return margin > 0.0, margin
 
     def comparison_floor(self, lam: float = 0.0) -> tuple[bool, float]:
@@ -121,34 +122,37 @@ class PaneitzOperator:
 
     # -- linear solves --------------------------------------------------------
 
-    def preconditioner(self, lam: float):
-        """Inverse of the constant-coefficient part ``sigma + mean(W) + lam``.
+    def preconditioner(self, lam):
+        """Inverse of the constant-coefficient part ``sigma + mean(W) + mean(lam)``.
 
-        Returns a function of grid values, exact for a constant potential.
+        ``lam`` is a scalar shift or a pointwise one.  Returns a function of
+        grid values, exact for a constant potential and a constant shift.
         """
-        c = float(np.mean(self.W.values)) + lam
-        scale = abs(self.params.beta) + abs(self.W.values).max() + abs(lam)
+        c = float(np.mean(self.W.values)) + float(np.mean(lam))
+        scale = abs(self.params.beta) + abs(self.W.values).max() + float(np.abs(lam).max())
         if c <= 0.0:
             c = max(1e-8 * max(scale, 1.0), 1e-12)
         pre = self._sigma_half + c
         return lambda r: self.grid.irfft(self.grid.rfft(r) / pre)
 
-    def solve_shifted(self, lam: float, rhs: np.ndarray, tol: float = 1e-12,
+    def solve_shifted(self, lam, rhs: np.ndarray, tol: float = 1e-12,
                       check_coercivity: bool = True,
                       x0: np.ndarray | None = None) -> np.ndarray:
         """Solve (P + lam) u = rhs by preconditioned conjugate gradients.
 
-        Takes and returns grid values, like :meth:`apply_values`; ``x0`` is
-        an optional starting guess.  The preconditioner inverts the
-        constant-coefficient part ``sigma(t) + mean(W) + lam`` in frequency
-        space, which is exact when the potential is constant.  Stops at
+        ``lam`` is a scalar shift or a pointwise one (an array on the grid,
+        acting as ``diag lam``).  Takes and returns grid values, like
+        :meth:`apply_values`; ``x0`` is an optional starting guess.  The
+        preconditioner inverts the constant-coefficient part
+        ``sigma(t) + mean(W) + mean(lam)`` in frequency space, which is exact
+        when the potential and the shift are constant.  Stops at
         relative sup-norm residual ``tol``; raises ConvergenceError past
         10000 iterations and CoercivityError at any nonpositive curvature.
         A right side off the grid's shape raises GridMismatchError, a
         non-finite one ValueError.
 
         With ``check_coercivity=True`` (default) the sufficient witness
-        ``min sigma + min W + lam > 0`` is required up front.  Callers holding
+        ``min sigma + min W + min lam > 0`` is required up front.  Callers holding
         an independent positivity certificate (for instance a computed first
         eigenvalue) may disable the check.
         """
@@ -162,7 +166,8 @@ class PaneitzOperator:
                 raise CoercivityError(
                     f"coercivity witness failed (margin {margin:.3e}); "
                     "operator possibly indefinite under shift "
-                    f"lambda={lam!r}"
+                    + (f"lambda={lam!r}" if np.ndim(lam) == 0
+                       else f"min lambda={float(np.min(lam))!r}")
                 )
         bnorm = float(np.abs(rhs).max())
         if not np.isfinite(bnorm):

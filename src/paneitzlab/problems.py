@@ -29,6 +29,7 @@ __all__ = [
     "Bracket",
     "SolverReport",
     "reaction",
+    "reaction_derivative",
     "smoothed_reaction",
     "energy",
     "residual_sup",
@@ -114,6 +115,12 @@ def power_norm_order(params: GeometryParams, q: float, strict: bool = True) -> f
 def reaction(prob: ProblemSpec, u: np.ndarray) -> np.ndarray:
     """f(x, u) = A/u^p -/+ B u^q pointwise; u must be positive."""
     return prob.A.values / u**prob.p + prob.sign * prob.B.values * u**prob.q
+
+
+def reaction_derivative(prob: ProblemSpec, u: np.ndarray) -> np.ndarray:
+    """df/du = -p A/u^(p+1) -/+ q B u^(q-1) pointwise; u must be positive."""
+    return (-prob.p * prob.A.values / u ** (prob.p + 1.0)
+            + prob.sign * prob.q * prob.B.values * u ** (prob.q - 1.0))
 
 
 def smoothed_reaction(prob: ProblemSpec, u: np.ndarray, eps: float) -> np.ndarray:
@@ -253,7 +260,7 @@ def _energy_values(op, prob, eps, values, pvalues=None):
 
 
 def energy(op: PaneitzOperator, prob: ProblemSpec, eps: float,
-           u: ScalarField) -> float:
+           u: ScalarField, pvalues: np.ndarray | None = None) -> float:
     """Action of either sign mode, regularized by ``eps`` in source mode.
 
     E_eps(u) = 1/2 <u, P u> + 1/(p-1) * int A (eps+(u+)^2)^{-(p-1)/2}
@@ -262,6 +269,7 @@ def energy(op: PaneitzOperator, prob: ProblemSpec, eps: float,
     with ``-`` in source mode and ``+`` in absorption mode.  At ``eps = 0``
     it is the Lyapunov energy of the gradient flow and takes only fields
     bounded away from zero; ``eps > 0`` is allowed in source mode only.
+    ``pvalues`` is ``P u`` when the caller already holds it.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
@@ -270,4 +278,4 @@ def energy(op: PaneitzOperator, prob: ProblemSpec, eps: float,
     if eps == 0.0 and u.min() <= 0.0:
         raise ValueError("eps = 0 requires min(u) > 0")
     op._check_grid(u)
-    return float(_energy_values(op, prob, eps, u.values))
+    return float(_energy_values(op, prob, eps, u.values, pvalues))

@@ -149,3 +149,23 @@ def scalar_absorption_root(W, a, b, p, q, lo, hi):
     """Unique positive root of W*u = a/u^p - b*u^q on [lo, hi] by bisection."""
     g = lambda u: W * u - a * u ** (-p) + b * u**q
     return bisect_root(g, lo, hi)
+
+
+def dense_monotone_limit(P, A, B, p, q, u, M, tol=1e-12, maxiter=100000):
+    """Limit of the upward shifted fixed point for P u = A/u^p - B u^q.
+
+    ``P`` is a dense matrix and ``u`` a subsolution below the supersolution
+    scale ``M``.  Each step solves ``(P + L) u_new = f(u) + L u`` by
+    ``np.linalg.solve``, with the slope bound
+    ``L = p max A / (min u)^(p+1) + q max B M^(q-1)``, until the sup-norm
+    step is at most ``tol``.
+    """
+    eye = np.eye(len(u))
+    for _ in range(maxiter):
+        L = p * A.max() / u.min() ** (p + 1.0) + q * B.max() * M ** (q - 1.0)
+        unew = np.linalg.solve(P + L * eye, A / u**p - B * u**q + L * u)
+        step = np.abs(unew - u).max()
+        u = unew
+        if step <= tol:
+            return u
+    raise RuntimeError(f"dense monotone iteration stalled at step {step:.3e}")

@@ -82,6 +82,24 @@ def constant_problem(grid, a=1.0, b=1.0, p=3.0, q=2.0, mode="absorption"):
     )
 
 
+def _smooth_field(grid, rng, scale=1.0):
+    n = grid.npoints
+    hat = np.fft.rfft(rng.standard_normal(n))
+    hat *= np.exp(-0.5 * np.arange(len(hat)))
+    vals = np.fft.irfft(hat, n)
+    return scale * vals / max(np.abs(vals).max(), 1e-12)
+
+
+def random_absorption_fixture(grid, rng):
+    """Smooth random A > 0 and B >= 0 with random exponents: one of the
+    absorption fixtures that the acceptance criteria 4 and 5 draw (rng 7)."""
+    A = pl.ScalarField(grid, np.exp(_smooth_field(grid, rng, 0.7)))
+    B = pl.ScalarField(grid, np.abs(_smooth_field(grid, rng, 0.8)))
+    p = float(rng.uniform(2.0, 3.5))
+    q = float(rng.uniform(1.3, 3.0))
+    return pl.ProblemSpec(A=A, B=B, p=p, q=q, mode="absorption")
+
+
 def sin_psi_operator(params, size, amplitude):
     """1-D operator on ``size`` points of [0, 2 pi) with psi = amplitude sin x.
 

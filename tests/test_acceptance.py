@@ -22,29 +22,13 @@ from _oracles import (
     scalar_absorption_root,
     scalar_source_roots,
 )
-from conftest import constant_problem
+from conftest import constant_problem, random_absorption_fixture
 
 TWO_PI = 2.0 * np.pi
 
 # frozen oracle values (scalar bisection to 1e-12, computed before the build)
 USTAR_REFERENCE = 0.6110358366588059  # root of 6.5625 u = u^-3 - u^2
 USTAR_B0 = 6.5625**-0.25              # root of 6.5625 u = u^-3
-
-
-def _smooth_field(grid, rng, scale=1.0):
-    n = grid.npoints
-    hat = np.fft.rfft(rng.standard_normal(n))
-    hat *= np.exp(-0.5 * np.arange(len(hat)))
-    vals = np.fft.irfft(hat, n)
-    return scale * vals / max(np.abs(vals).max(), 1e-12)
-
-
-def _random_absorption_fixture(grid, rng):
-    A = pl.ScalarField(grid, np.exp(_smooth_field(grid, rng, 0.7)))
-    B = pl.ScalarField(grid, np.abs(_smooth_field(grid, rng, 0.8)))
-    p = float(rng.uniform(2.0, 3.5))
-    q = float(rng.uniform(1.3, 3.0))
-    return pl.ProblemSpec(A=A, B=B, p=p, q=q, mode="absorption")
 
 
 def test_c01_coefficient_and_factorization_fidelity():
@@ -117,7 +101,7 @@ def test_c04_monotone_iteration_invariants(ref_params):
     op = pl.build_operator(ref_params, grid)
     rng = np.random.default_rng(7)
     for k in range(20):
-        prob = _random_absorption_fixture(grid, rng)
+        prob = random_absorption_fixture(grid, rng)
         bracket = pl.find_sub_super(op, prob)
         rep = pl.monotone_solve(op, prob, bracket)
         # per-step monotonicity and confinement are asserted inside the
@@ -134,7 +118,7 @@ def test_c05_uniqueness_up_down(ref_params):
     op = pl.build_operator(ref_params, grid)
     rng = np.random.default_rng(7)
     for k in range(20):
-        prob = _random_absorption_fixture(grid, rng)
+        prob = random_absorption_fixture(grid, rng)
         bracket = pl.find_sub_super(op, prob)
         up = pl.monotone_solve(op, prob, bracket, start="sub")
         down = pl.monotone_solve(op, prob, bracket, start="super")

@@ -6,8 +6,12 @@ import paneitzlab as pl
 from paneitzlab.monotone import ORDER_SLACK, _scale_search, lipschitz_bound
 from paneitzlab.problems import reaction
 
-from _oracles import scalar_absorption_root
-from conftest import constant_problem, sin_psi_operator
+from _oracles import (
+    dense_monotone_limit,
+    dense_operator_matrix_1d,
+    scalar_absorption_root,
+)
+from conftest import constant_problem, random_absorption_fixture, sin_psi_operator
 
 TWO_PI = 2.0 * np.pi
 
@@ -226,6 +230,59 @@ class TestMonotoneSolve:
         bad = pl.Bracket(3.0, 4.0, ref_op.grid)
         with pytest.raises(pl.BracketError):
             pl.monotone_solve(ref_op, ref_prob, bad)
+
+
+class TestNewtonSteps:
+    @staticmethod
+    def _matches_the_dense_loop(op, prob):
+        br = pl.find_sub_super(op, prob)
+        rep = pl.monotone_solve(op, prob, br)
+        assert rep.extras["newton_steps"] > 0
+        assert "newton_refused_at" not in rep.extras
+        P = dense_operator_matrix_1d(op.params.alpha, op.grid.npoints, TWO_PI,
+                                     op.W.values)
+        ref = dense_monotone_limit(P, prob.A.values, prob.B.values, prob.p,
+                                   prob.q, br.lower.values, br.s2)
+        assert np.abs(rep.u.values - ref).max() <= 1e-9 * np.abs(ref).max()
+        return rep
+
+    def test_from_subsolution_reference_problem(self, ref_op, ref_prob):
+        rep = self._matches_the_dense_loop(ref_op, ref_prob)
+        assert rep.iterations == rep.extras["newton_steps"]
+
+    def test_from_subsolution_random_fixtures(self, ref_params):
+        # the fixtures of acceptance criteria 4 and 5
+        op = pl.build_operator(ref_params, pl.SpectralGrid((32,), (TWO_PI,)))
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            self._matches_the_dense_loop(op, random_absorption_fixture(op.grid, rng))
+
+    def test_refused_from_supersolution_restarts(self, ref_op, ref_prob):
+        br = pl.find_sub_super(ref_op, ref_prob)
+        up = pl.monotone_solve(ref_op, ref_prob, br, start="sub")
+        down = pl.monotone_solve(ref_op, ref_prob, br, start="super")
+        assert down.extras["newton_refused_at"] == down.extras["newton_steps"] + 1
+        assert down.monotone_ok and down.confined_ok
+        assert np.abs(down.u.values - up.u.values).max() <= 1e-9 * up.u.max()
+
+    def test_array_shift_on_newton_steps_scalar_on_the_loop(self, ref_op, ref_prob,
+                                                            monkeypatch):
+        ndims = []
+        solve = pl.PaneitzOperator.solve_shifted
+
+        def recorded(self, lam, *args, **kwargs):
+            ndims.append(np.ndim(lam))
+            return solve(self, lam, *args, **kwargs)
+
+        monkeypatch.setattr(pl.PaneitzOperator, "solve_shifted", recorded)
+        br = pl.find_sub_super(ref_op, ref_prob)
+        up = pl.monotone_solve(ref_op, ref_prob, br, start="sub")
+        assert ndims == [1] * up.extras["newton_steps"]
+        ndims.clear()
+        down = pl.monotone_solve(ref_op, ref_prob, br, start="super")
+        newton = down.extras["newton_steps"]
+        # the refused Newton solve, then one scalar shift per loop step
+        assert ndims == [1] * (newton + 1) + [0] * (down.iterations - newton)
 
 
 class TestEpsilonContinuation:

@@ -192,6 +192,28 @@ class TestSolveShifted:
         back = ref_op.solve_shifted(lam, rhs.values)
         assert np.abs(back - u.values).max() < 1e-10 * max(np.abs(u.values).max(), 1.0)
 
+    def test_pointwise_shift_matches_dense(self, ref_params, ref_grid):
+        # a Newton step's shift d = -f'(u) varies over the grid
+        x = ref_grid.meshgrid()[0]
+        V = pl.ScalarField(ref_grid, 2.0 + np.sin(3 * x))
+        op = pl.build_operator(ref_params, ref_grid, potential=V)
+        rng = np.random.default_rng(8)
+        d = 5.0 + 40.0 * rng.random(64)
+        rhs = rng.standard_normal(64)
+        u = op.solve_shifted(d, rhs)
+        P = dense_operator_matrix_1d(ref_params.alpha, 64, TWO_PI, op.W.values)
+        ref = np.linalg.solve(P + np.diag(d), rhs)
+        assert np.abs(u - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_pointwise_shift_witness_takes_the_minimum(self, ref_op):
+        # min sigma + min W + min d = 0 + beta - beta: the witness fails on
+        # one low point of the shift, wherever the rest of it lies
+        d = np.full(ref_op.grid.shape, 100.0)
+        d[7] = -ref_op.params.beta
+        assert ref_op.coercivity_witness(d) == (False, 0.0)
+        with pytest.raises(pl.CoercivityError, match="min lambda"):
+            ref_op.solve_shifted(d, np.ones(ref_op.grid.shape))
+
     def test_coercivity_refusal(self, ref_params, ref_grid):
         V = pl.ScalarField.constant(ref_grid, ref_params.Qconst + 30.0)
         op = pl.build_operator(ref_params, ref_grid, potential=V)
