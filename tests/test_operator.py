@@ -245,6 +245,77 @@ class TestSolveShifted:
         with pytest.raises(pl.GridMismatchError):
             ref_op.solve_shifted(0.5, np.ones(shape))
 
+    @pytest.mark.parametrize("with_x0", [False, True])
+    def test_one_transform_pair_per_iteration(self, ref_params, monkeypatch,
+                                              with_x0):
+        # sigma p comes from the preconditioner's output, so an iteration
+        # transforms once each way: 2 per iteration, 2 for the first
+        # preconditioned residual and 2 more for the residual of x0
+        grid = pl.SpectralGrid((64,), (TWO_PI,))
+        x = grid.meshgrid()[0]
+        op = pl.build_operator(ref_params, grid,
+                               potential=pl.ScalarField(grid, 2.0 + np.sin(3 * x)))
+        calls = {"rfft": 0, "irfft": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fft=getattr(grid, name)):
+                calls[_name] += 1
+                return _fft(*args)
+            monkeypatch.setitem(grid.__dict__, name, counted)
+        preconditioned = []
+        preconditioner = op.preconditioner
+
+        def counted_preconditioner(lam):
+            pinv = preconditioner(lam)
+            return lambda r: preconditioned.append(r) or pinv(r)
+
+        monkeypatch.setattr(op, "preconditioner", counted_preconditioner)
+        rhs = np.random.default_rng(6).standard_normal(64)
+        op.solve_shifted(0.5, rhs, x0=np.ones(64) if with_x0 else None)
+        iterations = len(preconditioned) - 1
+        assert iterations > 5
+        setup = 2 + (2 if with_x0 else 0)
+        assert calls["rfft"] + calls["irfft"] == 2 * iterations + setup
+        assert calls["rfft"] == calls["irfft"]
+
+    @pytest.fixture(scope="class")
+    def strong_op_3d(self, ref_params):
+        # max |grad psi|^2 = 40.5 > Qconst = 13.125: W changes sign
+        grid = pl.SpectralGrid((16, 16, 16), (TWO_PI,) * 3)
+        x, y, z = grid.meshgrid()
+        psi = 3.0 * (np.sin(x) + np.sin(y) * np.cos(z) + 0.5 * np.cos(x + z))
+        op = pl.build_operator(ref_params, grid, psi=pl.ScalarField(grid, psi))
+        assert op.W.min() < 0.0 < op.W.max()
+        return op
+
+    @pytest.mark.parametrize("case", ["scalar-x0", "pointwise", "tol-1e-14"])
+    def test_recurrence_does_not_drift(self, strong_op_3d, case):
+        # the recurrence for sigma p must not carry x away from the true
+        # residual: measured with P applied afresh, the relative sup residual
+        # stays within 10 tol, or 10 times P's round-off floor where that
+        # lies above tol (about 4e-13 of the right side on this grid)
+        op = strong_op_3d
+        x, y, z = op.grid.meshgrid()
+        rng = np.random.default_rng(11)
+        rhs = np.sin(x) * np.cos(2 * y) + 0.3 * np.cos(z) \
+            + 0.1 * rng.standard_normal(op.grid.shape)
+        kwargs = {}
+        if case == "scalar-x0":
+            # a flow step: shift 1/tau, started from the previous iterate
+            lam = 40.0
+            kwargs["x0"] = rhs / (op.params.beta + lam)
+        elif case == "pointwise":
+            # a Newton step's d = -f'(u)
+            lam = 1.0 - op.W.min() + 30.0 * (1.0 + np.sin(x) * np.sin(y))
+        else:
+            # the inverse iteration's solve: P is definite, the witness fails
+            lam = 0.0
+            kwargs.update(tol=1e-14, check_coercivity=False)
+        tol = kwargs.get("tol", 1e-12)
+        u = op.solve_shifted(lam, rhs, **kwargs)
+        bnorm = np.abs(rhs).max()
+        resid = np.abs(rhs - op.apply_values(u) - lam * u).max() / bnorm
+        assert resid <= 10.0 * max(tol, op.roundoff_floor(u) / bnorm)
+
 
 class TestSolveLinearized:
     def test_indefinite_solve_matches_dense(self, ref_params):
