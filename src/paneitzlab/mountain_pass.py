@@ -91,6 +91,36 @@ def _reparametrize(op, nodes, pnodes):
     return out, op.apply_values(out)
 
 
+def _halving_search(E, u, pu, g, pg, su, bar, halves, hint):
+    """Backtracking on ``u - su 2^-k g`` for the first ``k`` with energy below ``bar``.
+
+    ``E(values, pvalues)`` is the energy of a field or of a stack, ``pu`` and
+    ``pg`` are the images of ``u`` and ``g``, and ``halves`` holds
+    ``2^-k`` for every admissible ``k``, shaped to broadcast over a stack.
+    The full step is tried as one field; the halved steps are evaluated as
+    two stacks, ``k = 1..hint`` and then the rest.  Halving by 0.5 is exact
+    and a stacked energy equals the per-field one, so the result is the one
+    of halving one candidate at a time, bit for bit.  Returns
+    ``(k, candidate, image, energy)``, or None when every step is refused.
+    """
+    cand, pcand = u - su * g, pu - su * pg
+    ec = E(cand, pcand)
+    if ec < bar:
+        return 0, cand, pcand, ec
+    split = min(hint, len(halves) - 1) + 1
+    for lo, hi in ((1, split), (split, len(halves))):
+        if lo == hi:
+            continue
+        steps = su * halves[lo:hi]
+        cands, pcands = u - steps * g, pu - steps * pg
+        ecs = E(cands, pcands)
+        hits = np.flatnonzero(ecs < bar)
+        if hits.size:
+            j = int(hits[0])
+            return lo + j, cands[j], pcands[j], ecs[j]
+    return None
+
+
 def _auto_eps0(op, prob, rim):
     """Regularization making the smoothed singular term at zero half the rim."""
     intA = op.grid.integrate(prob.A.values)
@@ -118,6 +148,15 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
     above the rim value.  Endpoints t0 < r0 < t2 are located by scanning the
     ray for energies below the rim (they exist since the regularized energy
     at zero is finite and the ray energy eventually sinks to -inf).
+
+    Each sweep moves the highest interior node by backtracked steepest
+    descent (:func:`_halving_search`): the full step is one field, and a
+    refused one is halved up to 59 times, the halved candidates evaluated as
+    two stacks (up to the count the last backtracked sweep accepted, then
+    the rest).  An L^2 gradient step on the fourth-order operator is bounded
+    by about ``2 / max sigma``, so on fine grids most sweeps halve a dozen
+    times or more; the stacks give the bits of halving one candidate at a
+    time.  Sweeps stop at ``max_sweeps`` or as ``path_stop`` reports.
 
     The regularization is then driven to zero along ``eps_schedule`` (default
     geometric decades from eps0 down, finishing at exactly zero) with Newton
@@ -209,6 +248,8 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
     nodes = ((1.0 - ws) * t0 + ws * t2) * phi_hat
     pnodes = op.apply_values(nodes)
     energies = E(nodes, pnodes)
+    halves = np.ldexp(1.0, -np.arange(60)).reshape((-1,) + (1,) * grid.d)
+    hint = 0  # halvings the last backtracked sweep accepted
     sweeps = 0
     stall = 0
     last_max = np.inf
@@ -230,16 +271,15 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
             np.sqrt(grid.inner(d_next, d_next)),
         )
         su = min(1.0, 0.5 * spacing / gnorm)
-        for _ in range(60):
-            cand, pcand = u - su * g, pu - su * pg
-            ec = E(cand, pcand)
-            if ec < energies[i] - 1e-16 * max(abs(energies[i]), 1.0):
-                nodes[i], pnodes[i], energies[i] = cand, pcand, ec
-                break
-            su *= 0.5
-        else:
+        found = _halving_search(E, u, pu, g, pg, su,
+                                energies[i] - 1e-16 * max(abs(energies[i]), 1.0),
+                                halves, hint)
+        if found is None:
             path_stop = "no-descent"
             break
+        k, nodes[i], pnodes[i], energies[i] = found
+        if k:
+            hint = k
         if sweep % REPARAM_EVERY == 0:
             nodes, pnodes = _reparametrize(op, nodes, pnodes)
             energies = E(nodes, pnodes)

@@ -192,14 +192,17 @@ class PaneitzOperator:
         z = pinv(r)
         p = z.copy()
         sp = r - c * z  # sigma p
-        rz = float(np.sum(r * z))
-        last = float(np.abs(r).max()) / bnorm
+        # updated in place, so an iteration allocates only the preconditioner's output
+        Ap, tmp = np.empty_like(p), np.empty_like(p)
+        rz = float(np.sum(np.multiply(r, z, out=tmp)))
+        last = float(max(r.max(), -r.min())) / bnorm
         for _ in range(10000):
-            last = float(np.abs(r).max()) / bnorm
+            last = float(max(r.max(), -r.min())) / bnorm
             if last <= tol:
                 return x
-            Ap = sp + diag * p
-            pAp = float(np.sum(p * Ap))
+            np.multiply(diag, p, out=Ap)
+            Ap += sp
+            pAp = float(np.sum(np.multiply(p, Ap, out=tmp)))
             if pAp <= 0.0 or rz <= 0.0:
                 raise CoercivityError(
                     "conjugate gradients met a nonpositive curvature direction "
@@ -207,13 +210,15 @@ class PaneitzOperator:
                     "under shift"
                 )
             a = rz / pAp
-            x += a * p
-            r -= a * Ap
+            x += np.multiply(a, p, out=tmp)
+            r -= np.multiply(a, Ap, out=tmp)
             z = pinv(r)
-            rz_new = float(np.sum(r * z))
+            rz_new = float(np.sum(np.multiply(r, z, out=tmp)))
             beta = rz_new / rz
-            p = z + beta * p
-            sp = (r - c * z) + beta * sp
+            p *= beta
+            p += z
+            sp *= beta
+            sp += np.subtract(r, np.multiply(c, z, out=tmp), out=tmp)
             rz = rz_new
         raise ConvergenceError(
             f"linear solve stalled at relative residual {last:.3e}", residual=last
@@ -279,10 +284,13 @@ class PaneitzOperator:
         with self._dense_lock:
             if self._dense is None:
                 eye = np.eye(npts).reshape((npts,) + self.grid.shape)
-                cols = np.empty((npts, npts))
-                for j in range(npts):
-                    cols[:, j] = self.apply_values(eye[j]).ravel()
-                self._dense = 0.5 * (cols + cols.T)
+                rows = np.empty((npts, npts))
+                # P applied to a stack of unit fields at a time; a stacked FFT
+                # gives the bits of one field's
+                block = npts // self.grid.shape[0]
+                for j in range(0, npts, block):
+                    rows[j:j + block] = self.apply_values(eye[j:j + block]).reshape(block, npts)
+                self._dense = 0.5 * (rows.T + rows)
         return self._dense
 
 

@@ -169,3 +169,19 @@ def dense_monotone_limit(P, A, B, p, q, u, M, tol=1e-12, maxiter=100000):
         if step <= tol:
             return u
     raise RuntimeError(f"dense monotone iteration stalled at step {step:.3e}")
+
+
+def sequential_halving(E, u, pu, g, pg, su, bar, steps=60):
+    """Backtracking one candidate at a time: halve ``su`` until
+    ``E(u - su g, pu - su pg) < bar``, at most ``steps`` tries.
+
+    Returns ``(k, candidate, image, energy)`` for the first accepted try
+    ``k``, or None when every try is refused.
+    """
+    for k in range(steps):
+        cand, pcand = u - su * g, pu - su * pg
+        ec = E(cand, pcand)
+        if ec < bar:
+            return k, cand, pcand, ec
+        su *= 0.5
+    return None

@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 
 import paneitzlab as pl
-from paneitzlab.mountain_pass import _energy_values, _path_max
+from paneitzlab import mountain_pass
+from paneitzlab.mountain_pass import (
+    REPARAM_EVERY,
+    _energy_values,
+    _halving_search,
+    _path_max,
+)
 from paneitzlab.problems import smoothed_reaction
 
-from _oracles import scalar_source_roots
+from _oracles import scalar_source_roots, sequential_halving
 from conftest import constant_problem, sin_psi_operator
 
 TWO_PI = 2.0 * np.pi
@@ -183,6 +189,96 @@ class TestStackedPath:
         rep = pl.mountain_pass_solve(mp_op, mp_problem, S_psi=mp_sobolev, max_sweeps=0)
         assert rep.extras["path_sweeps"] == 0
         assert rep.extras["path_stop"] == "cap"
+
+
+def _stiff_source_16(mp_params):
+    """The source problem (B = 0.05, p = 1.5, q = 2) on a 16^2 operator with
+    psi = 0.2 sin x cos y, where a sweep refuses about 13 halvings."""
+    grid = pl.SpectralGrid((16, 16), (TWO_PI, TWO_PI))
+    x, y = grid.meshgrid()
+    psi = pl.ScalarField(grid, 0.2 * np.sin(x) * np.cos(y))
+    op = pl.build_operator(mp_params, grid, psi=psi)
+    return op, constant_problem(grid, b=0.05, p=1.5, q=2.0, mode="source")
+
+
+def _energy_calls(op, prob, **kw):
+    """The solve's report and the number of ``_energy_values`` calls it made."""
+    calls = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(mountain_pass, "_energy_values",
+                  lambda *args: calls.append(1) or _energy_values(*args))
+        rep = pl.mountain_pass_solve(op, prob, **kw)
+    return rep, len(calls)
+
+
+class TestHalvingSearch:
+    """A sweep evaluates its halved steps as stacks; what it accepts is what
+    halving one candidate at a time accepts, bit for bit."""
+
+    HALVES = np.ldexp(1.0, -np.arange(60)).reshape(-1, 1, 1)
+
+    @pytest.fixture(scope="class")
+    def stiff(self, mp_params):
+        op, prob = _stiff_source_16(mp_params)
+        rng = np.random.default_rng(3)
+        u = 2.0 + 0.05 * rng.standard_normal(op.grid.shape)
+        pu = op.apply_values(u)
+        g = pu - smoothed_reaction(prob, u, 0.1)
+
+        def E(values, pvalues):
+            return _energy_values(op, prob, 0.1, values, pvalues)
+
+        e0 = E(u, pu)
+        return E, u, pu, g, op.apply_values(g), e0 - 1e-16 * max(abs(e0), 1.0)
+
+    @pytest.mark.parametrize("hint", [0, 9, 12, 15, 59])
+    def test_matches_sequential_halving(self, stiff, hint):
+        E, u, pu, g, pg, bar = stiff
+        want = sequential_halving(E, u, pu, g, pg, 1.0, bar)
+        got = _halving_search(E, u, pu, g, pg, 1.0, bar, self.HALVES, hint)
+        assert want[0] == 12  # the hints lie below, at and above it
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2], want[2])
+        assert got[3] == want[3]
+
+    @pytest.mark.parametrize("hint", [0, 12])
+    def test_every_step_refused(self, stiff, hint):
+        E, u, pu, g, pg, _ = stiff
+        assert sequential_halving(E, u, pu, g, pg, 1.0, -np.inf) is None
+        assert _halving_search(E, u, pu, g, pg, 1.0, -np.inf, self.HALVES, hint) is None
+
+    def test_refused_sweep_stops_the_path(self, mp_op, mp_problem, mp_sobolev,
+                                          monkeypatch):
+        search = mountain_pass._halving_search
+        monkeypatch.setattr(
+            mountain_pass, "_halving_search",
+            lambda E, u, pu, g, pg, su, bar, halves, hint:
+                search(E, u, pu, g, pg, su, -np.inf, halves, hint))
+        rep = pl.mountain_pass_solve(mp_op, mp_problem, S_psi=mp_sobolev)
+        assert rep.extras["path_stop"] == "no-descent"
+        assert rep.extras["path_sweeps"] == 1
+
+    def test_energy_evaluations_per_sweep(self, mp_params):
+        # the full step and at most two stacks per sweep, plus one stacked
+        # refresh per reparametrization; one candidate at a time took 8230
+        # calls in all
+        op, prob = _stiff_source_16(mp_params)
+        S = pl.sobolev_constant(op)
+        _, setup = _energy_calls(op, prob, S_psi=S, max_sweeps=0)
+        rep, calls = _energy_calls(op, prob, S_psi=S)
+        sweeps = rep.extras["path_sweeps"]
+        assert sweeps == 600
+        assert calls - setup <= 3 * sweeps + sweeps // REPARAM_EVERY
+        # the pass level of the one-candidate-at-a-time search, to the bit
+        assert rep.pass_level == 30.75447296442178
+
+    def test_unhalved_sweeps_take_one_evaluation(self, mp_op, mp_problem, mp_sobolev):
+        # every full step is accepted on the 1-D fixture: no stack is built
+        _, setup = _energy_calls(mp_op, mp_problem, S_psi=mp_sobolev, max_sweeps=0)
+        rep, calls = _energy_calls(mp_op, mp_problem, S_psi=mp_sobolev)
+        sweeps = rep.extras["path_sweeps"]
+        assert calls - setup == sweeps + sweeps // REPARAM_EVERY
 
 
 class TestRoundoffFloorStop:

@@ -122,6 +122,27 @@ class TestApply:
             assert len(applies) == 64
             assert mats[0] is mats[1]
 
+    @pytest.mark.parametrize("sizes", [(64,), (16, 8), (8, 4, 4)])
+    def test_dense_matrix_matches_per_column_assembly(self, ref_params, sizes):
+        # P is applied to stacks of unit fields, one stack per index of the
+        # first axis; the matrix must be the per-column one, bit for bit
+        grid = pl.SpectralGrid(sizes, (TWO_PI,) * len(sizes))
+        rng = np.random.default_rng(len(sizes))
+        op = pl.build_operator(ref_params, grid, potential=pl.ScalarField(
+            grid, 0.3 * rng.random(sizes)))
+        orig = op.apply_values
+        applies = []
+        op.apply_values = lambda v: applies.append(v.shape) or orig(v)
+        dense = op.dense_matrix()
+        assert len(applies) == sizes[0]
+
+        npts = grid.npoints
+        eye = np.eye(npts).reshape((npts,) + sizes)
+        cols = np.empty((npts, npts))
+        for j in range(npts):
+            cols[:, j] = orig(eye[j]).ravel()
+        assert np.array_equal(dense, 0.5 * (cols + cols.T))
+
 
 class TestTwoDimensional:
     def test_apply_and_solve(self, ref_params):
