@@ -149,14 +149,19 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
     ray for energies below the rim (they exist since the regularized energy
     at zero is finite and the ray energy eventually sinks to -inf).
 
-    Each sweep moves the highest interior node by backtracked steepest
-    descent (:func:`_halving_search`): the full step is one field, and a
-    refused one is halved up to 59 times, the halved candidates evaluated as
-    two stacks (up to the count the last backtracked sweep accepted, then
-    the rest).  An L^2 gradient step on the fourth-order operator is bounded
-    by about ``2 / max sigma``, so on fine grids most sweeps halve a dozen
-    times or more; the stacks give the bits of halving one candidate at a
-    time.  Sweeps stop at ``max_sweeps`` or as ``path_stop`` reports.
+    Each sweep moves the highest interior node by backtracked descent along
+    the energy-norm gradient ``z = (sigma + mean W)^{-1} g`` of the L^2
+    gradient ``g`` (the preconditioner of CG and MINRES; its constant is
+    positive whenever ``P`` is coercive, as ``lambda1 <= mean W``).  The step
+    is capped by half the node spacing over ``||z||``; the full step is one
+    field, and a refused one is halved up to 59 times, the halved candidates
+    evaluated as two stacks (:func:`_halving_search`).  Unlike an L^2 step,
+    which the fourth-order operator bounds by about ``2 / max sigma``, the
+    full step is accepted on the grids measured.  Every ``REPARAM_EVERY``
+    sweeps the path is resampled and its node maximum compared with the one
+    after the previous resampling; ``path_stop`` reads ``stall`` once three
+    periods in a row agree to 1e-10 relative, ``cap`` at ``max_sweeps``, or
+    ``flat-gradient`` / ``no-descent``.
 
     The regularization is then driven to zero along ``eps_schedule`` (default
     geometric decades from eps0 down, finishing at exactly zero) with Newton
@@ -242,13 +247,14 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
     # capped by half the local node spacing (uncapped descent runs away down
     # the unbounded tail for stiff exponents and shreds the path).  The path
     # is one stack carrying its image pnodes = P nodes: a sweep applies P to
-    # the gradient alone and moves images by the same linear combinations as
-    # nodes, and every reparametrization applies P afresh.
+    # the descent direction alone and moves images by the same linear
+    # combinations as nodes, and every reparametrization applies P afresh.
     ws = np.linspace(0.0, 1.0, n_nodes).reshape((-1,) + (1,) * grid.d)
     nodes = ((1.0 - ws) * t0 + ws * t2) * phi_hat
     pnodes = op.apply_values(nodes)
     energies = E(nodes, pnodes)
     halves = np.ldexp(1.0, -np.arange(60)).reshape((-1,) + (1,) * grid.d)
+    precondition = op.preconditioner(0.0)
     hint = 0  # halvings the last backtracked sweep accepted
     sweeps = 0
     stall = 0
@@ -263,15 +269,17 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
         if gnorm <= 1e-12 * max(abs(energies[i]), 1.0):
             path_stop = "flat-gradient"
             break
-        pg = op.apply_values(g)
+        # descend along the energy-norm gradient (sigma + mean W)^{-1} g
+        z = precondition(g)
+        pz = op.apply_values(z)
         d_prev = u - nodes[i - 1]
         d_next = nodes[i + 1] - u
         spacing = min(
             np.sqrt(grid.inner(d_prev, d_prev)),
             np.sqrt(grid.inner(d_next, d_next)),
         )
-        su = min(1.0, 0.5 * spacing / gnorm)
-        found = _halving_search(E, u, pu, g, pg, su,
+        su = min(1.0, 0.5 * spacing / float(np.sqrt(grid.inner(z, z))))
+        found = _halving_search(E, u, pu, z, pz, su,
                                 energies[i] - 1e-16 * max(abs(energies[i]), 1.0),
                                 halves, hint)
         if found is None:
@@ -280,13 +288,16 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
         k, nodes[i], pnodes[i], energies[i] = found
         if k:
             hint = k
-        if sweep % REPARAM_EVERY == 0:
-            nodes, pnodes = _reparametrize(op, nodes, pnodes)
-            energies = E(nodes, pnodes)
+        if sweep % REPARAM_EVERY:
+            continue
+        # descent lowers the node maximum within a period and reparametrizing
+        # restores it, so the maximum is compared from period to period
+        nodes, pnodes = _reparametrize(op, nodes, pnodes)
+        energies = E(nodes, pnodes)
         cur = float(energies.max())
         if abs(last_max - cur) <= 1e-10 * max(abs(cur), 1.0):
             stall += 1
-            if stall >= 25:
+            if stall >= 3:
                 path_stop = "stall"
                 break
         else:

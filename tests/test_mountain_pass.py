@@ -170,13 +170,14 @@ class TestStackedPath:
 
         monkeypatch.setattr(mp_op, "apply_values", counted)
         rep = pl.mountain_pass_solve(mp_op, mp_problem, S_psi=mp_sobolev)
-        assert rep.extras["path_sweeps"] == 600
+        assert rep.extras["path_sweeps"] == 40
         assert len(calls) <= 1000
 
     def test_pass_level_and_stop_reason(self, mp_solution):
-        # 8.262404971810911 is the pass level of the per-node path
+        # 8.262404971810911 is the pass level of the per-node path, and of
+        # the L^2 descent that ran to the 600-sweep cap
         assert mp_solution.pass_level == pytest.approx(8.262404971810911, rel=1e-12)
-        assert mp_solution.extras["path_stop"] == "cap"
+        assert mp_solution.extras["path_stop"] == "stall"
 
     def test_schedule_gets_eps0_prepended(self, mp_op, mp_problem, mp_sobolev):
         kw = {"S_psi": mp_sobolev, "max_sweeps": 0}
@@ -191,9 +192,68 @@ class TestStackedPath:
         assert rep.extras["path_stop"] == "cap"
 
 
+class TestEnergyNormDescent:
+    """A sweep descends along (sigma + mean W)^{-1} of the L^2 gradient, and
+    the path stops once its maximum after reparametrization settles."""
+
+    def test_direction_is_the_preconditioned_gradient(self, mp_op, mp_problem,
+                                                      mp_sobolev, monkeypatch):
+        seen = []
+        search = mountain_pass._halving_search
+
+        def spy(E, u, pu, z, pz, su, bar, halves, hint):
+            seen.append((u.copy(), pu.copy(), z, pz))
+            return search(E, u, pu, z, pz, su, bar, halves, hint)
+
+        monkeypatch.setattr(mountain_pass, "_halving_search", spy)
+        rep = pl.mountain_pass_solve(mp_op, mp_problem, S_psi=mp_sobolev, max_sweeps=3)
+        assert len(seen) == 3
+        eps0 = rep.extras["eps0"]
+        precondition = mp_op.preconditioner(0.0)
+        for u, pu, z, pz in seen:
+            g = pu - smoothed_reaction(mp_problem, u, eps0)
+            assert np.array_equal(z, precondition(g))
+            assert np.array_equal(pz, mp_op.apply_values(z))
+            # a descent direction: <g, z> > 0
+            assert mp_op.grid.inner(g, z) > 0.0
+
+    def test_fixture_path_stalls_below_the_cap(self, mp_solution):
+        sweeps = mp_solution.extras["path_sweeps"]
+        assert mp_solution.extras["path_stop"] == "stall"
+        assert sweeps < 600
+        # the test runs once per reparametrization, and three periods agree
+        assert sweeps % REPARAM_EVERY == 0
+        assert sweeps >= 3 * REPARAM_EVERY
+
+    def test_fewer_sweeps_than_a_period_read_cap(self, mp_op, mp_problem, mp_sobolev):
+        rep = pl.mountain_pass_solve(mp_op, mp_problem, S_psi=mp_sobolev,
+                                     max_sweeps=REPARAM_EVERY - 1)
+        assert rep.extras["path_sweeps"] == REPARAM_EVERY - 1
+        assert rep.extras["path_stop"] == "cap"
+
+    def test_stiff_sweeps_accept_the_full_step(self, stiff_run):
+        # one evaluation per sweep and one stacked refresh per
+        # reparametrization: no sweep halves (the L^2 step refused 12-17)
+        rep, calls, setup = stiff_run
+        sweeps = rep.extras["path_sweeps"]
+        assert calls - setup == sweeps + sweeps // REPARAM_EVERY
+        assert calls - setup == 143
+
+    def test_newton_lands_on_the_l2_path_solution(self, stiff_run, mp_params):
+        # max u of the L^2 descent's solution: the path only supplies the
+        # start that Newton converges from
+        rep, _, _ = stiff_run
+        assert rep.u.max() == pytest.approx(3.851347735206708, rel=1e-12)
+        op = sin_psi_operator(mp_params, 64, 0.2)
+        prob = constant_problem(op.grid, b=0.05, p=1.5, q=2.0, mode="source")
+        rep = pl.mountain_pass_solve(op, prob)
+        assert rep.u.max() == pytest.approx(3.852654554998237, rel=1e-12)
+
+
 def _stiff_source_16(mp_params):
     """The source problem (B = 0.05, p = 1.5, q = 2) on a 16^2 operator with
-    psi = 0.2 sin x cos y, where a sweep refuses about 13 halvings."""
+    psi = 0.2 sin x cos y, where an L^2 gradient step refuses about 13
+    halvings."""
     grid = pl.SpectralGrid((16, 16), (TWO_PI, TWO_PI))
     x, y = grid.meshgrid()
     psi = pl.ScalarField(grid, 0.2 * np.sin(x) * np.cos(y))
@@ -209,6 +269,17 @@ def _energy_calls(op, prob, **kw):
                   lambda *args: calls.append(1) or _energy_values(*args))
         rep = pl.mountain_pass_solve(op, prob, **kw)
     return rep, len(calls)
+
+
+@pytest.fixture(scope="module")
+def stiff_run(mp_params):
+    """The minimax solve on the 16^2 stiff operator, its ``_energy_values``
+    calls and the calls of its set-up alone."""
+    op, prob = _stiff_source_16(mp_params)
+    S = pl.sobolev_constant(op)
+    _, setup = _energy_calls(op, prob, S_psi=S, max_sweeps=0)
+    rep, calls = _energy_calls(op, prob, S_psi=S)
+    return rep, calls, setup
 
 
 class TestHalvingSearch:
@@ -259,19 +330,18 @@ class TestHalvingSearch:
         assert rep.extras["path_stop"] == "no-descent"
         assert rep.extras["path_sweeps"] == 1
 
-    def test_energy_evaluations_per_sweep(self, mp_params):
+    def test_energy_evaluations_per_sweep(self, stiff_run):
         # the full step and at most two stacks per sweep, plus one stacked
         # refresh per reparametrization; one candidate at a time took 8230
         # calls in all
-        op, prob = _stiff_source_16(mp_params)
-        S = pl.sobolev_constant(op)
-        _, setup = _energy_calls(op, prob, S_psi=S, max_sweeps=0)
-        rep, calls = _energy_calls(op, prob, S_psi=S)
+        rep, calls, setup = stiff_run
         sweeps = rep.extras["path_sweeps"]
-        assert sweeps == 600
+        assert sweeps == 130
         assert calls - setup <= 3 * sweeps + sweeps // REPARAM_EVERY
-        # the pass level of the one-candidate-at-a-time search, to the bit
-        assert rep.pass_level == 30.75447296442178
+        # the energy-norm path's level, to the bit; it sits below the level
+        # 30.75447296442178 of the L^2 path after 600 sweeps, and above the rim
+        assert rep.pass_level == 30.754453190091333
+        assert rep.rim_value < rep.pass_level < 30.75447296442178
 
     def test_unhalved_sweeps_take_one_evaluation(self, mp_op, mp_problem, mp_sobolev):
         # every full step is accepted on the 1-D fixture: no stack is built
