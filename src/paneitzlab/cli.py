@@ -6,9 +6,9 @@ JSON reports, CSV logs and binary fields plus a manifest with checksums.
 
 Exit status: 0 on success, 1 when a certificate blocked a requested solve
 (certified infeasibility, or a failed existence gate before a minimax
-solve), 2 on errors, invalid input values included.  Identical config and
-seed reproduce byte-identical reports (the manifest carries wall-clock
-timing and is exempt).
+solve), 2 on errors, invalid input values included.  An identical config
+reproduces byte-identical reports (the manifest carries wall-clock timing
+and is exempt).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import numpy as np
 
 from . import __version__
 from .conditions import (
+    _constant_problem,
     check_existence_cond,
     check_existence_ineq,
     check_nonexistence,
@@ -92,7 +93,7 @@ _SCHEMA = {
     "q": ("float", 2.0),
     "mode": ("choice:absorption,source", "absorption"),
     "phi_file": ("str", ""),
-    "seed": ("int", 0),
+    "seed": ("int", 0),  # parsed and ignored: no action draws random numbers
     "out": ("str", "runs"),
     "workers": ("int", 1),
     "save_fields": ("bool", True),
@@ -236,9 +237,11 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
         if values[key] <= 0.0:
             raise ConfigError(f"{key} must be positive, got {values[key]}",
                               line=seen.get(key))
-    if values["mp_nodes"] < 3:
-        raise ConfigError(f"mp_nodes must be >= 3, got {values['mp_nodes']}",
-                          line=seen.get("mp_nodes"))
+    for key, least in (("mp_nodes", 3), ("mp_max_sweeps", 0), ("max_iter", 1),
+                       ("solver_budget", 0)):
+        if values[key] < least:
+            raise ConfigError(f"{key} must be >= {least}, got {values[key]}",
+                              line=seen.get(key))
     if len(values["sizes"]) != len(values["lengths"]):
         raise ConfigError("sizes and lengths must have the same dimension")
     if values["d"] and values["d"] != len(values["sizes"]):
@@ -534,9 +537,7 @@ def _action_sweep(config, op, w: _Writer):
 
     def run_cell(idx_cell):
         idx, (p, q, lam) = idx_cell
-        A = ScalarField.constant(op.grid, 1.0)
-        B = ScalarField.constant(op.grid, lam)
-        prob = ProblemSpec(A=A, B=B, p=p, q=q, mode=SOURCE)
+        prob = _constant_problem(op, lam, p, q)
         try:
             cond = check_existence_cond(op, prob, S_psi=S)
             cond_sat, cond_margin = cond.satisfied, cond.margin
@@ -601,14 +602,12 @@ def _write_error(writer: _Writer, exc: Exception) -> None:
 
 
 def run(config: ExperimentConfig, out_dir: str | Path | None = None,
-        workers: int | None = None, seed: int | None = None) -> RunManifest:
+        workers: int | None = None) -> RunManifest:
     """Execute the configured action and write all artifacts plus a manifest."""
     started = time.monotonic()
     values = dict(config.values)
     if workers is not None:
         values["workers"] = int(workers)
-    if seed is not None:
-        values["seed"] = int(seed)
     config = ExperimentConfig(values=values, echo=config.echo, base_dir=config.base_dir)
     out = Path(out_dir) if out_dir is not None else Path(values["out"])
     writer = _Writer(out)
@@ -650,7 +649,6 @@ def main(argv=None) -> int:
     parser.add_argument("config", help="path to a key = value config file")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
     parser.add_argument("--workers", type=int, default=None, help="sweep worker count")
-    parser.add_argument("--seed", type=int, default=None, help="seed override")
     args = parser.parse_args(argv)
 
     out = args.out or os.environ.get("PANEITZLAB_OUT")
@@ -675,7 +673,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         _write_error(_Writer(Path(out or _SCHEMA["out"][1])), exc)
         return 2
-    manifest = run(config, out_dir=out, workers=workers, seed=args.seed)
+    manifest = run(config, out_dir=out, workers=workers)
     print(f"paneitz-lab: action={manifest.action} exit={manifest.exit_code} "
           f"artifacts={len(manifest.artifacts)} ({manifest.timing_seconds:.2f}s)")
     return manifest.exit_code

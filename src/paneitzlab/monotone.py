@@ -86,12 +86,12 @@ def find_sub_super(op: PaneitzOperator, prob: ProblemSpec) -> Bracket:
     else:
         s2 = _scale_search(lambda s: _super_margin(prob, s, W) >= 0.0, 1.0, 2.0, 201)
     if s2 is None:
-        hint = ""
+        note = ""
         if prob.mode == ABSORPTION and prob.B.min() <= 0.0 and op.W.min() <= 0.0:
-            hint = " (B vanishes where the potential is nonpositive)"
+            note = " (B vanishes where the potential is nonpositive)"
         if prob.mode == SOURCE:
-            hint = " (source mode: constant supersolutions exist only below the fold)"
-        raise BracketError(f"no supersolution scale found{hint}")
+            note = " (source mode: constant supersolutions exist only below the fold)"
+        raise BracketError(f"no supersolution scale found{note}")
 
     s1 = _scale_search(lambda s: _sub_margin(prob, s, W) >= 0.0, min(1.0, s2), 0.5, 201)
     if s1 is None:

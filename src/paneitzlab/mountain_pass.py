@@ -28,7 +28,7 @@ from .monotone import (
     find_sub_super,
     monotone_solve,
 )
-from .operator import PaneitzOperator, newton
+from .operator import PaneitzOperator, backtrack, newton
 from .problems import (
     ABSORPTION,
     SOURCE,
@@ -91,36 +91,6 @@ def _reparametrize(op, nodes, pnodes):
     return out, op.apply_values(out)
 
 
-def _halving_search(E, u, pu, g, pg, su, bar, halves, hint):
-    """Backtracking on ``u - su 2^-k g`` for the first ``k`` with energy below ``bar``.
-
-    ``E(values, pvalues)`` is the energy of a field or of a stack, ``pu`` and
-    ``pg`` are the images of ``u`` and ``g``, and ``halves`` holds
-    ``2^-k`` for every admissible ``k``, shaped to broadcast over a stack.
-    The full step is tried as one field; the halved steps are evaluated as
-    two stacks, ``k = 1..hint`` and then the rest.  Halving by 0.5 is exact
-    and a stacked energy equals the per-field one, so the result is the one
-    of halving one candidate at a time, bit for bit.  Returns
-    ``(k, candidate, image, energy)``, or None when every step is refused.
-    """
-    cand, pcand = u - su * g, pu - su * pg
-    ec = E(cand, pcand)
-    if ec < bar:
-        return 0, cand, pcand, ec
-    split = min(hint, len(halves) - 1) + 1
-    for lo, hi in ((1, split), (split, len(halves))):
-        if lo == hi:
-            continue
-        steps = su * halves[lo:hi]
-        cands, pcands = u - steps * g, pu - steps * pg
-        ecs = E(cands, pcands)
-        hits = np.flatnonzero(ecs < bar)
-        if hits.size:
-            j = int(hits[0])
-            return lo + j, cands[j], pcands[j], ecs[j]
-    return None
-
-
 def _auto_eps0(op, prob, rim):
     """Regularization making the smoothed singular term at zero half the rim."""
     intA = op.grid.integrate(prob.A.values)
@@ -153,11 +123,11 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
     the energy-norm gradient ``z = (sigma + mean W)^{-1} g`` of the L^2
     gradient ``g`` (the preconditioner of CG and MINRES; its constant is
     positive whenever ``P`` is coercive, as ``lambda1 <= mean W``).  The step
-    is capped by half the node spacing over ``||z||``; the full step is one
-    field, and a refused one is halved up to 59 times, the halved candidates
-    evaluated as two stacks (:func:`_halving_search`).  Unlike an L^2 step,
-    which the fourth-order operator bounds by about ``2 / max sigma``, the
-    full step is accepted on the grids measured.  Every ``REPARAM_EVERY``
+    is capped by half the node spacing over ``||z||`` and halved until the
+    node's energy falls, at most 50 tries, by the line search Newton uses
+    (:func:`~paneitzlab.operator.backtrack`).  Unlike an L^2 step, which the
+    fourth-order operator bounds by about ``2 / max sigma``, the full step is
+    accepted on the grids measured.  Every ``REPARAM_EVERY``
     sweeps the path is resampled and its node maximum compared with the one
     after the previous resampling; ``path_stop`` reads ``stall`` once three
     periods in a row agree to 1e-10 relative, ``cap`` at ``max_sweeps``, or
@@ -253,9 +223,7 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
     nodes = ((1.0 - ws) * t0 + ws * t2) * phi_hat
     pnodes = op.apply_values(nodes)
     energies = E(nodes, pnodes)
-    halves = np.ldexp(1.0, -np.arange(60)).reshape((-1,) + (1,) * grid.d)
     precondition = op.preconditioner(0.0)
-    hint = 0  # halvings the last backtracked sweep accepted
     sweeps = 0
     stall = 0
     last_max = np.inf
@@ -279,15 +247,19 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
             np.sqrt(grid.inner(d_next, d_next)),
         )
         su = min(1.0, 0.5 * spacing / float(np.sqrt(grid.inner(z, z))))
-        found = _halving_search(E, u, pu, z, pz, su,
-                                energies[i] - 1e-16 * max(abs(energies[i]), 1.0),
-                                halves, hint)
+        bar = energies[i] - 1e-16 * max(abs(energies[i]), 1.0)
+        pstep = -su * pz
+
+        def below_bar(cand, s):
+            pcand = pu + s * pstep
+            ec = E(cand, pcand)
+            return (pcand, ec) if ec < bar else None
+
+        found = backtrack(u, -su * z, below_bar)
         if found is None:
             path_stop = "no-descent"
             break
-        k, nodes[i], pnodes[i], energies[i] = found
-        if k:
-            hint = k
+        nodes[i], (pnodes[i], energies[i]) = found
         if sweep % REPARAM_EVERY:
             continue
         # descent lowers the node maximum within a period and reparametrizing
@@ -364,10 +336,9 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
             entry["green_lower_bound"] = float(green.min())
             entry["green_ok"] = bool(float((u - green).min()) >= -1e-6 * uscale)
         if lichnerowicz:
-            nb = lebesgue_norm(grid, prob.B.values, s)
             nu = energy_norm(op, ScalarField(grid, u))
             entry["power_term_sobolev_bound"] = float(
-                nb * (nu / np.sqrt(S_psi)) ** (q + 1.0)
+                normB * (nu / np.sqrt(S_psi)) ** (q + 1.0)
             )
 
     sing0 = [t["singular_integral"] for t in trace]

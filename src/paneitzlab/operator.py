@@ -311,22 +311,19 @@ def build_operator(params: GeometryParams, grid: SpectralGrid,
     return PaneitzOperator(params, grid, V)
 
 
-def backtrack(x: np.ndarray, step: np.ndarray, resid: float, residual_at):
-    """Backtracking line search for Newton's method on a sup-norm residual.
+def backtrack(x: np.ndarray, step: np.ndarray, accept):
+    """Backtracking line search by halving.
 
-    Tries ``x + s * step`` for ``s = 1, 1/2, ...`` (50 halvings) and accepts
-    the first candidate whose ``residual_at(cand) = (r, data)`` passes the
-    sufficient-decrease test ``r < resid * (1 - 1e-4 s)`` (Knoll & Keyes,
-    J. Comput. Phys. 193, 2004); ``residual_at`` returns None for an
-    inadmissible candidate.  Returns ``(cand, data, r)``, or None when the
-    search stagnates.
+    Tries ``x + s * step`` for ``s = 1, 1/2, ...`` (50 tries) and returns
+    ``(cand, accept(cand, s))`` for the first candidate that ``accept`` does
+    not refuse by returning None; returns None when every try is refused.
     """
     s = 1.0
     for _ in range(50):
         cand = x + s * step
-        out = residual_at(cand)
-        if out is not None and out[0] < resid * (1.0 - 1e-4 * s) + 1e-300:
-            return cand, out[1], out[0]
+        data = accept(cand, s)
+        if data is not None:
+            return cand, data
         s *= 0.5
     return None
 
@@ -337,21 +334,24 @@ def newton(op: PaneitzOperator, f, fprime, u: np.ndarray, pu: np.ndarray,
 
     Each step solves ``(P - diag f'(u)) s = f(u) - P u`` by
     ``solve(fprime(u), rhs)`` (default :meth:`PaneitzOperator.solve_linearized`)
-    and is backtracked on the sup residual (:func:`backtrack`); candidates
-    for which ``admissible`` is false are refused.  ``done(u, pu, residual)``
-    is tested before every step.  Returns ``(u, residual, steps, stop)`` with
-    ``stop`` one of ``"done"``, ``"solve-failed"`` (ConvergenceError or
-    LinAlgError from ``solve``), ``"stagnated"`` (the line search found no
-    decrease) or ``"cap"`` (``maxiter`` steps taken).
+    and is backtracked (:func:`backtrack`) until the sup residual passes the
+    sufficient-decrease test ``r < resid * (1 - 1e-4 s)`` (Knoll & Keyes,
+    J. Comput. Phys. 193, 2004); candidates for which ``admissible`` is
+    false are refused.  ``done(u, pu, residual)`` is tested before every
+    step.  Returns ``(u, residual, steps, stop)`` with ``stop`` one of
+    ``"done"``, ``"solve-failed"`` (ConvergenceError or LinAlgError from
+    ``solve``), ``"stagnated"`` (the line search found no decrease) or
+    ``"cap"`` (``maxiter`` steps taken).
     """
     solve = op.solve_linearized if solve is None else solve
 
-    def residual_at(cand):
+    def decreases(cand, s):
         if admissible is not None and not admissible(cand):
             return None
         pc = op.apply_values(cand)
         Fc = pc - f(cand)
-        return float(np.abs(Fc).max()), (pc, Fc)
+        r = float(np.abs(Fc).max())
+        return (pc, Fc, r) if r < resid * (1.0 - 1e-4 * s) + 1e-300 else None
 
     F = pu - f(u)
     resid = float(np.abs(F).max())
@@ -363,9 +363,9 @@ def newton(op: PaneitzOperator, f, fprime, u: np.ndarray, pu: np.ndarray,
             step = solve(fprime(u), -F)
         except (ConvergenceError, np.linalg.LinAlgError):
             return u, resid, steps, "solve-failed"
-        found = backtrack(u, step, resid, residual_at)
+        found = backtrack(u, step, decreases)
         if found is None:
             return u, resid, steps, "stagnated"
-        u, (pu, F), resid = found
+        u, (pu, F, resid) = found
         steps += 1
     return u, resid, steps, "done"

@@ -171,7 +171,7 @@ def dense_monotone_limit(P, A, B, p, q, u, M, tol=1e-12, maxiter=100000):
     raise RuntimeError(f"dense monotone iteration stalled at step {step:.3e}")
 
 
-def sequential_halving(E, u, pu, g, pg, su, bar, steps=60):
+def sequential_halving(E, u, pu, g, pg, su, bar, steps=50):
     """Backtracking one candidate at a time: halve ``su`` until
     ``E(u - su g, pu - su pg) < bar``, at most ``steps`` tries.
 

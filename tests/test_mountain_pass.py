@@ -3,12 +3,8 @@ import pytest
 
 import paneitzlab as pl
 from paneitzlab import mountain_pass
-from paneitzlab.mountain_pass import (
-    REPARAM_EVERY,
-    _energy_values,
-    _halving_search,
-    _path_max,
-)
+from paneitzlab.mountain_pass import REPARAM_EVERY, _energy_values, _path_max
+from paneitzlab.operator import backtrack
 from paneitzlab.problems import smoothed_reaction
 
 from _oracles import scalar_source_roots, sequential_halving
@@ -199,23 +195,28 @@ class TestEnergyNormDescent:
     def test_direction_is_the_preconditioned_gradient(self, mp_op, mp_problem,
                                                       mp_sobolev, monkeypatch):
         seen = []
-        search = mountain_pass._halving_search
 
-        def spy(E, u, pu, z, pz, su, bar, halves, hint):
-            seen.append((u.copy(), pu.copy(), z, pz))
-            return search(E, u, pu, z, pz, su, bar, halves, hint)
+        def spy(u, step, accept):
+            found = backtrack(u, step, accept)
+            seen.append((u.copy(), step, found))
+            return found
 
-        monkeypatch.setattr(mountain_pass, "_halving_search", spy)
+        monkeypatch.setattr(mountain_pass, "backtrack", spy)
         rep = pl.mountain_pass_solve(mp_op, mp_problem, S_psi=mp_sobolev, max_sweeps=3)
         assert len(seen) == 3
         eps0 = rep.extras["eps0"]
         precondition = mp_op.preconditioner(0.0)
-        for u, pu, z, pz in seen:
-            g = pu - smoothed_reaction(mp_problem, u, eps0)
-            assert np.array_equal(z, precondition(g))
-            assert np.array_equal(pz, mp_op.apply_values(z))
-            # a descent direction: <g, z> > 0
-            assert mp_op.grid.inner(g, z) > 0.0
+        for u, step, (cand, (pcand, _)) in seen:
+            g = mp_op.apply_values(u) - smoothed_reaction(mp_problem, u, eps0)
+            z = precondition(g)
+            # the step is -su z for one positive su: a descent direction
+            su = -step / z
+            assert su.max() > 0.0
+            assert np.allclose(su, su.max(), rtol=1e-12, atol=0.0)
+            assert mp_op.grid.inner(g, step) < 0.0
+            # the accepted image is P of the accepted node
+            scale = np.abs(pcand).max()
+            assert np.abs(pcand - mp_op.apply_values(cand)).max() <= 1e-12 * scale
 
     def test_fixture_path_stalls_below_the_cap(self, mp_solution):
         sweeps = mp_solution.extras["path_sweeps"]
@@ -282,11 +283,28 @@ def stiff_run(mp_params):
     return rep, calls, setup
 
 
-class TestHalvingSearch:
-    """A sweep evaluates its halved steps as stacks; what it accepts is what
-    halving one candidate at a time accepts, bit for bit."""
+def _sweep_search(E, u, pu, g, pg, su, bar):
+    """The sweep's line search on ``u - s su g``: :func:`backtrack` with the
+    acceptance ``mountain_pass_solve`` passes it, which carries the image
+    ``pu - s su pg`` and takes the first energy below ``bar``.  Returns
+    ``(k, candidate, image, energy)`` like ``sequential_halving``."""
+    pstep = -su * pg
 
-    HALVES = np.ldexp(1.0, -np.arange(60)).reshape(-1, 1, 1)
+    def below_bar(cand, s):
+        pcand = pu + s * pstep
+        ec = E(cand, pcand)
+        return (pcand, ec, s) if ec < bar else None
+
+    found = backtrack(u, -su * g, below_bar)
+    if found is None:
+        return None
+    cand, (pcand, ec, s) = found
+    return -int(np.log2(s)), cand, pcand, ec
+
+
+class TestHalvingSearch:
+    """A sweep halves its step through the line search Newton uses; what it
+    accepts is what halving one candidate at a time accepts, bit for bit."""
 
     @pytest.fixture(scope="class")
     def stiff(self, mp_params):
@@ -302,38 +320,33 @@ class TestHalvingSearch:
         e0 = E(u, pu)
         return E, u, pu, g, op.apply_values(g), e0 - 1e-16 * max(abs(e0), 1.0)
 
-    @pytest.mark.parametrize("hint", [0, 9, 12, 15, 59])
-    def test_matches_sequential_halving(self, stiff, hint):
+    def test_matches_sequential_halving(self, stiff):
         E, u, pu, g, pg, bar = stiff
         want = sequential_halving(E, u, pu, g, pg, 1.0, bar)
-        got = _halving_search(E, u, pu, g, pg, 1.0, bar, self.HALVES, hint)
-        assert want[0] == 12  # the hints lie below, at and above it
+        got = _sweep_search(E, u, pu, g, pg, 1.0, bar)
+        assert want[0] == 12  # the L^2 step halves 12 times
         assert got[0] == want[0]
         assert np.array_equal(got[1], want[1])
         assert np.array_equal(got[2], want[2])
         assert got[3] == want[3]
 
-    @pytest.mark.parametrize("hint", [0, 12])
-    def test_every_step_refused(self, stiff, hint):
+    def test_every_step_refused(self, stiff):
         E, u, pu, g, pg, _ = stiff
         assert sequential_halving(E, u, pu, g, pg, 1.0, -np.inf) is None
-        assert _halving_search(E, u, pu, g, pg, 1.0, -np.inf, self.HALVES, hint) is None
+        assert _sweep_search(E, u, pu, g, pg, 1.0, -np.inf) is None
 
     def test_refused_sweep_stops_the_path(self, mp_op, mp_problem, mp_sobolev,
                                           monkeypatch):
-        search = mountain_pass._halving_search
-        monkeypatch.setattr(
-            mountain_pass, "_halving_search",
-            lambda E, u, pu, g, pg, su, bar, halves, hint:
-                search(E, u, pu, g, pg, su, -np.inf, halves, hint))
+        monkeypatch.setattr(mountain_pass, "backtrack",
+                            lambda u, step, accept: backtrack(u, step, lambda c, s: None))
         rep = pl.mountain_pass_solve(mp_op, mp_problem, S_psi=mp_sobolev)
         assert rep.extras["path_stop"] == "no-descent"
         assert rep.extras["path_sweeps"] == 1
 
     def test_energy_evaluations_per_sweep(self, stiff_run):
-        # the full step and at most two stacks per sweep, plus one stacked
-        # refresh per reparametrization; one candidate at a time took 8230
-        # calls in all
+        # one evaluation per try and one stacked refresh per
+        # reparametrization; the L^2 path, halving one candidate at a time,
+        # took 8230 calls in all
         rep, calls, setup = stiff_run
         sweeps = rep.extras["path_sweeps"]
         assert sweeps == 130
@@ -344,7 +357,7 @@ class TestHalvingSearch:
         assert rep.rim_value < rep.pass_level < 30.75447296442178
 
     def test_unhalved_sweeps_take_one_evaluation(self, mp_op, mp_problem, mp_sobolev):
-        # every full step is accepted on the 1-D fixture: no stack is built
+        # every full step is accepted on the 1-D fixture: nothing is halved
         _, setup = _energy_calls(mp_op, mp_problem, S_psi=mp_sobolev, max_sweeps=0)
         rep, calls = _energy_calls(mp_op, mp_problem, S_psi=mp_sobolev)
         sweeps = rep.extras["path_sweeps"]

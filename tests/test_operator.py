@@ -365,40 +365,52 @@ class TestSolveLinearized:
 
 
 class TestBacktrack:
+    """``backtrack(x, step, accept)`` tries ``x + s step`` for ``s = 1, 1/2,
+    ...`` and returns the first candidate with what ``accept(cand, s)``
+    returned for it; here ``accept`` takes a candidate whose sup norm falls
+    below 2."""
+
     @staticmethod
-    def sup(c):
-        return float(np.abs(c).max()), -c
+    def below_two(c, s):
+        r = float(np.abs(c).max())
+        return (r, -c) if r < 2.0 else None
 
     def test_full_step_when_it_decreases(self):
         x, step = np.array([1.0, -2.0]), np.array([-0.5, 1.5])
-        cand, data, r = backtrack(x, step, 2.0, self.sup)
+        seen = []
+
+        def accept(c, s):
+            seen.append(s)
+            return self.below_two(c, s)
+
+        cand, (r, data) = backtrack(x, step, accept)
+        assert seen == [1.0]
         assert np.array_equal(cand, x + step)
         assert np.array_equal(data, -cand)
         assert r == 0.5
 
     def test_halves_past_overshoot_and_inadmissible(self):
-        # s = 1 overshoots to -3, s = 1/2 is rejected by the caller and
-        # s = 1/4 lands on 0.75 < 2 (1 - 1e-4 / 4)
+        # s = 1 overshoots to -3, s = 1/2 is refused as inadmissible and
+        # s = 1/4 lands on 0.75
         seen = []
 
-        def residual_at(c):
-            seen.append(float(c[0]))
-            return None if len(seen) == 2 else self.sup(c)
+        def accept(c, s):
+            seen.append((float(c[0]), s))
+            return None if len(seen) == 2 else self.below_two(c, s)
 
-        cand, _, r = backtrack(np.array([2.0]), np.array([-5.0]), 2.0,
-                               residual_at)
-        assert seen == [-3.0, -0.5, 0.75]
+        cand, (r, _) = backtrack(np.array([2.0]), np.array([-5.0]), accept)
+        assert seen == [(-3.0, 1.0), (-0.5, 0.5), (0.75, 0.25)]
         assert cand[0] == 0.75 and r == 0.75
 
     def test_stagnation_returns_none(self):
-        calls = []
+        steps = []
 
-        def residual_at(c):
-            calls.append(c)
-            return 1.0, None
+        def accept(c, s):
+            steps.append(s)
+            return None
 
-        assert backtrack(np.zeros(3), np.ones(3), 1.0, residual_at) is None
-        assert len(calls) == 50
+        assert backtrack(np.zeros(3), np.ones(3), accept) is None
+        assert steps == [2.0 ** -k for k in range(50)]
 
 
 class TestNewton:
@@ -443,6 +455,14 @@ class TestNewton:
         u, resid, steps, stop = self.run(op, admissible=lambda c: False)
         assert (stop, steps) == ("stagnated", 0)
         assert np.array_equal(u, np.ones(op.grid.shape))
+
+    def test_no_decrease_stagnates(self, op):
+        # the step points uphill: every halving raises the residual, so the
+        # sufficient-decrease test refuses all of them
+        u, resid, steps, stop = self.run(op, solve=lambda fp, rhs: -rhs)
+        assert (stop, steps) == ("stagnated", 0)
+        assert np.array_equal(u, np.ones(op.grid.shape))
+        assert resid == pytest.approx(op.params.beta - 1.0, rel=1e-12)
 
     def test_cap(self, op):
         u, resid, steps, stop = self.run(op, maxiter=0)
