@@ -320,20 +320,26 @@ class TestHalvingSearch:
         e0 = E(u, pu)
         return E, u, pu, g, op.apply_values(g), e0 - 1e-16 * max(abs(e0), 1.0)
 
-    def test_matches_sequential_halving(self, stiff):
+    # the search starts from the step su = 2^-start: below, at and above the
+    # 12 halvings the full L^2 step takes, and deep in round-off
+    @pytest.mark.parametrize("start", [0, 9, 12, 15, 59])
+    def test_matches_sequential_halving(self, stiff, start):
         E, u, pu, g, pg, bar = stiff
-        want = sequential_halving(E, u, pu, g, pg, 1.0, bar)
-        got = _sweep_search(E, u, pu, g, pg, 1.0, bar)
-        assert want[0] == 12  # the L^2 step halves 12 times
+        su = np.ldexp(1.0, -start)
+        want = sequential_halving(E, u, pu, g, pg, su, bar)
+        got = _sweep_search(E, u, pu, g, pg, su, bar)
+        assert want[0] == max(12 - start, 0)  # the L^2 step halves 12 times
         assert got[0] == want[0]
         assert np.array_equal(got[1], want[1])
         assert np.array_equal(got[2], want[2])
         assert got[3] == want[3]
 
-    def test_every_step_refused(self, stiff):
+    @pytest.mark.parametrize("start", [0, 12])
+    def test_every_step_refused(self, stiff, start):
         E, u, pu, g, pg, _ = stiff
-        assert sequential_halving(E, u, pu, g, pg, 1.0, -np.inf) is None
-        assert _sweep_search(E, u, pu, g, pg, 1.0, -np.inf) is None
+        su = np.ldexp(1.0, -start)
+        assert sequential_halving(E, u, pu, g, pg, su, -np.inf) is None
+        assert _sweep_search(E, u, pu, g, pg, su, -np.inf) is None
 
     def test_refused_sweep_stops_the_path(self, mp_op, mp_problem, mp_sobolev,
                                           monkeypatch):
