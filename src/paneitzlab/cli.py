@@ -80,7 +80,6 @@ _SCHEMA = {
     "action": ("choice:" + ",".join(ACTIONS), _REQUIRED),
     "n": ("int", 5),
     "R": ("float", 20.0),
-    "d": ("int", 0),  # 0 = infer from sizes
     "sizes": ("ints", (64,)),
     "lengths": ("floats", (2.0 * math.pi,)),
     "psi": ("choice:zero,mode,file", "zero"),
@@ -97,7 +96,6 @@ _SCHEMA = {
     "out": ("str", "runs"),
     "workers": ("int", 1),
     "save_fields": ("bool", True),
-    "precheck_nonexistence": ("bool", True),
     "tol_step": ("float", 1e-10),
     "tol_residual": ("float", 1e-8),
     "max_iter": ("int", 100000),
@@ -118,13 +116,24 @@ _SCHEMA = {
     "sweep_solve": ("bool", False),
 }
 
+# key -> (comparison, bound) that every number of its value must meet;
+# ``auto`` is exempt.  Rules across keys stay in ``parse_config``.
+_BOUNDS = {
+    "n": (">=", 5), "lengths": (">", 0),
+    "p": (">", 1), "q": (">", 1), "sweep_ps": (">", 1), "sweep_qs": (">", 1),
+    "tol_step": (">", 0), "tol_residual": (">", 0), "mp_tol_residual": (">", 0),
+    "lambda_tol": (">", 0), "tau": (">", 0), "tmax": (">", 0),
+    "max_iter": (">=", 1), "flow_sample_every": (">=", 1), "workers": (">=", 1),
+    "mp_nodes": (">=", 3), "mp_max_sweeps": (">=", 0), "solver_budget": (">=", 0),
+    "eps0": (">", 0), "eps_schedule": (">=", 0), "sweep_lambdas": (">=", 0),
+}
+
 # removed key -> why it went; setting one exits 2 with the reason
 _REMOVED = {
     "positivity_samples": "the positivity check is exact now and takes no samples",
-}
-
-_ACTION_REQUIRES = {
-    "sweep": ("sweep_lambdas",),
+    "d": "the lattice dimension is the number of entries of sizes",
+    "precheck_nonexistence": "a solve that is certified infeasible always "
+                             "stops with exit 1",
 }
 
 
@@ -163,48 +172,56 @@ def _finite(x: float) -> float:
     return x
 
 
-def _parse_value(key: str, raw: str, line: int):
-    kind, _ = _SCHEMA[key]
-    raw = raw.strip()
-    try:
-        if kind.startswith("auto|"):
-            if raw == "auto":
-                return None
-            kind = kind[len("auto|"):]
-        if kind == "coefficient":
-            if raw.startswith("@"):
-                return raw
-            kind = "float"
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return _finite(float(raw))
-        if kind == "bool":
-            low = raw.lower()
-            if low in ("true", "yes", "1"):
-                return True
-            if low in ("false", "no", "0"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if kind == "ints":
-            return tuple(int(x) for x in raw.split(","))
-        if kind == "floats":
-            return tuple(_finite(float(x)) for x in raw.split(","))
-        if kind.startswith("choice:"):
-            options = kind.split(":", 1)[1].split(",")
-            if raw not in options:
-                raise ValueError(f"must be one of {options}, got {raw!r}")
+def _convert(kind: str, raw: str):
+    if kind.startswith("auto|"):
+        if raw == "auto":
+            return None
+        kind = kind[len("auto|"):]
+    if kind == "coefficient":
+        if raw.startswith("@"):
             return raw
-        return raw
+        kind = "float"
+    if kind == "int":
+        return int(raw)
+    if kind == "float":
+        return _finite(float(raw))
+    if kind == "bool":
+        low = raw.lower()
+        if low in ("true", "yes", "1"):
+            return True
+        if low in ("false", "no", "0"):
+            return False
+        raise ValueError(f"not a boolean: {raw!r}")
+    if kind == "ints":
+        return tuple(int(x) for x in raw.split(","))
+    if kind == "floats":
+        return tuple(_finite(float(x)) for x in raw.split(","))
+    if kind.startswith("choice:"):
+        options = kind.split(":", 1)[1].split(",")
+        if raw not in options:
+            raise ValueError(f"must be one of {options}, got {raw!r}")
+    return raw
+
+
+def _parse_value(key: str, raw: str, line: int | None):
+    """Parse one value and check every number it holds against ``_BOUNDS``."""
+    try:
+        value = _convert(_SCHEMA[key][0], raw.strip())
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}", line=line) from None
+    cmp, bound = _BOUNDS.get(key, (None, None))
+    if cmp is not None and value is not None:
+        for x in value if isinstance(value, tuple) else (value,):
+            if not (x > bound if cmp == ">" else x >= bound):
+                raise ConfigError(f"{key} must be {cmp} {bound}, got {x}", line=line)
+    return value
 
 
 def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
     """Parse and validate a flat key = value configuration.
 
-    Unknown keys, malformed values and missing action-specific keys are
-    rejected with the offending line number.
+    Unknown keys, malformed values, values outside their ``_BOUNDS`` and
+    missing action-specific keys are rejected with the offending line number.
     """
     values = {}
     seen = {}
@@ -231,28 +248,10 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
                 raise ConfigError(f"missing required key {key!r}")
             values[key] = default
 
-    if values["n"] < 5:
-        raise ConfigError(f"n must be >= 5, got {values['n']}", line=seen.get("n"))
-    for key in ("tol_step", "tol_residual", "mp_tol_residual", "lambda_tol"):
-        if values[key] <= 0.0:
-            raise ConfigError(f"{key} must be positive, got {values[key]}",
-                              line=seen.get(key))
-    for key, least in (("mp_nodes", 3), ("mp_max_sweeps", 0), ("max_iter", 1),
-                       ("solver_budget", 0)):
-        if values[key] < least:
-            raise ConfigError(f"{key} must be >= {least}, got {values[key]}",
-                              line=seen.get(key))
     if len(values["sizes"]) != len(values["lengths"]):
         raise ConfigError("sizes and lengths must have the same dimension")
-    if values["d"] and values["d"] != len(values["sizes"]):
-        raise ConfigError(
-            f"d = {values['d']} disagrees with sizes of dimension {len(values['sizes'])}"
-        )
-    for req in _ACTION_REQUIRES.get(values["action"], ()):
-        if not values[req]:
-            raise ConfigError(
-                f"action {values['action']!r} requires key {req!r}"
-            )
+    if values["action"] == "sweep" and not values["sweep_lambdas"]:
+        raise ConfigError("action 'sweep' requires key 'sweep_lambdas'")
     if values["psi"] == "mode" and len(values["psi_mode"]) != len(values["sizes"]):
         raise ConfigError("psi_mode must have one integer per grid axis",
                           line=seen.get("psi_mode", seen["psi"]))
@@ -371,7 +370,9 @@ class _Writer:
     def field(self, name: str, field: ScalarField) -> None:
         raw, meta = save_field(field, self.out / (name + ".f64"))
         self.paths += [raw, meta]
-        self.paths.append(field_to_csv(field, self.out / (name + ".csv")))
+        # a CSV copy for plotting, in 1-D only, where CSVs are read back too
+        if field.grid.d == 1:
+            self.paths.append(field_to_csv(field, self.out / (name + ".csv")))
 
 
 # -- action handlers --------------------------------------------------------------
@@ -406,13 +407,9 @@ def _action_sobolev(config, op, w: _Writer):
     return 0
 
 
-def _certified_infeasible(config, op, prob):
-    if not config.values["precheck_nonexistence"]:
-        return None
+def _certified_infeasible(op, prob):
     rep = check_nonexistence(op, prob)
-    if rep.conclusive and rep.satisfied:
-        return rep
-    return None
+    return rep if rep.conclusive and rep.satisfied else None
 
 
 def _action_solve(config, op, w: _Writer):
@@ -455,7 +452,7 @@ def _minimax(config, op, prob, action, w: _Writer):
     report carries it beside the solver summary.
     """
     v = config.values
-    blocked = _certified_infeasible(config, op, prob)
+    blocked = _certified_infeasible(op, prob)
     if blocked is not None:
         w.json("report.json", {
             "action": action,
@@ -602,19 +599,21 @@ def _write_error(writer: _Writer, exc: Exception) -> None:
 
 
 def run(config: ExperimentConfig, out_dir: str | Path | None = None,
-        workers: int | None = None) -> RunManifest:
-    """Execute the configured action and write all artifacts plus a manifest."""
+        workers: int | str | None = None) -> RunManifest:
+    """Execute the configured action and write all artifacts plus a manifest.
+
+    ``workers`` overrides the config's key and is checked as its value is: a
+    bad one raises ConfigError before anything is written.
+    """
     started = time.monotonic()
     values = dict(config.values)
     if workers is not None:
-        values["workers"] = int(workers)
+        values["workers"] = _parse_value("workers", str(workers), None)
     config = ExperimentConfig(values=values, echo=config.echo, base_dir=config.base_dir)
     out = Path(out_dir) if out_dir is not None else Path(values["out"])
     writer = _Writer(out)
     exit_code = 0
     try:
-        if values["workers"] < 1:
-            raise ValueError(f"workers must be at least 1, got {values['workers']}")
         op = _build(config)
         exit_code = _HANDLERS[values["action"]](config, op, writer)
     except (PaneitzLabError, ValueError) as exc:
@@ -648,12 +647,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument("config", help="path to a key = value config file")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument("--workers", type=int, default=None, help="sweep worker count")
+    parser.add_argument("--workers", default=None, help="sweep worker count")
     args = parser.parse_args(argv)
 
     out = args.out or os.environ.get("PANEITZLAB_OUT")
-    workers = args.workers
-    env_workers = os.environ.get("PANEITZLAB_WORKERS")
+    workers = args.workers or os.environ.get("PANEITZLAB_WORKERS") or None
 
     try:
         text = Path(args.config).read_text()
@@ -662,18 +660,12 @@ def main(argv=None) -> int:
         return 2
     try:
         config = parse_config(text, base_dir=Path(args.config).resolve().parent)
-        if workers is None and env_workers:
-            try:
-                workers = int(env_workers)
-            except ValueError:
-                raise ConfigError(
-                    f"PANEITZLAB_WORKERS must be an integer, got {env_workers!r}"
-                ) from None
+        # run() checks the worker count before it writes anything
+        manifest = run(config, out_dir=out, workers=workers)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         _write_error(_Writer(Path(out or _SCHEMA["out"][1])), exc)
         return 2
-    manifest = run(config, out_dir=out, workers=workers)
     print(f"paneitz-lab: action={manifest.action} exit={manifest.exit_code} "
           f"artifacts={len(manifest.artifacts)} ({manifest.timing_seconds:.2f}s)")
     return manifest.exit_code

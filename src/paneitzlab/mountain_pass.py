@@ -149,10 +149,15 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
     :func:`paneitzlab.conditions.check_existence_cond`.  A nonpositive
     ``S_psi`` (no coercive embedding) raises CoercivityError.
     ``eps0=None`` picks the regularization so the smoothed singular term at
-    zero sits at half the rim value.
+    zero sits at half the rim value; a given ``eps0`` must be positive and
+    the schedule nonnegative (ValueError).
     """
     if prob.mode != SOURCE:
         raise ValueError("minimax solver addresses the source mode")
+    if eps0 is not None and not eps0 > 0.0:
+        raise ValueError(f"eps0 must be positive, got {eps0}")
+    if eps_schedule is not None and any(e < 0.0 for e in eps_schedule):
+        raise ValueError("schedule entries must be nonnegative")
     prob.validate_exponents(op.params)
     grid = op.grid
     p, q = prob.p, prob.q

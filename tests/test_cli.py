@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import paneitzlab as pl
-from paneitzlab.cli import ACTIONS, parse_config, run
+from paneitzlab.cli import _BOUNDS, _REMOVED, _SCHEMA, ACTIONS, parse_config, run
 
 REF_SOLVE = """
 n = 5
@@ -23,13 +23,14 @@ seed = 0
 """
 
 
-# bad input and the error it exits 2 with; lambda_max is a removed key
+# bad input and the error it exits 2 with; lambda_max, d and
+# precheck_nonexistence are removed keys
 INVALID_INPUTS = {
     "sizes = 60": "ValueError",
     "A = -1": "ValueError",
-    "p = 0.5": "ValueError",
+    "p = 0.5": "ConfigError",
     "lambda_max = 5": "ConfigError",
-    "workers = 0": "ValueError",
+    "workers = 0": "ConfigError",
     "tmax = nan": "ConfigError",
     "lambda_tol = inf": "ConfigError",
     "eps0 = nan": "ConfigError",
@@ -46,6 +47,15 @@ INVALID_INPUTS = {
     "mp_max_sweeps = -3": "ConfigError",
     "max_iter = -2": "ConfigError",
     "solver_budget = -1": "ConfigError",
+    "eps0 = -1": "ConfigError",
+    "eps0 = 0": "ConfigError",
+    "eps_schedule = -1": "ConfigError",
+    "sweep_lambdas = -1": "ConfigError",
+    "tau = -0.05": "ConfigError",
+    "tmax = -1": "ConfigError",
+    "lengths = 0": "ConfigError",
+    "d = 1": "ConfigError",
+    "precheck_nonexistence = false": "ConfigError",
 }
 
 # the smallest config each action parses on a 16-point 1-D grid
@@ -61,8 +71,8 @@ ACTION_EXTRA = {
 BELOW_ONE_INPUTS = {
     "0": ("action = eigen\npositivity_samples = 0", "ConfigError"),
     "-3": ("action = eigen\npositivity_samples = -3", "ConfigError"),
-    "flow_sample_every = 0": ("action = flow\nflow_sample_every = 0", "ValueError"),
-    "flow_sample_every = -1": ("action = flow\nflow_sample_every = -1", "ValueError"),
+    "flow_sample_every = 0": ("action = flow\nflow_sample_every = 0", "ConfigError"),
+    "flow_sample_every = -1": ("action = flow\nflow_sample_every = -1", "ConfigError"),
 }
 
 # bad field files and a bad worker count, each exiting 2 with its error:
@@ -123,6 +133,31 @@ class TestParse:
         with pytest.raises(pl.ConfigError, match="line 2: removed key "
                            "'positivity_samples': the positivity check is exact"):
             parse_config("action = eigen\npositivity_samples = 4\n")
+
+    @pytest.mark.parametrize("key", ["d", "precheck_nonexistence"])
+    def test_retired_key_says_why(self, key):
+        with pytest.raises(pl.ConfigError, match=re.escape(
+                f"line 2: removed key {key!r}: {_REMOVED[key]}")):
+            parse_config(f"action = eigen\n{key} = 1\n")
+
+    @pytest.mark.parametrize("key", sorted(_BOUNDS))
+    def test_every_bound_is_checked_with_the_line(self, key):
+        # a value on the wrong side of the bound, as the second entry of a
+        # list key; an inclusive bound's own value parses
+        cmp, bound = _BOUNDS[key]
+        bad = bound if cmp == ">" else bound - 1
+        listed = _SCHEMA[key][0].endswith("s")
+        value = f"{bound + 1},{bad}" if listed else str(bad)
+        with pytest.raises(pl.ConfigError,
+                           match=rf"^line 2: {key} must be {cmp} {bound}, got "):
+            parse_config(f"action = eigen\n{key} = {value}\n")
+        if cmp == ">=":
+            parsed = parse_config(f"action = eigen\n{key} = {bound}\n")[key]
+            assert parsed == ((bound,) if listed else bound)
+
+    def test_auto_skips_the_bounds(self):
+        cfg = parse_config("action = eigen\neps0 = auto\neps_schedule = auto\n")
+        assert cfg["eps0"] is None and cfg["eps_schedule"] is None
 
     def test_duplicate_key(self):
         with pytest.raises(pl.ConfigError, match="duplicate"):
@@ -231,10 +266,15 @@ class TestRun:
 
     @pytest.mark.parametrize("action", ["solve", "mountain-pass"])
     def test_failed_existence_gate_exit(self, tmp_path, action):
-        cfg = ("n = 5\nR = 3.8\nsizes = 32\nmode = source\nA = 1\nB = 5\n"
-               "p = 1.5\nq = 2\nprecheck_nonexistence = false\n"
-               f"action = {action}\n")
-        man = run_config(cfg, tmp_path / "out")
+        # B vanishes on half the box, so non-existence is inconclusive and
+        # only the existence condition blocks the solve
+        grid = pl.SpectralGrid((32,), (2 * np.pi,))
+        x = grid.meshgrid()[0]
+        pl.save_field(pl.ScalarField(grid, 5.0 * np.maximum(np.sin(x), 0.0)),
+                      tmp_path / "B.f64")
+        cfg = ("n = 5\nR = 3.8\nsizes = 32\nmode = source\nA = 1\nB = @B.f64\n"
+               f"p = 1.5\nq = 2\naction = {action}\n")
+        man = run(parse_config(cfg, base_dir=tmp_path), out_dir=tmp_path / "out")
         assert man.exit_code == 1
         rep = json.loads((tmp_path / "out" / "report.json").read_text())
         assert rep["action"] == action
@@ -274,6 +314,22 @@ class TestRun:
         parsed = INVALID_INPUTS[bad] != "ConfigError"
         assert (tmp_path / "out" / "manifest.json").exists() == parsed
         assert parsed or err["message"].startswith("line 3: ")
+
+    @pytest.mark.parametrize("flag, env", [(["--workers", "0"], None), ([], "0")],
+                             ids=["flag", "environment"])
+    def test_worker_count_below_one_exit(self, tmp_path, monkeypatch, flag, env):
+        from paneitzlab.cli import main
+
+        if env is None:
+            monkeypatch.delenv("PANEITZLAB_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("PANEITZLAB_WORKERS", env)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n = 5\naction = eigen\n")
+        assert main([str(cfg), "--out", str(tmp_path / "out"), *flag]) == 2
+        err = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert err == {"error": "ConfigError", "message": "workers must be >= 1, got 0"}
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
     @pytest.mark.parametrize("case", list(BELOW_ONE_INPUTS))
     def test_positivity_samples_below_one_exit(self, tmp_path, case):

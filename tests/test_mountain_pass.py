@@ -187,6 +187,21 @@ class TestStackedPath:
         assert rep.extras["path_sweeps"] == 0
         assert rep.extras["path_stop"] == "cap"
 
+    @pytest.mark.parametrize("kw, match", [
+        ({"eps0": -1.0}, "eps0 must be positive, got -1.0"),
+        ({"eps0": 0.0}, "eps0 must be positive, got 0.0"),
+        ({"eps_schedule": [-1.0]}, "schedule entries must be nonnegative"),
+    ], ids=["eps0=-1", "eps0=0", "eps_schedule=-1"])
+    def test_bad_regularization_refused_before_any_work(self, mp_op, mp_problem,
+                                                        monkeypatch, kw, match):
+        # without S_psi the embedding constant is the solve's first work
+        def no_work(op):
+            raise AssertionError("the solve started working")
+
+        monkeypatch.setattr(mountain_pass, "sobolev_constant", no_work)
+        with pytest.raises(ValueError, match=match):
+            pl.mountain_pass_solve(mp_op, mp_problem, **kw)
+
 
 class TestEnergyNormDescent:
     """A sweep descends along (sigma + mean W)^{-1} of the L^2 gradient, and
