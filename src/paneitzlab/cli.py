@@ -658,13 +658,18 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
+    config = None
     try:
         config = parse_config(text, base_dir=Path(args.config).resolve().parent)
         # run() checks the worker count before it writes anything
         manifest = run(config, out_dir=out, workers=workers)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        _write_error(_Writer(Path(out or _SCHEMA["out"][1])), exc)
+        # a bad worker count is found after the config parsed, so its out
+        # key holds
+        if not out:
+            out = config.values["out"] if config is not None else _SCHEMA["out"][1]
+        _write_error(_Writer(Path(out)), exc)
         return 2
     print(f"paneitz-lab: action={manifest.action} exit={manifest.exit_code} "
           f"artifacts={len(manifest.artifacts)} ({manifest.timing_seconds:.2f}s)")

@@ -18,6 +18,7 @@ from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
+import scipy.fft
 from scipy.special import logsumexp
 
 from .errors import FieldFileError, GridMismatchError, PaneitzLabError
@@ -182,21 +183,25 @@ class SpectralGrid:
             k.flat[m // 2] = 0.0
         return tuple(1j * k for k in ks)
 
-    # the numpy pair is chosen once per grid, so a transform costs no
-    # dispatch on the dimension
+    # the pair is chosen once per grid, so a transform costs no dispatch on
+    # the dimension.  Above 1-D, scipy transforms every axis in one compiled
+    # call; numpy's rfftn loops over the axes in Python, last axis first and
+    # then -2, -3, ..., and scipy given that order computes the same
+    # pocketfft kernels in the same sequence, so the bits are numpy's.  1-D
+    # keeps numpy's pair, which costs less per call on short arrays.
     @cached_property
     def rfft(self):
         """Forward real FFT of grid values onto the half lattice."""
         if self.d == 1:
             return np.fft.rfft
-        return partial(np.fft.rfftn, axes=tuple(range(-self.d, 0)))
+        return partial(scipy.fft.rfftn, axes=(*range(-2, -self.d - 1, -1), -1))
 
     @cached_property
     def irfft(self):
         """Inverse of :attr:`rfft`: half-lattice coefficients to grid values."""
         if self.d == 1:
             return partial(np.fft.irfft, n=self.sizes[0])
-        return partial(np.fft.irfftn, s=self.shape, axes=tuple(range(-self.d, 0)))
+        return partial(scipy.fft.irfftn, s=self.shape, axes=tuple(range(-self.d, 0)))
 
     def half(self, a: np.ndarray) -> np.ndarray:
         """View of a full-lattice array on the half lattice of :attr:`rfft`."""

@@ -131,23 +131,34 @@ class PaneitzOperator:
             c = max(1e-8 * max(scale, 1.0), 1e-12)
         return c
 
+    def _preconditioner(self, lam):
+        """:meth:`preconditioner` ``(lam)`` and its constant ``c``."""
+        c = self._preconditioner_constant(lam)
+        # numpy divides a complex array by a real one as a product with the
+        # reciprocal, so multiplying by it keeps the quotient's bits
+        inv = 1.0 / (self._sigma_half + c)
+        return (lambda r: self.grid.irfft(self.grid.rfft(r) * inv)), c
+
     def preconditioner(self, lam):
         """Inverse of the constant-coefficient part ``sigma + mean(W) + mean(lam)``.
 
         ``lam`` is a scalar shift or a pointwise one.  Returns a function of
         grid values, exact for a constant potential and a constant shift.
         """
-        pre = self._sigma_half + self._preconditioner_constant(lam)
-        return lambda r: self.grid.irfft(self.grid.rfft(r) / pre)
+        return self._preconditioner(lam)[0]
 
     def solve_shifted(self, lam, rhs: np.ndarray, tol: float = 1e-12,
                       check_coercivity: bool = True,
-                      x0: np.ndarray | None = None) -> np.ndarray:
+                      x0: np.ndarray | None = None,
+                      px0: np.ndarray | None = None) -> np.ndarray:
         """Solve (P + lam) u = rhs by preconditioned conjugate gradients.
 
         ``lam`` is a scalar shift or a pointwise one (an array on the grid,
         acting as ``diag lam``).  Takes and returns grid values, like
-        :meth:`apply_values`; ``x0`` is an optional starting guess.  The
+        :meth:`apply_values`; ``x0`` is an optional starting guess and
+        ``px0`` an optional ``P x0`` the caller already holds, which spares
+        the transform pair of the first residual (the same bits as applying
+        ``P`` here; ``px0`` without ``x0`` raises ValueError).  The
         preconditioner inverts the constant-coefficient part
         ``sigma(t) + c`` with ``c = mean(W) + mean(lam)`` in frequency space,
         which is exact when the potential and the shift are constant.  As
@@ -170,6 +181,8 @@ class PaneitzOperator:
             raise GridMismatchError(
                 f"right side has shape {rhs.shape}, grid has {self.grid.shape}"
             )
+        if px0 is not None and x0 is None:
+            raise ValueError("px0 is P x0 and needs x0")
         if check_coercivity:
             ok, margin = self.coercivity_witness(lam)
             if not ok:
@@ -184,11 +197,13 @@ class PaneitzOperator:
             raise ValueError("right side must be finite")
         if bnorm == 0.0:
             return np.zeros(self.grid.shape)
-        pinv = self.preconditioner(lam)
-        c = self._preconditioner_constant(lam)
+        pinv, c = self._preconditioner(lam)
         diag = self.W.values + lam
-        x = np.zeros_like(rhs) if x0 is None else x0.copy()
-        r = rhs - self.apply_values(x) - lam * x if x0 is not None else rhs.copy()
+        if x0 is None:
+            x, r = np.zeros_like(rhs), rhs.copy()
+        else:
+            x = x0.copy()
+            r = rhs - (self.apply_values(x) if px0 is None else px0) - lam * x
         z = pinv(r)
         p = z.copy()
         sp = r - c * z  # sigma p

@@ -331,6 +331,25 @@ class TestRun:
         assert err == {"error": "ConfigError", "message": "workers must be >= 1, got 0"}
         assert not (tmp_path / "out" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("flag, env", [(["--workers", "0"], None), ([], "0")],
+                             ids=["flag", "environment"])
+    def test_worker_count_below_one_writes_to_the_config_out(
+            self, tmp_path, monkeypatch, flag, env):
+        from paneitzlab.cli import main
+
+        monkeypatch.delenv("PANEITZLAB_OUT", raising=False)
+        if env is None:
+            monkeypatch.delenv("PANEITZLAB_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("PANEITZLAB_WORKERS", env)
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.txt").write_text("n = 5\naction = eigen\nout = myout\n")
+        assert main(["cfg.txt", *flag]) == 2
+        err = json.loads(Path("myout/error.json").read_text())
+        assert err == {"error": "ConfigError", "message": "workers must be >= 1, got 0"}
+        assert not Path("myout/manifest.json").exists()
+        assert not Path("runs").exists()
+
     @pytest.mark.parametrize("case", list(BELOW_ONE_INPUTS))
     def test_positivity_samples_below_one_exit(self, tmp_path, case):
         from paneitzlab.cli import main

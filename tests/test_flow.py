@@ -3,7 +3,7 @@ import pytest
 
 import paneitzlab as pl
 
-from conftest import constant_problem, sin_psi_operator
+from conftest import TWO_PI, constant_problem, sin_psi_operator
 
 
 @pytest.fixture(scope="module")
@@ -107,3 +107,45 @@ def test_input_validation(ref_op, ref_prob):
     good = pl.ScalarField.constant(ref_op.grid, 1.0)
     with pytest.raises(ValueError):
         pl.parabolic_flow(ref_op, ref_prob, good, tau=-0.1, tmax=1.0)
+
+
+@pytest.mark.parametrize("case", ["plain", "rejections"])
+def test_one_application_of_p_per_accepted_step(ref_op, ref_grid, monkeypatch, case):
+    # the warm start of each step reuses the P u its stopping test computed,
+    # and a rejected step applies nothing
+    if case == "plain":
+        prob = constant_problem(ref_grid)
+        u0, tau, tmax = pl.find_sub_super(ref_op, prob).lower, 0.05, 300.0
+    else:
+        prob = constant_problem(ref_grid, b=100.0, q=3.0)
+        u0, tau, tmax = pl.ScalarField.constant(ref_grid, 2.0), 1.0, 2000.0
+    applied = []
+    apply_values = ref_op.apply_values
+    monkeypatch.setattr(ref_op, "apply_values",
+                        lambda v: applied.append(1) or apply_values(v))
+    rep, _ = pl.parabolic_flow(ref_op, prob, u0, tau=tau, tmax=tmax)
+    assert rep.converged
+    assert (rep.extras["halvings"] > 0) == (case == "rejections")
+    assert len(applied) == rep.iterations + 1
+
+
+def test_inexact_steps_meet_the_stopping_rule_in_3d(ref_params):
+    # max |grad psi|^2 = 40.5 > Qconst = 13.125: W changes sign.  The steps'
+    # solves stop early, but the returned field still meets the flow's
+    # stopping rule, measured afresh, and agrees with the monotone solve
+    grid = pl.SpectralGrid((16, 16, 16), (TWO_PI,) * 3)
+    x, y, z = grid.meshgrid()
+    psi = 3.0 * (np.sin(x) + np.sin(y) * np.cos(z) + 0.5 * np.cos(x + z))
+    op = pl.build_operator(ref_params, grid, psi=pl.ScalarField(grid, psi))
+    assert op.W.min() < 0.0 < op.W.max()
+    prob = constant_problem(grid)
+    bracket = pl.find_sub_super(op, prob)
+    steady = pl.monotone_solve(op, prob, bracket)
+    rep, _ = pl.parabolic_flow(op, prob, bracket.lower, tau=0.05, tmax=200.0)
+    assert rep.converged
+    u = rep.u.values
+    resid = np.abs(op.apply_values(u) - pl.problems.reaction(prob, u)).max()
+    assert resid == rep.residual
+    assert resid <= max(1e-8, op.roundoff_floor(u))
+    ref = steady.u.values
+    assert np.abs(u - ref).max() <= 1e-9 * np.abs(ref).max()

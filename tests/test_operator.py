@@ -283,13 +283,13 @@ class TestSolveShifted:
                 return _fft(*args)
             monkeypatch.setitem(grid.__dict__, name, counted)
         preconditioned = []
-        preconditioner = op.preconditioner
+        preconditioner = op._preconditioner
 
         def counted_preconditioner(lam):
-            pinv = preconditioner(lam)
-            return lambda r: preconditioned.append(r) or pinv(r)
+            pinv, c = preconditioner(lam)
+            return (lambda r: preconditioned.append(r) or pinv(r)), c
 
-        monkeypatch.setattr(op, "preconditioner", counted_preconditioner)
+        monkeypatch.setattr(op, "_preconditioner", counted_preconditioner)
         rhs = np.random.default_rng(6).standard_normal(64)
         op.solve_shifted(0.5, rhs, x0=np.ones(64) if with_x0 else None)
         iterations = len(preconditioned) - 1
@@ -297,6 +297,35 @@ class TestSolveShifted:
         setup = 2 + (2 if with_x0 else 0)
         assert calls["rfft"] + calls["irfft"] == 2 * iterations + setup
         assert calls["rfft"] == calls["irfft"]
+
+    @pytest.mark.parametrize("sizes", [(64,), (16, 8), (8, 4, 16)])
+    @pytest.mark.parametrize("pointwise", [False, True])
+    def test_preconditioner_divides_bitwise(self, ref_params, sizes, pointwise):
+        # multiplying by the reciprocal of sigma + c gives the quotient's bits
+        grid = pl.SpectralGrid(sizes, (TWO_PI,) * len(sizes))
+        rng = np.random.default_rng(4)
+        op = pl.build_operator(ref_params, grid, psi=random_field(grid, rng))
+        lam = 5.0 + rng.random(grid.shape) if pointwise else 0.7
+        r = rng.standard_normal(grid.shape)
+        pre = op._sigma_half + op._preconditioner_constant(lam)
+        ref = grid.irfft(grid.rfft(r) / pre)
+        assert np.array_equal(op.preconditioner(lam)(r), ref)
+
+    @pytest.mark.parametrize("sizes", [(64,), (8, 8, 8)])
+    def test_given_px0_keeps_the_bits(self, ref_params, sizes):
+        grid = pl.SpectralGrid(sizes, (TWO_PI,) * len(sizes))
+        rng = np.random.default_rng(5)
+        op = pl.build_operator(ref_params, grid, psi=random_field(grid, rng))
+        rhs, x0 = rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
+        lam = 20.0 - op.W.min()
+        plain = op.solve_shifted(lam, rhs, x0=x0)
+        given = op.solve_shifted(lam, rhs, x0=x0, px0=op.apply_values(x0))
+        assert np.array_equal(given, plain)
+
+    def test_px0_needs_x0(self, ref_op):
+        ones = np.ones(ref_op.grid.shape)
+        with pytest.raises(ValueError, match="needs x0"):
+            ref_op.solve_shifted(1.0, ones, px0=ones)
 
     @pytest.fixture(scope="class")
     def strong_op_3d(self, ref_params):

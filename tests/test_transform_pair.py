@@ -5,6 +5,7 @@ grids of dimension 1 to 3 whose axes include the size-1 and size-2 cases.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import paneitzlab as pl
@@ -108,3 +109,21 @@ def test_preconditioner_inverts_constant_potential_operator(grid, seed, lam):
     # round-off of the forward application, divided by the smallest symbol
     cond = (np.abs(op.sigma).max() + PARAMS.beta + lam) / (PARAMS.beta + lam)
     assert np.abs(back - u).max() <= 1e-13 * cond * np.abs(u).max()
+
+
+@pytest.mark.skipif(
+    int(np.__version__.split(".")[0]) < 2,
+    reason="numpy < 2 has its own FFT kernels, not the pocketfft C++ ones scipy has",
+)
+@SETTINGS
+@given(grids(), seeds, st.booleans())
+def test_transform_pair_has_numpys_bits(grid, seed, stacked):
+    # above 1-D the pair is scipy's, called with numpy's axis order
+    rng = np.random.default_rng(seed)
+    axes = tuple(range(-grid.d, 0))
+    u = rng.standard_normal(((3,) if stacked else ()) + grid.shape)
+    hat = grid.rfft(u)
+    assert np.array_equal(hat, np.fft.rfftn(u, axes=axes))
+    hat *= 1.0 + 0.5j
+    assert np.array_equal(grid.irfft(hat),
+                          np.fft.irfftn(hat, s=grid.shape, axes=axes))
