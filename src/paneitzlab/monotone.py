@@ -137,9 +137,10 @@ def _monotone_iterate(op, prob, start_vals, lower_vals, upper_vals,
     ``(P + diag d) s = f(u) - P u`` with ``d = -f'(u)``.  It is accepted when
     the new iterate is positive, moves in ``direction`` and stays between the
     bounds (up to the order slack): the checks every monotone step must pass.
-    At the first refusal, a failed or indefinite solve included, Newton is
-    given up and the shifted loop ``(P + shift) u_{k+1} = f(u_k) + shift u_k``
-    runs from ``start_vals``.  Its monotonicity and confinement are asserted
+    At the first refusal, a step that fails them or a solve that conjugate
+    gradients refuse (curvature test or iteration cap), Newton is given up
+    and the shifted loop ``(P + shift) u_{k+1} = f(u_k) + shift u_k`` runs
+    from ``start_vals``.  Its monotonicity and confinement are asserted
     every step and a violation aborts with diagnostics: it signals the
     discrete solve broke the order structure the argument relies on.
 
@@ -226,7 +227,8 @@ def monotone_solve(op: PaneitzOperator, prob: ProblemSpec, bracket: Bracket,
     from the supersolution (``start='super'``, nonincreasing).  Each step
     first tries a full Newton step ``(P + diag d) s = f(u) - P u`` with
     ``d = -f'(u)``, accepted when the iterate stays positive, monotone and
-    inside the bracket.  At the first refusal the solve restarts from the
+    inside the bracket.  At the first refusal, an order violation or a solve
+    that conjugate gradients refuse, the solve restarts from the
     same end of the bracket with the shifted fixed-point iteration
     ``u_{k+1} = (P + shift)^{-1}(f(u_k) + shift*u_k)``, the shift recomputed
     each step from the current sub-bracket, which keeps it as small as the

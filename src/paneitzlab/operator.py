@@ -80,17 +80,6 @@ class PaneitzOperator:
         self._check_grid(u)
         return self.grid.inner(u.values, self.apply_values(u.values))
 
-    def coercivity_witness(self, lam=0.0) -> tuple[bool, float]:
-        """Sufficient positivity margin min sigma + min W + min lam.
-
-        ``lam`` is a scalar shift or a pointwise one (an array on the grid).
-        Positive margin certifies the shifted operator is positive definite;
-        a nonpositive margin is inconclusive (the operator may still be
-        definite through the interplay of symbol and potential).
-        """
-        margin = float(self.sigma.min() + self.W.min() + np.min(lam))
-        return margin > 0.0, margin
-
     def comparison_floor(self, lam: float = 0.0) -> tuple[bool, float]:
         """``(ok, min G0 / max G0)`` for the kernel ``G0`` of the comparison
         operator ``sigma + max W + lam``, one inverse FFT.
@@ -148,7 +137,6 @@ class PaneitzOperator:
         return self._preconditioner(lam)[0]
 
     def solve_shifted(self, lam, rhs: np.ndarray, tol: float = 1e-12,
-                      check_coercivity: bool = True,
                       x0: np.ndarray | None = None,
                       px0: np.ndarray | None = None) -> np.ndarray:
         """Solve (P + lam) u = rhs by preconditioned conjugate gradients.
@@ -169,13 +157,10 @@ class PaneitzOperator:
         the preconditioner's.  Stops at
         relative sup-norm residual ``tol``; raises ConvergenceError past
         10000 iterations and CoercivityError at any nonpositive curvature.
-        A right side off the grid's shape raises GridMismatchError, a
-        non-finite one ValueError.
-
-        With ``check_coercivity=True`` (default) the sufficient witness
-        ``min sigma + min W + min lam > 0`` is required up front.  Callers holding
-        an independent positivity certificate (for instance a computed first
-        eigenvalue) may disable the check.
+        That curvature test is the only definiteness check: ``P + lam`` may be
+        positive definite where the potential or the shift is negative, and
+        such a system solves.  A right side off the grid's shape raises
+        GridMismatchError, a non-finite one ValueError.
         """
         if rhs.shape != self.grid.shape:
             raise GridMismatchError(
@@ -183,15 +168,6 @@ class PaneitzOperator:
             )
         if px0 is not None and x0 is None:
             raise ValueError("px0 is P x0 and needs x0")
-        if check_coercivity:
-            ok, margin = self.coercivity_witness(lam)
-            if not ok:
-                raise CoercivityError(
-                    f"coercivity witness failed (margin {margin:.3e}); "
-                    "operator possibly indefinite under shift "
-                    + (f"lambda={lam!r}" if np.ndim(lam) == 0
-                       else f"min lambda={float(np.min(lam))!r}")
-                )
         bnorm = float(np.abs(rhs).max())
         if not np.isfinite(bnorm):
             raise ValueError("right side must be finite")
@@ -210,7 +186,6 @@ class PaneitzOperator:
         # updated in place, so an iteration allocates only the preconditioner's output
         Ap, tmp = np.empty_like(p), np.empty_like(p)
         rz = float(np.sum(np.multiply(r, z, out=tmp)))
-        last = float(max(r.max(), -r.min())) / bnorm
         for _ in range(10000):
             last = float(max(r.max(), -r.min())) / bnorm
             if last <= tol:

@@ -94,8 +94,7 @@ def _inverse_iteration(op: PaneitzOperator, start: np.ndarray, e: float,
     resid = np.inf
     attempt = 10 if e > 2.0 else None
     for it in range(1, 20001):
-        u = op.solve_shifted(0.0, np.abs(v) ** (e - 2.0) * v, tol=1e-14,
-                             check_coercivity=False)
+        u = op.solve_shifted(0.0, np.abs(v) ** (e - 2.0) * v, tol=1e-14)
         v = u / lebesgue_norm(grid, u, e)
         pv = op.apply_values(v)
         Q, resid = _euler_lagrange(grid, v, pv, e)

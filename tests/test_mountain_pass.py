@@ -91,6 +91,18 @@ class TestMountainPass:
         with pytest.raises(pl.CoercivityError):
             pl.mountain_pass_solve(mp_op, mp_problem, S_psi=S_psi)
 
+    def test_monitor_skipped_where_the_inverse_image_does_not_solve(
+            self, mp_op, mp_problem, mp_sobolev, monkeypatch):
+        # conjugate gradients refusing P drops the inverse-image monitor and
+        # nothing else
+        def refused(*args, **kwargs):
+            raise pl.CoercivityError("nonpositive curvature")
+
+        monkeypatch.setattr(mp_op, "solve_shifted", refused)
+        rep = pl.mountain_pass_solve(mp_op, mp_problem, S_psi=mp_sobolev, max_sweeps=0)
+        assert rep.eps_trace
+        assert not any({"green_ok", "green_lower_bound"} & set(e) for e in rep.eps_trace)
+
     def test_newton_iterations_are_the_steps_taken(self, mp_op, mp_problem, mp_sobolev,
                                                    monkeypatch):
         import paneitzlab.mountain_pass as mp

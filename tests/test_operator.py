@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import paneitzlab as pl
 from paneitzlab.operator import backtrack, newton
@@ -226,29 +227,56 @@ class TestSolveShifted:
         ref = np.linalg.solve(P + np.diag(d), rhs)
         assert np.abs(u - ref).max() <= 1e-10 * np.abs(ref).max()
 
-    def test_pointwise_shift_witness_takes_the_minimum(self, ref_op):
-        # min sigma + min W + min d = 0 + beta - beta: the witness fails on
-        # one low point of the shift, wherever the rest of it lies
+    def test_pointwise_shift_dipping_to_minus_beta_solves(self, ref_params, ref_op):
+        # W + d is 0 at one point and 106.5625 elsewhere: P + diag d is
+        # positive definite through its symbol, and the solve goes through
         d = np.full(ref_op.grid.shape, 100.0)
         d[7] = -ref_op.params.beta
-        assert ref_op.coercivity_witness(d) == (False, 0.0)
-        with pytest.raises(pl.CoercivityError, match="min lambda"):
-            ref_op.solve_shifted(d, np.ones(ref_op.grid.shape))
+        rhs = np.ones(ref_op.grid.shape)
+        u = ref_op.solve_shifted(d, rhs)
+        P = dense_operator_matrix_1d(ref_params.alpha, 64, TWO_PI, ref_op.W.values)
+        ref = np.linalg.solve(P + np.diag(d), rhs)
+        assert np.abs(u - ref).max() <= 1e-10 * np.abs(ref).max()
 
-    def test_coercivity_refusal(self, ref_params, ref_grid):
-        V = pl.ScalarField.constant(ref_grid, ref_params.Qconst + 30.0)
-        op = pl.build_operator(ref_params, ref_grid, potential=V)
-        with pytest.raises(pl.CoercivityError):
-            op.solve_shifted(0.0, np.ones(ref_grid.shape))
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), depth=st.floats(0.01, 10.0),
+           dmax=st.floats(0.01, 20.0))
+    def test_sign_changing_potential_solves_when_definite(self, ref_params, seed,
+                                                          depth, dmax):
+        # W of the three lowest modes with min W = -depth, d positive: the
+        # solve must match the dense one whenever P + diag d is definite.  Of
+        # 2000 systems drawn with depth and dmax uniform over these ranges,
+        # 1430 are definite, and 1351 of those fail the sufficient test
+        # min sigma + min W + min d > 0 (min sigma = 0, the constant mode)
+        grid = pl.SpectralGrid((32,), (TWO_PI,))
+        x = grid.meshgrid()[0]
+        rng = np.random.default_rng(seed)
+        k = np.arange(1, 4)[:, None]
+        W = (rng.standard_normal((3, 1)) * np.cos(k * x)
+             + rng.standard_normal((3, 1)) * np.sin(k * x)).sum(axis=0)
+        W -= depth + W.min()
+        d = dmax * rng.random(32)
+        rhs = rng.standard_normal(32)
+        V = pl.ScalarField(grid, ref_params.Qconst - W / ref_params.b_n)
+        op = pl.build_operator(ref_params, grid, potential=V)
+        M = dense_operator_matrix_1d(ref_params.alpha, 32, TWO_PI, op.W.values) + np.diag(d)
+        eig = np.linalg.eigvalsh(M)
+        assume(eig[0] > 1e-6 * eig[-1])
+        ref = np.linalg.solve(M, rhs)
+        u = op.solve_shifted(d, rhs)
+        assert np.abs(u - ref).max() <= 1e-9 * np.abs(ref).max()
 
-    def test_unchecked_indefinite_shift_raises(self, ref_op):
-        # the constant mode of P + lam has eigenvalue beta + lam = -1: with
-        # the up-front witness skipped, conjugate gradients meet negative
-        # curvature on the first step and raise instead of returning
-        lam = -ref_op.params.beta - 1.0
+    @pytest.mark.parametrize("case", ["potential", "shift"])
+    def test_indefinite_system_raises(self, ref_params, ref_grid, ref_op, case):
+        # the constant mode has eigenvalue W = -15 (lam 0), or beta + lam = -1:
+        # conjugate gradients meet negative curvature on the first step
+        if case == "potential":
+            V = pl.ScalarField.constant(ref_grid, ref_params.Qconst + 30.0)
+            op, lam = pl.build_operator(ref_params, ref_grid, potential=V), 0.0
+        else:
+            op, lam = ref_op, -ref_op.params.beta - 1.0
         with pytest.raises(pl.CoercivityError, match="nonpositive curvature"):
-            ref_op.solve_shifted(lam, np.ones(ref_op.grid.shape),
-                                 check_coercivity=False)
+            op.solve_shifted(lam, np.ones(ref_grid.shape))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_rhs_refused_before_any_application(self, ref_op,
@@ -357,9 +385,9 @@ class TestSolveShifted:
             # a Newton step's d = -f'(u)
             lam = 1.0 - op.W.min() + 30.0 * (1.0 + np.sin(x) * np.sin(y))
         else:
-            # the inverse iteration's solve: P is definite, the witness fails
+            # the inverse iteration's solve: P is definite, W changes sign
             lam = 0.0
-            kwargs.update(tol=1e-14, check_coercivity=False)
+            kwargs["tol"] = 1e-14
         tol = kwargs.get("tol", 1e-12)
         u = op.solve_shifted(lam, rhs, **kwargs)
         bnorm = np.abs(rhs).max()
