@@ -3,12 +3,11 @@
 
 The singular term blows up at small scales and the power term dominates at
 large ones, so scaled constants give a subsolution and a supersolution.  The
-solve takes full Newton steps while each stays monotone and inside the
-bracket; from the subsolution they climb to the solution in a few steps.
-From the supersolution the first Newton step overshoots the bracket, so the
-solve restarts there with the shifted fixed-point iteration, which descends
-monotonically.  Both reach the same solution, which is unique for this sign
-of the nonlinearity.
+solve takes Newton steps, each halved until the iterate stays positive and
+inside the bracket; from the subsolution full steps climb to the solution in
+a few steps.  From the supersolution the first full step overshoots the
+bracket and is halved.  Both reach the same solution, which is unique for
+this sign of the nonlinearity.
 
 Run:  python demos/02_singular_absorption.py
 """
@@ -32,16 +31,13 @@ prob = pl.ProblemSpec(
 bracket = pl.find_sub_super(op, prob)
 print(f"bracket scales: s1 = {bracket.s1}, s2 = {bracket.s2}")
 print(f"bracket valid: {pl.verify_bracket(op, prob, bracket)}")
-print(f"order-preserving shift on the bracket: "
-      f"{pl.lipschitz_shift(prob, bracket.s1, bracket.s2):.1f}")
 
 up = pl.monotone_solve(op, prob, bracket, start="sub")
 down = pl.monotone_solve(op, prob, bracket, start="super")
-print(f"\nupward solve:   u = {up.u.max():.12f} in {up.iterations} steps "
-      f"({up.extras['newton_steps']} Newton), residual {up.residual:.2e}")
-print(f"downward solve: u = {down.u.max():.12f} in {down.iterations} steps "
-      f"({down.extras['newton_steps']} Newton, refused at step "
-      f"{down.extras['newton_refused_at']}), residual {down.residual:.2e}")
+print(f"\nupward solve:   u = {up.u.max():.12f} in {up.iterations} Newton steps, "
+      f"residual {up.residual:.2e}")
+print(f"downward solve: u = {down.u.max():.12f} in {down.iterations} Newton steps, "
+      f"residual {down.residual:.2e}")
 print(f"uniqueness gap: {np.abs(up.u.values - down.u.values).max():.2e}")
 print("(for constant data this is the root of beta*u = 1/u^3 - u^2)")
 

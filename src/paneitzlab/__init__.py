@@ -53,7 +53,6 @@ from .problems import (
 from .monotone import (
     epsilon_continuation,
     find_sub_super,
-    lipschitz_shift,
     monotone_solve,
     verify_bracket,
 )

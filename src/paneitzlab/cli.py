@@ -98,7 +98,7 @@ _SCHEMA = {
     "save_fields": ("bool", True),
     "tol_step": ("float", 1e-10),
     "tol_residual": ("float", 1e-8),
-    "max_iter": ("int", 100000),
+    "max_iter": ("int", 100),
     "eps_schedule": ("auto|floats", None),
     "eps0": ("auto|float", None),
     "mp_tol_residual": ("float", 1e-6),

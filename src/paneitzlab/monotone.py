@@ -1,20 +1,20 @@
-"""Sub/supersolution search, order-preserving shift, and the monotone
-steady-state solve, plus the continuation in the power-term coefficient used
-when B is only nonnegative.
+"""Sub/supersolution search and the steady-state solve inside the bracket,
+plus the continuation in the power-term coefficient used when B is only
+nonnegative.
 
-The solve takes guarded Newton steps (Ortega & Rheinboldt 1970, section 13.3;
-Pao 1992, ch. 3), each held to the order checks of a monotone step, and falls
-back to the shifted fixed-point iteration from the start at the first step
-that fails them."""
+The solve is damped Newton with the bracket as the admissible set
+(Deuflhard 2004; Kelley 1995, ch. 8): each Newton step is halved until the
+iterate stays positive and between the sub- and the supersolution, from
+whichever end it starts (Pao 1992, ch. 3, for the bracket argument)."""
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .errors import BracketError, CoercivityError, ConvergenceError, SolverError
+from .errors import BracketError, CoercivityError, ConvergenceError
 from .geometry import ScalarField
-from .operator import PaneitzOperator
+from .operator import PaneitzOperator, backtrack
 from .problems import (
     ABSORPTION,
     SOURCE,
@@ -24,13 +24,11 @@ from .problems import (
     floor_flag,
     reaction,
     reaction_derivative,
-    residual_sup,
 )
 
 __all__ = [
     "find_sub_super",
     "verify_bracket",
-    "lipschitz_shift",
     "monotone_solve",
     "epsilon_continuation",
 ]
@@ -111,77 +109,56 @@ def verify_bracket(op: PaneitzOperator, prob: ProblemSpec, bracket: Bracket,
     return bool(sub_ok), bool(super_ok)
 
 
-def lipschitz_bound(p: float, q: float, a_max: float, b_max: float,
-                    delta: float, M: float) -> float:
-    """p * a_max / delta^(p+1) + q * b_max * M^(q-1), the slope bound behind
-    the order-preserving shift."""
-    if not (0.0 < delta <= M):
-        raise ValueError(f"need 0 < delta <= M, got ({delta}, {M})")
-    return p * a_max / delta ** (p + 1.0) + q * b_max * M ** (q - 1.0)
-
-
-def lipschitz_shift(prob: ProblemSpec, delta: float, M: float) -> float:
-    """Bound on -df/du over scales [delta, M]; f + shift*I is then monotone."""
-    return lipschitz_bound(
-        prob.p, prob.q, prob.A.max(), float(np.abs(prob.B.values).max()), delta, M
-    )
-
-
 def _monotone_iterate(op, prob, start_vals, lower_vals, upper_vals,
                       direction, tol_step, tol_residual, maxiter):
-    """Guarded Newton steps, then the shifted fixed-point loop, between
-    explicit order bounds.
+    """Damped Newton steps between explicit order bounds (Deuflhard, *Newton
+    Methods for Nonlinear Problems*, 2004; Kelley, SIAM 1995, ch. 8).
 
-    direction +1 iterates upward from a subsolution, -1 downward from a
-    supersolution.  Each step first tries a full Newton step, solving
-    ``(P + diag d) s = f(u) - P u`` with ``d = -f'(u)``.  It is accepted when
-    the new iterate is positive, moves in ``direction`` and stays between the
-    bounds (up to the order slack): the checks every monotone step must pass.
-    At the first refusal, a step that fails them or a solve that conjugate
-    gradients refuse (curvature test or iteration cap), Newton is given up
-    and the shifted loop ``(P + shift) u_{k+1} = f(u_k) + shift u_k`` runs
-    from ``start_vals``.  Its monotonicity and confinement are asserted
-    every step and a violation aborts with diagnostics: it signals the
-    discrete solve broke the order structure the argument relies on.
-
-    Returns ``(u, residual, steps, shift, info)``.  ``steps`` counts accepted
-    Newton steps and loop steps, ``shift`` is the last solve's (``max d`` for
-    a Newton step), and ``info`` holds ``order_certified``
-    (:meth:`PaneitzOperator.comparison_floor`'s ``ok`` at the largest shift
-    any step used), ``newton_steps`` and, after a refusal,
-    ``newton_refused_at``; a return means the order held throughout.
+    Each step solves ``(P + diag d) s = f(u) - P u`` by conjugate gradients,
+    ``d = max(-f'(u), 0)`` (the clip acts only in source mode), and is halved
+    by :func:`~paneitzlab.operator.backtrack` until the iterate is positive
+    and between the bounds up to the order slack; a refused solve, or no
+    admissible halving, raises ConvergenceError naming the step.  Returns
+    ``(u, residual, steps, shift, info, monotone_ok)``: ``shift`` is the
+    last ``max d``; ``info`` holds ``order_certified`` (``comparison_floor``
+    at the largest ``max d``) and ``newton_steps`` (= ``steps``);
+    ``monotone_ok`` says whether every step moved in ``direction`` (+1 up
+    from a subsolution, -1 down from a supersolution).
     """
     scale = max(float(np.abs(upper_vals).max()), 1.0)
     slack = ORDER_SLACK * scale
 
-    def ordered(unew, u):
-        rise = unew - u if direction > 0 else u - unew
-        return (float(rise.min()) >= -slack,
-                float((unew - lower_vals).min()) >= -slack
-                and float((upper_vals - unew).min()) >= -slack)
-
-    def info(newton, top, refused):
-        out = {"order_certified": op.comparison_floor(top)[0], "newton_steps": newton}
-        return {**out, "newton_refused_at": newton + 1} if refused else out
+    def admissible(cand, s):
+        inside = (float(cand.min()) > 0.0
+                  and float((cand - lower_vals).min()) >= -slack
+                  and float((upper_vals - cand).min()) >= -slack)
+        return inside or None
 
     # one application of P per step: the accepted iterate's f(u) - P u is
     # both the stop test's residual and the next Newton right side
     u = start_vals
     F = reaction(prob, u) - op.apply_values(u)
+    resid = float(np.abs(F).max())
     step = np.inf
-    resid = np.inf
     top = 0.0
-    newton = 0
-    while newton < maxiter:
-        d = -reaction_derivative(prob, u)
+    monotone_ok = True
+    for it in range(1, maxiter + 1):
+        d = np.maximum(-reaction_derivative(prob, u), 0.0)
+        # passed on unnamed: no step array outlives backtrack into the next solve
         try:
-            unew = op.solve_shifted(d, F)
-        except (CoercivityError, ConvergenceError):
-            break
-        unew += u
-        if not (float(unew.min()) > 0.0 and all(ordered(unew, u))):
-            break
-        newton += 1
+            found = backtrack(u, op.solve_shifted(d, F), admissible)
+        except (CoercivityError, ConvergenceError) as exc:
+            raise ConvergenceError(
+                f"Newton step {it}: the linear solve failed ({exc})", residual=resid
+            ) from exc
+        if found is None:
+            raise ConvergenceError(
+                f"Newton step {it}: no halving stays positive and inside the "
+                "order bounds", residual=resid,
+            )
+        unew = found[0]
+        rise = float((unew - u if direction > 0 else u - unew).min())
+        monotone_ok = monotone_ok and rise >= -slack
         shift = float(d.max())
         top = max(top, shift)
         step = float(np.abs(unew - u).max())
@@ -189,28 +166,8 @@ def _monotone_iterate(op, prob, start_vals, lower_vals, upper_vals,
         F = reaction(prob, u) - op.apply_values(u)
         resid = float(np.abs(F).max())
         if step <= tol_step and resid <= max(tol_residual, op.roundoff_floor(u)):
-            return u, resid, newton, shift, info(newton, top, False)
-
-    u = start_vals.copy()
-    for it in range(newton + 1, maxiter + 1):
-        delta = max(float(u.min() if direction > 0 else lower_vals.min()), 1e-300)
-        M = float(upper_vals.max() if direction > 0 else u.max())
-        shift = lipschitz_shift(prob, delta, M)
-        top = max(top, shift)
-        rhs = reaction(prob, u) + shift * u
-        unew = op.solve_shifted(shift, rhs, x0=u)
-        monotone_ok, confined_ok = ordered(unew, u)
-        if not (monotone_ok and confined_ok):
-            raise SolverError(
-                "monotone iteration broke the order structure at step "
-                f"{it} (monotone_ok={monotone_ok}, confined_ok={confined_ok}); "
-                "the discrete solve violated inverse positivity"
-            )
-        step = float(np.abs(unew - u).max())
-        u = unew
-        resid = residual_sup(op, prob, u)
-        if step <= tol_step and resid <= max(tol_residual, op.roundoff_floor(u)):
-            return u, resid, it, shift, info(newton, top, True)
+            info = {"order_certified": op.comparison_floor(top)[0], "newton_steps": it}
+            return u, resid, it, shift, info, monotone_ok
     raise ConvergenceError(
         f"monotone iteration stalled after {maxiter} steps "
         f"(step {step:.3e}, residual {resid:.3e})",
@@ -220,31 +177,30 @@ def _monotone_iterate(op, prob, start_vals, lower_vals, upper_vals,
 
 def monotone_solve(op: PaneitzOperator, prob: ProblemSpec, bracket: Bracket,
                    start: str = "sub", tol_step: float = 1e-10,
-                   tol_residual: float = 1e-8, maxiter: int = 100000) -> SolverReport:
-    """Monotone solve inside a sub/supersolution bracket.
+                   tol_residual: float = 1e-8, maxiter: int = 100) -> SolverReport:
+    """Damped Newton solve inside a sub/supersolution bracket.
 
-    Starts from the subsolution (``start='sub'``, nondecreasing iterates) or
-    from the supersolution (``start='super'``, nonincreasing).  Each step
-    first tries a full Newton step ``(P + diag d) s = f(u) - P u`` with
-    ``d = -f'(u)``, accepted when the iterate stays positive, monotone and
-    inside the bracket.  At the first refusal, an order violation or a solve
-    that conjugate gradients refuse, the solve restarts from the
-    same end of the bracket with the shifted fixed-point iteration
-    ``u_{k+1} = (P + shift)^{-1}(f(u_k) + shift*u_k)``, the shift recomputed
-    each step from the current sub-bracket, which keeps it as small as the
-    order argument allows.  From the subsolution Newton usually converges
-    with no refusal; from the supersolution it usually overshoots the
-    bracket and is refused.  Stops once the sup-norm step is below
-    ``tol_step`` and the residual below the larger of ``tol_residual`` and
-    the round-off floor of ``P u``, which is then ``extras["residual_floor"]``.
-    ``iterations`` counts accepted Newton steps and loop steps;
-    ``extras["newton_steps"]`` the former, and ``extras["newton_refused_at"]``
-    names the refused step when there was one.  ``shift`` is the last
-    solve's (``max d`` after a Newton step).  ``extras["order_certified"]``
-    says whether inverse positivity of ``P + shift`` is proved at the largest
-    shift used, with ``max d`` standing for a Newton step; the order is
-    checked after every step either way.  An invalid bracket
-    (:func:`verify_bracket`) raises BracketError.
+    Starts from the subsolution (``start='sub'``) or the supersolution
+    (``start='super'``).  Each step is a Newton-CG step with the pointwise
+    shift ``d = max(-f'(u), 0)``, halved until the iterate is positive and
+    inside the bracket (:func:`_monotone_iterate`; ConvergenceError on a
+    refused solve, no admissible halving or ``maxiter`` steps).  Stops once
+    the sup-norm step is below ``tol_step`` and the residual below the
+    larger of ``tol_residual`` and the round-off floor of ``P u``, which is
+    then ``extras["residual_floor"]``.
+
+    Soundness: in absorption mode ``f' < 0``, so when ``P`` is positive
+    definite (lambda_1 > 0), ``u -> P u - f(u)`` is strictly monotone and the
+    positive solution inside the bracket is unique; the returned field is
+    then the limit of the monotone iteration, from either end.  When
+    lambda_1 <= 0 the claim is only a solution inside the bracket.
+
+    ``iterations`` (and ``extras["newton_steps"]``) counts the steps, ``shift``
+    is the last ``max d``, and ``monotone_ok`` says whether every step moved
+    away from the starting end (Newton may overshoot by O(error^2)).
+    ``extras["order_certified"]``: :meth:`PaneitzOperator.comparison_floor`
+    proves ``(P + shift)^{-1} >= 0`` at the largest ``max d``.  An invalid
+    bracket (:func:`verify_bracket`) raises BracketError.
     """
     prob.validate_exponents(op.params)
     scale = max(prob.A.max(), abs(op.params.beta), 1.0)
@@ -257,7 +213,7 @@ def monotone_solve(op: PaneitzOperator, prob: ProblemSpec, bracket: Bracket,
     upper = bracket.upper.values
     start_vals = lower if start == "sub" else upper
     direction = +1 if start == "sub" else -1
-    u, resid, its, shift, info = _monotone_iterate(
+    u, resid, its, shift, info, monotone_ok = _monotone_iterate(
         op, prob, start_vals, lower, upper, direction,
         tol_step, tol_residual, maxiter,
     )
@@ -267,7 +223,7 @@ def monotone_solve(op: PaneitzOperator, prob: ProblemSpec, bracket: Bracket,
         iterations=its,
         converged=True,
         method=f"monotone-{start}",
-        monotone_ok=True,
+        monotone_ok=monotone_ok,
         confined_ok=True,
         bracket=bracket,
         shift=shift,
@@ -278,23 +234,23 @@ def monotone_solve(op: PaneitzOperator, prob: ProblemSpec, bracket: Bracket,
 def epsilon_continuation(op: PaneitzOperator, prob: ProblemSpec,
                          eps_schedule, tol_step: float = 1e-10,
                          tol_residual: float = 1e-8,
-                         maxiter: int = 100000) -> SolverReport:
+                         maxiter: int = 100) -> SolverReport:
     """Continuation B -> B + eps for absorption problems with B >= 0.
 
-    Each schedule entry is solved as in :func:`monotone_solve`, upward from
-    the previous solution as warm start (Newton steps first, the shifted
-    loop after a refusal); since shrinking eps raises the right side, the
+    Each schedule entry is solved as in :func:`monotone_solve`, starting from
+    the previous solution; since shrinking eps raises the right side, the
     previous solution is a subsolution of the next problem and the solutions
     are pointwise nondecreasing along the schedule.  The schedule must be
     nonincreasing and nonnegative; a trailing 0 entry finishes with an exact
     solve of the target problem whenever it admits a bracket.
 
-    The report's solution is the last entry's; each trace entry carries its
-    ``order_certified``, ``newton_steps`` and, after a refusal,
-    ``newton_refused_at`` (see :func:`monotone_solve`), and the extras record
-    the sup-norm Cauchy differences, the cross-entry monotonicity flag, and
-    the uniform lower bound observed.  A collapsing lower bound is reported
-    as a non-converged result with diagnostics rather than raised.
+    The report's solution is the last entry's; its ``monotone_ok`` holds when
+    every step of every entry moved upward.  Each trace entry carries its
+    ``order_certified`` and ``newton_steps`` (see :func:`monotone_solve`),
+    and the extras record the sup-norm Cauchy differences, the cross-entry
+    monotonicity flag, and the uniform lower bound observed.  A collapsing
+    lower bound is reported as a non-converged result with diagnostics
+    rather than raised.
     """
     if prob.mode != ABSORPTION:
         raise ValueError("continuation applies to the absorption mode")
@@ -312,6 +268,7 @@ def epsilon_continuation(op: PaneitzOperator, prob: ProblemSpec,
     trace = []
     diffs = []
     eps_monotone_ok = True
+    steps_monotone_ok = True
     lower_bound = np.inf
     for eps in schedule:
         prob_eps = prob.with_B(prob.B + eps)
@@ -320,10 +277,11 @@ def epsilon_continuation(op: PaneitzOperator, prob: ProblemSpec,
         start = bracket.lower.values if prev is None else prev
         lower = np.minimum(start, bracket.lower.values)
         upper = np.maximum(start, bracket.upper.values)
-        u, resid, its, shift, info = _monotone_iterate(
+        u, resid, its, shift, info, entry_monotone_ok = _monotone_iterate(
             op, prob_eps, start, lower, upper, +1,
             tol_step, tol_residual, maxiter,
         )
+        steps_monotone_ok = steps_monotone_ok and entry_monotone_ok
         if prev is not None:
             diffs.append(float(np.abs(u - prev).max()))
             if float((u - prev).min()) < -ORDER_SLACK * max(u.max(), 1.0):
@@ -339,8 +297,8 @@ def epsilon_continuation(op: PaneitzOperator, prob: ProblemSpec,
     report = SolverReport(
         u=ScalarField(op.grid, u), residual=resid, iterations=its,
         converged=not degenerate, method="epsilon-continuation",
-        monotone_ok=True, confined_ok=True, bracket=bracket, shift=shift,
-        eps_trace=trace,
+        monotone_ok=steps_monotone_ok, confined_ok=True, bracket=bracket,
+        shift=shift, eps_trace=trace,
         extras={
             "cauchy_diffs": diffs,
             "cauchy_ok": bool(cauchy_ok),

@@ -395,10 +395,10 @@ def second_solution_attempt(op: PaneitzOperator, prob: ProblemSpec,
     """Bracket the coefficient between B - eps and B + eps and iterate.
 
     Solutions of the perturbed problems sub/supersolve the original one, so a
-    monotone solve between them (guarded Newton steps first, see
-    :func:`~paneitzlab.monotone.monotone_solve`, whose ``order_certified``,
-    ``newton_steps`` and ``newton_refused_at`` the extras carry) lands on
-    another solution.  Whether the
+    damped Newton solve between them (as in
+    :func:`~paneitzlab.monotone.monotone_solve`; the report carries its
+    ``monotone_ok``, the extras its ``order_certified`` and ``newton_steps``)
+    lands on another solution.  Whether the
     limit differs from ``u_B`` by more than 1e-4 in sup norm is recorded as
     a distinctness flag (no topological multiplicity argument is attempted).
     Saddle-type solutions need not be ordered in the coefficient; a violated
@@ -449,8 +449,8 @@ def second_solution_attempt(op: PaneitzOperator, prob: ProblemSpec,
             return None
         start, lower, direction = u_hi, np.full(grid.shape, s1), -1
     try:
-        u, resid, its, shift, info = _monotone_iterate(
-            op, prob, start, lower, u_hi, direction, 1e-10, 1e-6, 100000,
+        u, resid, its, shift, info, monotone_ok = _monotone_iterate(
+            op, prob, start, lower, u_hi, direction, 1e-10, 1e-6, 100,
         )
     except SolverError:
         return None
@@ -462,7 +462,7 @@ def second_solution_attempt(op: PaneitzOperator, prob: ProblemSpec,
         iterations=its,
         converged=True,
         method="second-solution",
-        monotone_ok=True,
+        monotone_ok=monotone_ok,
         confined_ok=True,
         shift=shift,
         extras={

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import paneitzlab as pl
-from paneitzlab.monotone import ORDER_SLACK, _scale_search, lipschitz_bound
-from paneitzlab.problems import reaction
+from paneitzlab.monotone import ORDER_SLACK, _scale_search
+from paneitzlab.problems import reaction, reaction_derivative
 
 from _oracles import (
     dense_monotone_limit,
@@ -94,25 +94,6 @@ class TestScaleSearch:
         assert _scale_search(lambda s: True, 1.0, 2.0, 0) is None
 
 
-class TestLipschitzShift:
-    def test_reference_value(self, ref_grid):
-        prob = constant_problem(ref_grid)
-        assert pl.lipschitz_shift(prob, 0.25, 4.0) == pytest.approx(776.0, rel=1e-12)
-
-    def test_zero_coefficients(self):
-        assert lipschitz_bound(3.0, 2.0, 0.0, 0.0, 0.25, 4.0) == 0.0
-
-    def test_monotonicity(self):
-        base = lipschitz_bound(3.0, 2.0, 1.0, 1.0, 0.25, 4.0)
-        assert lipschitz_bound(3.0, 2.0, 1.0, 1.0, 0.125, 4.0) >= base
-        assert lipschitz_bound(3.0, 2.0, 1.0, 1.0, 0.25, 8.0) >= base
-
-    def test_invalid_interval(self, ref_grid):
-        prob = constant_problem(ref_grid)
-        with pytest.raises(ValueError):
-            pl.lipschitz_shift(prob, 2.0, 1.0)
-
-
 class TestMonotoneSolve:
     def test_reference_constant_solution(self, ref_op, ref_prob):
         br = pl.find_sub_super(ref_op, ref_prob)
@@ -137,7 +118,7 @@ class TestMonotoneSolve:
     def test_fixed_point_property(self, ref_op, ref_prob):
         br = pl.find_sub_super(ref_op, ref_prob)
         rep = pl.monotone_solve(ref_op, ref_prob, br)
-        lam = pl.lipschitz_shift(ref_prob, rep.u.min(), rep.u.max())
+        lam = float(-reaction_derivative(ref_prob, rep.u.values).max())
         rhs = pl.ScalarField(
             ref_op.grid, reaction(ref_prob, rep.u.values) + lam * rep.u.values
         )
@@ -238,7 +219,7 @@ class TestNewtonSteps:
         br = pl.find_sub_super(op, prob)
         rep = pl.monotone_solve(op, prob, br)
         assert rep.extras["newton_steps"] > 0
-        assert "newton_refused_at" not in rep.extras
+        assert rep.monotone_ok is True
         P = dense_operator_matrix_1d(op.params.alpha, op.grid.npoints, TWO_PI,
                                      op.W.values)
         ref = dense_monotone_limit(P, prob.A.values, prob.B.values, prob.p,
@@ -258,15 +239,21 @@ class TestNewtonSteps:
             self._matches_the_dense_loop(op, random_absorption_fixture(op.grid, rng))
 
     def test_refused_from_supersolution_restarts(self, ref_op, ref_prob):
+        # the full step from the supersolution leaves the bracket and is
+        # halved instead of restarting the solve; the descent is then not
+        # monotone but ends where the ascent does
         br = pl.find_sub_super(ref_op, ref_prob)
         up = pl.monotone_solve(ref_op, ref_prob, br, start="sub")
         down = pl.monotone_solve(ref_op, ref_prob, br, start="super")
-        assert down.extras["newton_refused_at"] == down.extras["newton_steps"] + 1
-        assert down.monotone_ok and down.confined_ok
-        assert np.abs(down.u.values - up.u.values).max() <= 1e-9 * up.u.max()
+        assert down.iterations == down.extras["newton_steps"]
+        assert down.confined_ok is True
+        assert down.monotone_ok is False
+        assert np.abs(down.u.values - up.u.values).max() <= 1e-12 * up.u.max()
 
     def test_array_shift_on_newton_steps_scalar_on_the_loop(self, ref_op, ref_prob,
                                                             monkeypatch):
+        # there is no loop with a scalar shift: every solve from either end
+        # is a Newton step with the pointwise shift
         ndims = []
         solve = pl.PaneitzOperator.solve_shifted
 
@@ -276,13 +263,19 @@ class TestNewtonSteps:
 
         monkeypatch.setattr(pl.PaneitzOperator, "solve_shifted", recorded)
         br = pl.find_sub_super(ref_op, ref_prob)
-        up = pl.monotone_solve(ref_op, ref_prob, br, start="sub")
-        assert ndims == [1] * up.extras["newton_steps"]
-        ndims.clear()
-        down = pl.monotone_solve(ref_op, ref_prob, br, start="super")
-        newton = down.extras["newton_steps"]
-        # the refused Newton solve, then one scalar shift per loop step
-        assert ndims == [1] * (newton + 1) + [0] * (down.iterations - newton)
+        for start in ("sub", "super"):
+            ndims.clear()
+            rep = pl.monotone_solve(ref_op, ref_prob, br, start=start)
+            assert ndims == [1] * rep.iterations, start
+
+    def test_refused_solve_names_the_step(self, ref_op, ref_prob, monkeypatch):
+        def refused(self, lam, rhs, *args, **kwargs):
+            raise pl.CoercivityError("nonpositive curvature")
+
+        monkeypatch.setattr(pl.PaneitzOperator, "solve_shifted", refused)
+        br = pl.find_sub_super(ref_op, ref_prob)
+        with pytest.raises(pl.ConvergenceError, match="Newton step 1"):
+            pl.monotone_solve(ref_op, ref_prob, br)
 
 
 class TestEpsilonContinuation:

@@ -509,6 +509,26 @@ class TestSecondSolution:
         roots = scalar_source_roots(mp_op.params.beta, 1.0, 0.05, 1.5, 2.0)
         assert np.abs(rep.u.values - min(roots)).max() < 1e-6
 
+    def test_refused_newton_solve_returns_nothing(self, mp_op, mp_problem,
+                                                  mp_sobolev, monkeypatch):
+        # conjugate gradients refusing a Newton system (the pointwise shift)
+        # ends the attempt with None instead of leaking CoercivityError
+        u_B = pl.mountain_pass_solve(mp_op, mp_problem, S_psi=mp_sobolev).u
+        solve = mp_op.solve_shifted
+        refused = []
+
+        def refuse_pointwise(lam, *args, **kwargs):
+            if np.ndim(lam):
+                refused.append(1)
+                raise pl.CoercivityError("nonpositive curvature")
+            return solve(lam, *args, **kwargs)
+
+        monkeypatch.setattr(mp_op, "solve_shifted", refuse_pointwise)
+        rep = pl.second_solution_attempt(mp_op, mp_problem, u_B, 0.002,
+                                         S_psi=mp_sobolev)
+        assert rep is None
+        assert refused == [1]
+
     def test_degenerate_perturbation(self, mp_op, mp_problem, mp_sobolev):
         u_B = pl.mountain_pass_solve(mp_op, mp_problem, S_psi=mp_sobolev).u
         rep = pl.second_solution_attempt(mp_op, mp_problem, u_B, 0.0)
