@@ -6,9 +6,11 @@ The linear part is treated implicitly and the reaction explicitly:
 
 Positivity of each step is monitored; a step that loses positivity is
 rejected and retried with half the step size.  Each step's linear solve is
-inexact: it only has to cut the residual of ``P u = f(u)`` by ``FORCING``
-(Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982), since the
-flow's own stopping test measures that residual afresh.
+inexact: it only has to cut the residual of ``P u = f(u)`` by
+:data:`~paneitzlab.operator.FORCING` (Dembo, Eisenstat & Steihaug, SIAM J.
+Numer. Anal. 19, 1982), since the flow's own stopping test measures that
+residual afresh.  The monotone solve's Newton steps share the constant, as
+the cap of a forcing term that shrinks with the residual.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import SolverError
 from .geometry import ScalarField
-from .operator import PaneitzOperator
+from .operator import FORCING, PaneitzOperator
 from .problems import (
     ProblemSpec,
     SolverReport,
@@ -29,10 +31,6 @@ from .problems import (
 )
 
 __all__ = ["FlowSample", "parabolic_flow"]
-
-# each step's conjugate gradients stop once the residual of P u = f(u) they
-# start from is cut by this factor
-FORCING = 1e-2
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from scipy.optimize import minimize_scalar
 
 from .errors import BracketError, CoercivityError, ConvergenceError
 from .geometry import ScalarField
-from .operator import PaneitzOperator, backtrack
+from .operator import FORCING, PaneitzOperator, backtrack
 from .problems import (
     ABSORPTION,
     SOURCE,
@@ -118,7 +118,17 @@ def _monotone_iterate(op, prob, start_vals, lower_vals, upper_vals,
     ``d = max(-f'(u), 0)`` (the clip acts only in source mode), and is halved
     by :func:`~paneitzlab.operator.backtrack` until the iterate is positive
     and between the bounds up to the order slack; a refused solve, or no
-    admissible halving, raises ConvergenceError naming the step.  Returns
+    admissible halving, raises ConvergenceError naming the step.
+
+    The steps are inexact Newton (Dembo, Eisenstat & Steihaug, SIAM J.
+    Numer. Anal. 19, 1982; Eisenstat & Walker, SIAM J. Sci. Comput. 17,
+    1996): CG stops at relative residual ``max(1e-12, min(FORCING,
+    (r / r0)^2))``, with ``r`` the sup residual of the step's right side
+    and ``r0`` the one at ``start_vals``.  Squared, because an exact step
+    from an iterate with error e overshoots by O(e^2) and an eta-accurate
+    one adds O(eta e); with eta ~ (r / r0)^2 ~ e^2 that addition is O(e^3),
+    below the overshoot, so the steps keep the ordering exact Newton has.
+    The stopping rule measures ``r`` afresh, so it is unchanged.  Returns
     ``(u, residual, steps, shift, info, monotone_ok)``: ``shift`` is the
     last ``max d``; ``info`` holds ``order_certified`` (``comparison_floor``
     at the largest ``max d``) and ``newton_steps`` (= ``steps``);
@@ -138,15 +148,17 @@ def _monotone_iterate(op, prob, start_vals, lower_vals, upper_vals,
     # both the stop test's residual and the next Newton right side
     u = start_vals
     F = reaction(prob, u) - op.apply_values(u)
-    resid = float(np.abs(F).max())
+    resid = resid0 = float(np.abs(F).max())
     step = np.inf
     top = 0.0
     monotone_ok = True
     for it in range(1, maxiter + 1):
         d = np.maximum(-reaction_derivative(prob, u), 0.0)
+        # F = 0 (a start at the solution) solves exactly at any tolerance
+        tol = max(1e-12, min(FORCING, (resid / resid0) ** 2)) if resid0 else 1e-12
         # passed on unnamed: no step array outlives backtrack into the next solve
         try:
-            found = backtrack(u, op.solve_shifted(d, F), admissible)
+            found = backtrack(u, op.solve_shifted(d, F, tol=tol), admissible)
         except (CoercivityError, ConvergenceError) as exc:
             raise ConvergenceError(
                 f"Newton step {it}: the linear solve failed ({exc})", residual=resid
@@ -181,8 +193,10 @@ def monotone_solve(op: PaneitzOperator, prob: ProblemSpec, bracket: Bracket,
     """Damped Newton solve inside a sub/supersolution bracket.
 
     Starts from the subsolution (``start='sub'``) or the supersolution
-    (``start='super'``).  Each step is a Newton-CG step with the pointwise
-    shift ``d = max(-f'(u), 0)``, halved until the iterate is positive and
+    (``start='super'``).  Each step is an inexact Newton-CG step with the
+    pointwise shift ``d = max(-f'(u), 0)``, its CG stopped at the forcing
+    term ``max(1e-12, min(FORCING, (r / r0)^2))`` of the residual ``r``
+    (``r0`` at the start), halved until the iterate is positive and
     inside the bracket (:func:`_monotone_iterate`; ConvergenceError on a
     refused solve, no admissible halving or ``maxiter`` steps).  Stops once
     the sup-norm step is below ``tol_step`` and the residual below the
@@ -238,7 +252,8 @@ def epsilon_continuation(op: PaneitzOperator, prob: ProblemSpec,
     """Continuation B -> B + eps for absorption problems with B >= 0.
 
     Each schedule entry is solved as in :func:`monotone_solve`, starting from
-    the previous solution; since shrinking eps raises the right side, the
+    the previous solution, with its forcing term measured from the residual
+    there; since shrinking eps raises the right side, the
     previous solution is a subsolution of the next problem and the solutions
     are pointwise nondecreasing along the schedule.  The schedule must be
     nonincreasing and nonnegative; a trailing 0 entry finishes with an exact

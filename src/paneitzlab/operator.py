@@ -25,6 +25,12 @@ from .geometry import GeometryParams, ScalarField, SpectralGrid, gradient_square
 
 __all__ = ["PaneitzOperator", "backtrack", "build_operator", "newton"]
 
+# forcing term of inexact outer iterations (Dembo, Eisenstat & Steihaug, SIAM
+# J. Numer. Anal. 19, 1982): the largest factor by which a step's conjugate
+# gradients must cut the residual they start from, shared by the flow and the
+# monotone solve
+FORCING = 1e-2
+
 
 class PaneitzOperator:
     """Immutable handle for the discretized operator.

@@ -1,9 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import paneitzlab as pl
+from paneitzlab.cli import parse_config, run
 from paneitzlab.monotone import ORDER_SLACK, _scale_search
+from paneitzlab.operator import FORCING
 from paneitzlab.problems import reaction, reaction_derivative
 
 from _oracles import (
@@ -267,6 +271,67 @@ class TestNewtonSteps:
             ndims.clear()
             rep = pl.monotone_solve(ref_op, ref_prob, br, start=start)
             assert ndims == [1] * rep.iterations, start
+
+    def test_each_step_solves_to_the_forcing_term(self, ref_params, ref_op, ref_prob,
+                                                  monkeypatch):
+        # step k's conjugate gradients stop at max(1e-12, min(FORCING,
+        # (r_k / r_0)^2)) relative to its right side, whose sup norm is the
+        # residual r_k; r_0 is the residual where the solve, or the
+        # continuation entry, starts
+        solves = []
+        solve = pl.PaneitzOperator.solve_shifted
+
+        def recorded(self, lam, rhs, *args, **kwargs):
+            solves.append((float(np.abs(rhs).max()), kwargs.get("tol")))
+            return solve(self, lam, rhs, *args, **kwargs)
+
+        def forced(entry):
+            r0 = entry[0][0]
+            return [max(1e-12, min(FORCING, (r / r0) ** 2)) for r, _ in entry]
+
+        monkeypatch.setattr(pl.PaneitzOperator, "solve_shifted", recorded)
+        op = sin_psi_operator(ref_params, 32, 1.0)
+        prob = random_absorption_fixture(op.grid, np.random.default_rng(3))
+        br = pl.find_sub_super(op, prob)
+        for start in ("sub", "super"):
+            solves.clear()
+            rep = pl.monotone_solve(op, prob, br, start=start)
+            assert len(solves) == rep.iterations >= 4, start
+            assert [tol for _, tol in solves] == forced(solves), start
+            assert solves[0][1] == FORCING and solves[-1][1] < 1e-6, start
+        solves.clear()
+        rep = pl.epsilon_continuation(op, prob, [1.0, 0.1, 0.0])
+        for entry in rep.eps_trace:
+            steps, solves[:entry["newton_steps"]] = solves[:entry["newton_steps"]], []
+            assert [tol for _, tol in steps] == forced(steps)
+        assert solves == []
+        # the constant problem's first entry ends at residual 0, where the
+        # second starts: its one step solves the zero right side at 1e-12
+        rep = pl.epsilon_continuation(ref_op, ref_prob, [0.0, 0.0])
+        assert [e["residual"] for e in rep.eps_trace] == [0.0, 0.0]
+        assert solves[-1] == (0.0, 1e-12)
+
+    def test_inexact_steps_spare_preconditioner_applications(self, tmp_path,
+                                                             monkeypatch):
+        # the 3-D console-script smoke config, whose W = b_n (Q - |grad psi|^2)
+        # changes sign: 34 preconditioner applications with forced steps, 45
+        # with every Newton step solved to 1e-12
+        applied = []
+        preconditioner = pl.PaneitzOperator._preconditioner
+
+        def counted(self, lam):
+            pinv, c = preconditioner(self, lam)
+            return (lambda r: applied.append(1) or pinv(r)), c
+
+        monkeypatch.setattr(pl.PaneitzOperator, "_preconditioner", counted)
+        lengths = ",".join([repr(TWO_PI)] * 3)
+        config = parse_config(
+            f"action = solve\nsizes = 16,16,16\nlengths = {lengths}\n"
+            "psi = mode\npsi_mode = 1,1,1\npsi_amplitude = 3\n")
+        assert run(config, out_dir=tmp_path).exit_code == 0
+        s = json.loads((tmp_path / "report.json").read_text())["solver"]
+        assert s["converged"] and s["monotone_ok"] is True and s["iterations"] <= 20
+        assert len(applied) <= 40
 
     def test_refused_solve_names_the_step(self, ref_op, ref_prob, monkeypatch):
         def refused(self, lam, rhs, *args, **kwargs):

@@ -94,12 +94,17 @@ class TestMountainPass:
     def test_monitor_skipped_where_the_inverse_image_does_not_solve(
             self, mp_op, mp_problem, mp_sobolev, monkeypatch):
         # conjugate gradients refusing P drops the inverse-image monitor and
-        # nothing else
+        # nothing else.  The refusal goes into the session operator's own
+        # dict, whose undo deletes the key again: setattr would restore a
+        # bound method there, which later class-level patches never reach
         def refused(*args, **kwargs):
             raise pl.CoercivityError("nonpositive curvature")
 
-        monkeypatch.setattr(mp_op, "solve_shifted", refused)
-        rep = pl.mountain_pass_solve(mp_op, mp_problem, S_psi=mp_sobolev, max_sweeps=0)
+        with monkeypatch.context() as m:
+            m.setitem(vars(mp_op), "solve_shifted", refused)
+            rep = pl.mountain_pass_solve(mp_op, mp_problem, S_psi=mp_sobolev,
+                                         max_sweeps=0)
+        assert "solve_shifted" not in vars(mp_op)
         assert rep.eps_trace
         assert not any({"green_ok", "green_lower_bound"} & set(e) for e in rep.eps_trace)
 
