@@ -12,6 +12,7 @@ from __future__ import annotations
 from functools import partial
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     CoercivityError,
@@ -91,6 +92,32 @@ def _reparametrize(op, nodes, pnodes):
     return out, op.apply_values(out)
 
 
+def _dense_solver(P):
+    """``solve(fp, rhs)`` for ``(P - diag fp) x = rhs`` by LU on a buffer of its own.
+
+    Each call copies ``P`` into the solver's one working matrix ``J``,
+    subtracts ``fp`` on its diagonal and factors ``J`` in place
+    (``getrf``; Anderson et al., *LAPACK Users' Guide*, 3rd ed., SIAM 1999),
+    so a solve holds no matrix beyond ``P`` and ``J``.  ``P`` is only read,
+    so threads sharing a cached ``P`` each build a solver of their own.
+    ``J`` is symmetric, so its transpose, a Fortran-ordered view of the same
+    buffer, is ``J`` itself and is factored without a copy.  An exactly
+    singular ``J`` raises LinAlgError; a reciprocal condition number below
+    machine epsilon warns ``scipy.linalg.LinAlgWarning`` (a RuntimeWarning).
+    The solution has the shape of ``rhs``.
+    """
+    J = np.empty_like(P)
+    diag = J.reshape(-1)[::len(J) + 1]
+
+    def solve(fp, rhs):
+        np.copyto(J, P)
+        np.subtract(diag, fp.ravel(), out=diag)
+        return scipy.linalg.solve(J.T, rhs.ravel(), assume_a="gen", overwrite_a=True,
+                                  check_finite=False).reshape(rhs.shape)
+
+    return solve
+
+
 def _auto_eps0(op, prob, rim):
     """Regularization making the smoothed singular term at zero half the rim."""
     intA = op.grid.integrate(prob.A.values)
@@ -137,10 +164,15 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
     geometric decades from eps0 down, finishing at exactly zero) with Newton
     warm starts; each Newton run and the final residual test stop at their
     tolerance or the round-off floor of ``P u`` (then flagged
-    ``residual_floor``), else ConvergenceError.  Two a-priori bounds are
-    monitored: the smoothed singular integral stays bounded, and the field
-    dominates the inverse image of its own power term (inverse positivity
-    keeps it from collapsing at the bottom).  A vanishing minimum aborts.
+    ``residual_floor``), else ConvergenceError.  Newton's linear solve is
+    dense up to ``MAX_DENSE`` grid points and matrix-free MINRES above: a
+    dense step copies the cached ``P`` into the solve's one working matrix
+    and factors it in place (:func:`_dense_solver`), so the polish holds two
+    matrices, and an ill-conditioned Jacobian warns ``LinAlgWarning``.  Two
+    a-priori bounds are monitored: the smoothed singular integral stays
+    bounded, and the field dominates the inverse image of its own power term
+    (inverse positivity keeps it from collapsing at the bottom).  A vanishing
+    minimum aborts.
 
     The solver evaluates no existence certificate: the paper's energy-norm
     condition is sufficient for this geometry, which is checked directly (a
@@ -295,13 +327,7 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
     uscale = max(float(np.abs(u).max()), 1.0)
     lichnerowicz = abs((p - 1.0) - (q + 1.0)) <= 1e-12
     # Newton's linear solve: dense on small grids, matrix-free MINRES above
-    solve = None
-    if grid.npoints <= op.MAX_DENSE:
-        P = op.dense_matrix()
-
-        def solve(fp, rhs):
-            J = P - np.diag(fp.ravel())
-            return np.linalg.solve(J, rhs.ravel()).reshape(grid.shape)
+    solve = _dense_solver(op.dense_matrix()) if grid.npoints <= op.MAX_DENSE else None
 
     for eps in eps_schedule:
         target = max(1e-3 * tol_residual, 1e-9 * uscale)

@@ -270,7 +270,13 @@ class PaneitzOperator:
     # -- dense assembly (oracles, Newton on small grids) ----------------------
 
     def dense_matrix(self) -> np.ndarray:
-        """Assemble the operator as a dense symmetric matrix (small grids only)."""
+        """Assemble the operator as a dense symmetric matrix (small grids only).
+
+        ``P`` is applied to one stack of unit fields per index of the first
+        axis, and the rows are symmetrized in place, so assembly peaks at
+        about two matrices (the rows and a copy of their transpose).  The
+        matrix is cached and shared, so it is read-only.
+        """
         npts = self.grid.npoints
         if npts > self.MAX_DENSE:
             raise PaneitzLabError(
@@ -279,14 +285,19 @@ class PaneitzOperator:
         # threads that share the operator (the sweep's cells) build it once
         with self._dense_lock:
             if self._dense is None:
-                eye = np.eye(npts).reshape((npts,) + self.grid.shape)
+                block = npts // self.grid.shape[0]
                 rows = np.empty((npts, npts))
                 # P applied to a stack of unit fields at a time; a stacked FFT
                 # gives the bits of one field's
-                block = npts // self.grid.shape[0]
                 for j in range(0, npts, block):
-                    rows[j:j + block] = self.apply_values(eye[j:j + block]).reshape(block, npts)
-                self._dense = 0.5 * (rows.T + rows)
+                    units = np.eye(block, npts, k=j).reshape((block,) + self.grid.shape)
+                    rows[j:j + block] = self.apply_values(units).reshape(block, npts)
+                # the bits of 0.5 * (rows.T + rows); a C-ordered copy of the
+                # transpose spares numpy's buffered overlap copy
+                rows += rows.T.copy()
+                rows *= 0.5
+                rows.flags.writeable = False
+                self._dense = rows
         return self._dense
 
 

@@ -1,17 +1,23 @@
 """Code verification by a manufactured solution: choose u*, set the singular
-coefficient so that u* solves the absorption problem, and measure the true
-error of the monotone solve (Roache, J. Fluids Eng. 124, 2002).
+coefficient so that u* solves the problem, and measure the true error of the
+monotone solve and of the minimax Newton polish (Roache, J. Fluids Eng. 124,
+2002).
 
-With psi = 0, R = 20, p = 3, q = 2 and B = 2, the field
+With psi = 0, R = 20, p = 3 and q = 2, the field
 u* = 1 + 0.3 cos x + 0.05 sum_{i >= 2} sin x_i cos x is a trigonometric
-polynomial, so P u* is exact to round-off and u* solves P u = A/u^3 - B u^2
-with A = u*^3 (P u* + B u*^2), which is positive.
+polynomial, so P u* is exact to round-off.  It solves the absorption problem
+P u = A/u^3 - B u^2 with A = u*^3 (P u* + B u*^2) and B = 2, and the source
+problem P u = A/u^3 + B u^2 with A = u*^3 (P u* - B u*^2) and B = 0.05; both
+coefficients are checked positive.
 """
 
 import numpy as np
 import pytest
 
 import paneitzlab as pl
+from paneitzlab import mountain_pass
+from paneitzlab.operator import newton
+from paneitzlab.problems import smoothed_reaction, smoothed_reaction_derivative
 
 TWO_PI = 2.0 * np.pi
 P_EXP, Q_EXP, B_CONST = 3.0, 2.0, 2.0
@@ -21,15 +27,16 @@ MAXITER = 50
 MAX_STEPS = 12
 
 
-def manufactured(ref_params, sizes):
+def manufactured(ref_params, sizes, b=B_CONST, mode="absorption"):
     grid = pl.SpectralGrid(sizes, (TWO_PI,) * len(sizes))
     op = pl.build_operator(ref_params, grid)
     x, *rest = grid.meshgrid()
     ustar = 1.0 + 0.3 * np.cos(x) + 0.05 * sum(np.sin(y) for y in rest) * np.cos(x)
-    A = ustar**P_EXP * (op.apply_values(ustar) + B_CONST * ustar**Q_EXP)
+    sign = 1.0 if mode == "absorption" else -1.0
+    A = ustar**P_EXP * (op.apply_values(ustar) + sign * b * ustar**Q_EXP)
     assert A.min() > 0.0
     prob = pl.ProblemSpec(pl.ScalarField(grid, A),
-                          pl.ScalarField.constant(grid, B_CONST), P_EXP, Q_EXP)
+                          pl.ScalarField.constant(grid, b), P_EXP, Q_EXP, mode=mode)
     return op, prob, ustar
 
 
@@ -53,3 +60,38 @@ def test_continuation_recovers_the_solution(ref_params):
     assert rep.converged
     assert all(e["newton_steps"] <= MAX_STEPS for e in rep.eps_trace)
     assert relative_error(rep.u.values, ustar) <= 1e-14
+
+
+class _Polish(Exception):
+    """Raised by the stand-in for ``newton`` once it holds the linear solve."""
+
+
+def polish_solve(op, prob, monkeypatch):
+    """The linear solve ``mountain_pass_solve`` hands its Newton polish."""
+    held = []
+
+    def hold(*args, solve=None, **kwargs):
+        held.append(solve)
+        raise _Polish
+
+    with monkeypatch.context() as m:
+        m.setattr(mountain_pass, "newton", hold)
+        with pytest.raises(_Polish):
+            pl.mountain_pass_solve(op, prob, S_psi=pl.sobolev_constant(op), max_sweeps=0)
+    return held[0]
+
+
+@pytest.mark.parametrize("sizes", [(64,), (1024,), (32, 32)], ids=["64", "1024", "32^2"])
+def test_minimax_polish_recovers_the_solution(ref_params, sizes, monkeypatch):
+    op, prob, ustar = manufactured(ref_params, sizes, b=0.05, mode="source")
+    assert op.grid.npoints <= op.MAX_DENSE
+    solve = polish_solve(op, prob, monkeypatch)
+    assert solve is not None  # the dense solve, not MINRES
+    x = op.grid.meshgrid()[0]
+    u0 = ustar * (1.0 + 1e-3 * np.cos(2.0 * x))
+    u, _, steps, stop = newton(
+        op, lambda v: smoothed_reaction(prob, v, 0.0),
+        lambda v: smoothed_reaction_derivative(prob, v, 0.0), u0, op.apply_values(u0),
+        lambda v, pv, r: relative_error(v, ustar) <= 1e-11, 4, solve=solve)
+    assert stop == "done"
+    assert steps <= 4

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import paneitzlab as pl
 from paneitzlab import mountain_pass
 from paneitzlab.mountain_pass import REPARAM_EVERY, _energy_values, _path_max
-from paneitzlab.operator import backtrack
+from paneitzlab.operator import backtrack, newton
 from paneitzlab.problems import smoothed_reaction
 
 from _oracles import scalar_source_roots, sequential_halving
@@ -136,6 +138,102 @@ class TestMountainPass:
         prob = constant_problem(ref_grid, mode="absorption")
         with pytest.raises(ValueError):
             pl.mountain_pass_solve(mp_op, prob)
+
+
+def _traced_peak(fn):
+    """``fn()`` and the traced peak it allocated beyond what was live before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestDenseSolver:
+    """``_dense_solver``: Newton's linear solve on grids up to ``MAX_DENSE``,
+    and the memory of the dense path, in units of one matrix; the operator is
+    the stiff 16^2 one at R = 20."""
+
+    @pytest.fixture(scope="class")
+    def dense16(self, ref_params):
+        op = _stiff_source_16(ref_params)[0]
+        rng = np.random.default_rng(16)
+        fps = [0.5 * rng.random(op.grid.shape), -rng.random(op.grid.shape)]
+        return op.dense_matrix(), fps, rng.standard_normal(op.grid.shape)
+
+    def test_matches_solve_of_the_formed_jacobian(self, dense16):
+        P, fps, rhs = dense16
+        solve = mountain_pass._dense_solver(P)
+        for fp in fps:
+            want = np.linalg.solve(P - np.diag(fp.ravel()), rhs.ravel()).reshape(rhs.shape)
+            got = solve(fp, rhs)
+            assert got.shape == rhs.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_threads_leave_the_cached_matrix_unchanged(self, ref_params):
+        # more threads than cores, switching often: a solve that wrote to the
+        # shared P would change the others' answers
+        import sys
+        import threading
+
+        op = _stiff_source_16(ref_params)[0]
+        P = op.dense_matrix()
+        before = P.copy()
+        rng = np.random.default_rng(2)
+        fps = [0.5 * rng.random(op.grid.shape) for _ in range(4)]
+        rhs = rng.standard_normal(op.grid.shape)
+        alone = [mountain_pass._dense_solver(P)(fp, rhs) for fp in fps]
+        barrier = threading.Barrier(len(fps))
+        out = [None] * len(fps)
+
+        def run(k):
+            solve = mountain_pass._dense_solver(op.dense_matrix())
+            barrier.wait()
+            out[k] = [solve(fps[k], rhs) for _ in range(5)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(len(fps))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert op.dense_matrix() is P
+        assert np.array_equal(P, before)
+        # concurrent LAPACK calls may split the work differently
+        for k in range(len(fps)):
+            scale = np.abs(alone[k]).max()
+            assert all(np.abs(x - alone[k]).max() <= 1e-12 * scale for x in out[k])
+
+    def test_assembly_peaks_at_two_matrices(self, ref_params):
+        # the identity, the rows and their symmetrized copy read 3.1 here
+        op = _stiff_source_16(ref_params)[0]
+        op.apply_values(np.zeros(op.grid.shape))  # FFT set-up outside the trace
+        P, peak = _traced_peak(op.dense_matrix)
+        assert peak <= 2.2 * P.nbytes
+
+    def test_solve_holds_one_matrix_beyond_p(self, dense16):
+        # forming diag f' and P - diag f' reads 2.0 here
+        P, fps, rhs = dense16
+        _, peak = _traced_peak(lambda: mountain_pass._dense_solver(P)(fps[0], rhs))
+        assert peak <= 1.2 * P.nbytes
+
+    def test_singular_jacobian_stops_newton(self, mp_op):
+        # P = diag d and f' = d make P - diag f' the zero matrix
+        d = 1.0 + np.arange(mp_op.grid.npoints, dtype=float)
+        u = np.ones(mp_op.grid.shape)
+        _, resid, steps, stop = newton(
+            mp_op, lambda v: 2.0 * v, lambda v: d.reshape(v.shape), u,
+            mp_op.apply_values(u), lambda v, pv, r: False, 10,
+            solve=mountain_pass._dense_solver(np.diag(d)))
+        assert (stop, steps) == ("solve-failed", 0)
+        assert resid > 0.0
 
 
 class TestStackedPath:
