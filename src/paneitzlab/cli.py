@@ -203,7 +203,7 @@ def _convert(kind: str, raw: str):
     return raw
 
 
-def _parse_value(key: str, raw: str, line: int | None):
+def _parse_value(key: str, raw: str, line: int):
     """Parse one value and check every number it holds against ``_BOUNDS``."""
     try:
         value = _convert(_SCHEMA[key][0], raw.strip())
@@ -598,18 +598,10 @@ def _write_error(writer: _Writer, exc: Exception) -> None:
     writer.json("error.json", {"error": type(exc).__name__, "message": str(exc)})
 
 
-def run(config: ExperimentConfig, out_dir: str | Path | None = None,
-        workers: int | str | None = None) -> RunManifest:
-    """Execute the configured action and write all artifacts plus a manifest.
-
-    ``workers`` overrides the config's key and is checked as its value is: a
-    bad one raises ConfigError before anything is written.
-    """
+def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> RunManifest:
+    """Execute the configured action and write all artifacts plus a manifest."""
     started = time.monotonic()
-    values = dict(config.values)
-    if workers is not None:
-        values["workers"] = _parse_value("workers", str(workers), None)
-    config = ExperimentConfig(values=values, echo=config.echo, base_dir=config.base_dir)
+    values = config.values
     out = Path(out_dir) if out_dir is not None else Path(values["out"])
     writer = _Writer(out)
     exit_code = 0
@@ -647,30 +639,23 @@ def main(argv=None) -> int:
     )
     parser.add_argument("config", help="path to a key = value config file")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument("--workers", default=None, help="sweep worker count")
     args = parser.parse_args(argv)
 
     out = args.out or os.environ.get("PANEITZLAB_OUT")
-    workers = args.workers or os.environ.get("PANEITZLAB_WORKERS") or None
 
     try:
         text = Path(args.config).read_text()
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
-    config = None
     try:
         config = parse_config(text, base_dir=Path(args.config).resolve().parent)
-        # run() checks the worker count before it writes anything
-        manifest = run(config, out_dir=out, workers=workers)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        # a bad worker count is found after the config parsed, so its out
-        # key holds
-        if not out:
-            out = config.values["out"] if config is not None else _SCHEMA["out"][1]
-        _write_error(_Writer(Path(out)), exc)
+        # the config did not parse, so its out key is unknown
+        _write_error(_Writer(Path(out or _SCHEMA["out"][1])), exc)
         return 2
+    manifest = run(config, out_dir=out)
     print(f"paneitz-lab: action={manifest.action} exit={manifest.exit_code} "
           f"artifacts={len(manifest.artifacts)} ({manifest.timing_seconds:.2f}s)")
     return manifest.exit_code

@@ -129,11 +129,9 @@ def _monotone_iterate(op, prob, start_vals, lower_vals, upper_vals,
     one adds O(eta e); with eta ~ (r / r0)^2 ~ e^2 that addition is O(e^3),
     below the overshoot, so the steps keep the ordering exact Newton has.
     The stopping rule measures ``r`` afresh, so it is unchanged.  Returns
-    ``(u, residual, steps, shift, info, monotone_ok)``: ``shift`` is the
-    last ``max d``; ``info`` holds ``order_certified`` (``comparison_floor``
-    at the largest ``max d``) and ``newton_steps`` (= ``steps``);
-    ``monotone_ok`` says whether every step moved in ``direction`` (+1 up
-    from a subsolution, -1 down from a supersolution).
+    ``(u, residual, steps, monotone_ok)``: ``monotone_ok`` says whether
+    every step moved in ``direction`` (+1 up from a subsolution, -1 down
+    from a supersolution).
     """
     scale = max(float(np.abs(upper_vals).max()), 1.0)
     slack = ORDER_SLACK * scale
@@ -150,7 +148,6 @@ def _monotone_iterate(op, prob, start_vals, lower_vals, upper_vals,
     F = reaction(prob, u) - op.apply_values(u)
     resid = resid0 = float(np.abs(F).max())
     step = np.inf
-    top = 0.0
     monotone_ok = True
     for it in range(1, maxiter + 1):
         d = np.maximum(-reaction_derivative(prob, u), 0.0)
@@ -171,15 +168,12 @@ def _monotone_iterate(op, prob, start_vals, lower_vals, upper_vals,
         unew = found[0]
         rise = float((unew - u if direction > 0 else u - unew).min())
         monotone_ok = monotone_ok and rise >= -slack
-        shift = float(d.max())
-        top = max(top, shift)
         step = float(np.abs(unew - u).max())
         u = unew
         F = reaction(prob, u) - op.apply_values(u)
         resid = float(np.abs(F).max())
         if step <= tol_step and resid <= max(tol_residual, op.roundoff_floor(u)):
-            info = {"order_certified": op.comparison_floor(top)[0], "newton_steps": it}
-            return u, resid, it, shift, info, monotone_ok
+            return u, resid, it, monotone_ok
     raise ConvergenceError(
         f"monotone iteration stalled after {maxiter} steps "
         f"(step {step:.3e}, residual {resid:.3e})",
@@ -209,12 +203,10 @@ def monotone_solve(op: PaneitzOperator, prob: ProblemSpec, bracket: Bracket,
     then the limit of the monotone iteration, from either end.  When
     lambda_1 <= 0 the claim is only a solution inside the bracket.
 
-    ``iterations`` (and ``extras["newton_steps"]``) counts the steps, ``shift``
-    is the last ``max d``, and ``monotone_ok`` says whether every step moved
-    away from the starting end (Newton may overshoot by O(error^2)).
-    ``extras["order_certified"]``: :meth:`PaneitzOperator.comparison_floor`
-    proves ``(P + shift)^{-1} >= 0`` at the largest ``max d``.  An invalid
-    bracket (:func:`verify_bracket`) raises BracketError.
+    ``iterations`` counts the steps and ``monotone_ok`` says whether every
+    step moved away from the starting end (Newton may overshoot by
+    O(error^2)).  An invalid bracket (:func:`verify_bracket`) raises
+    BracketError.
     """
     prob.validate_exponents(op.params)
     scale = max(prob.A.max(), abs(op.params.beta), 1.0)
@@ -227,7 +219,7 @@ def monotone_solve(op: PaneitzOperator, prob: ProblemSpec, bracket: Bracket,
     upper = bracket.upper.values
     start_vals = lower if start == "sub" else upper
     direction = +1 if start == "sub" else -1
-    u, resid, its, shift, info, monotone_ok = _monotone_iterate(
+    u, resid, its, monotone_ok = _monotone_iterate(
         op, prob, start_vals, lower, upper, direction,
         tol_step, tol_residual, maxiter,
     )
@@ -238,10 +230,8 @@ def monotone_solve(op: PaneitzOperator, prob: ProblemSpec, bracket: Bracket,
         converged=True,
         method=f"monotone-{start}",
         monotone_ok=monotone_ok,
-        confined_ok=True,
         bracket=bracket,
-        shift=shift,
-        extras={**info, **floor_flag(op, u, resid, tol_residual)},
+        extras=floor_flag(op, u, resid, tol_residual),
     )
 
 
@@ -261,11 +251,10 @@ def epsilon_continuation(op: PaneitzOperator, prob: ProblemSpec,
 
     The report's solution is the last entry's; its ``monotone_ok`` holds when
     every step of every entry moved upward.  Each trace entry carries its
-    ``order_certified`` and ``newton_steps`` (see :func:`monotone_solve`),
-    and the extras record the sup-norm Cauchy differences, the cross-entry
-    monotonicity flag, and the uniform lower bound observed.  A collapsing
-    lower bound is reported as a non-converged result with diagnostics
-    rather than raised.
+    step count ``newton_steps``, and the extras record the sup-norm Cauchy
+    differences, the cross-entry monotonicity flag, and the uniform lower
+    bound observed.  A collapsing lower bound is reported as a non-converged
+    result with diagnostics rather than raised.
     """
     if prob.mode != ABSORPTION:
         raise ValueError("continuation applies to the absorption mode")
@@ -292,7 +281,7 @@ def epsilon_continuation(op: PaneitzOperator, prob: ProblemSpec,
         start = bracket.lower.values if prev is None else prev
         lower = np.minimum(start, bracket.lower.values)
         upper = np.maximum(start, bracket.upper.values)
-        u, resid, its, shift, info, entry_monotone_ok = _monotone_iterate(
+        u, resid, its, entry_monotone_ok = _monotone_iterate(
             op, prob_eps, start, lower, upper, +1,
             tol_step, tol_residual, maxiter,
         )
@@ -303,7 +292,7 @@ def epsilon_continuation(op: PaneitzOperator, prob: ProblemSpec,
                 eps_monotone_ok = False
         lower_bound = min(lower_bound, float(u.min()))
         trace.append({"eps": eps, "min_u": float(u.min()), "residual": resid,
-                      **info, **floor_flag(op, u, resid, tol_residual)})
+                      "newton_steps": its, **floor_flag(op, u, resid, tol_residual)})
         prev = u
 
     cauchy_ok = all(b <= a * 1.5 + 1e-14 for a, b in zip(diffs, diffs[1:]))
@@ -312,8 +301,7 @@ def epsilon_continuation(op: PaneitzOperator, prob: ProblemSpec,
     report = SolverReport(
         u=ScalarField(op.grid, u), residual=resid, iterations=its,
         converged=not degenerate, method="epsilon-continuation",
-        monotone_ok=steps_monotone_ok, confined_ok=True, bracket=bracket,
-        shift=shift, eps_trace=trace,
+        monotone_ok=steps_monotone_ok, bracket=bracket, eps_trace=trace,
         extras={
             "cauchy_diffs": diffs,
             "cauchy_ok": bool(cauchy_ok),

@@ -168,11 +168,11 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
     dense up to ``MAX_DENSE`` grid points and matrix-free MINRES above: a
     dense step copies the cached ``P`` into the solve's one working matrix
     and factors it in place (:func:`_dense_solver`), so the polish holds two
-    matrices, and an ill-conditioned Jacobian warns ``LinAlgWarning``.  Two
-    a-priori bounds are monitored: the smoothed singular integral stays
-    bounded, and the field dominates the inverse image of its own power term
-    (inverse positivity keeps it from collapsing at the bottom).  A vanishing
-    minimum aborts.
+    matrices, and an ill-conditioned Jacobian warns ``LinAlgWarning``.  Each
+    schedule entry records its smoothed singular integral and whether the
+    field dominates the inverse image of its own power term (inverse
+    positivity keeps it from collapsing at the bottom).  A vanishing minimum
+    aborts.
 
     The solver evaluates no existence certificate: the paper's energy-norm
     condition is sufficient for this geometry, which is checked directly (a
@@ -373,9 +373,6 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
                 normB * (nu / np.sqrt(S_psi)) ** (q + 1.0)
             )
 
-    sing0 = [t["singular_integral"] for t in trace]
-    sing_bounded = max(sing0) <= 100.0 * max(sing0[0], 1e-300) + 1e-12
-
     final = ScalarField(grid, u)
     resid_final = residual_sup(op, prob, u)
     report = SolverReport(
@@ -401,7 +398,6 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
             "path_sweeps": sweeps,
             "path_stop": path_stop,
             "pass_level_in_bracket": bool(rim < c_eps < energy_at_r0),
-            "singular_integral_bounded": bool(sing_bounded),
             "lichnerowicz_exponents": bool(lichnerowicz),
             **floor_flag(op, u, resid_final, tol_residual),
         },
@@ -422,11 +418,11 @@ def second_solution_attempt(op: PaneitzOperator, prob: ProblemSpec,
 
     Solutions of the perturbed problems sub/supersolve the original one, so a
     damped Newton solve between them (as in
-    :func:`~paneitzlab.monotone.monotone_solve`; the report carries its
-    ``monotone_ok``, the extras its ``order_certified`` and ``newton_steps``)
-    lands on another solution.  Whether the
-    limit differs from ``u_B`` by more than 1e-4 in sup norm is recorded as
-    a distinctness flag (no topological multiplicity argument is attempted).
+    :func:`~paneitzlab.monotone.monotone_solve`, whose ``iterations`` and
+    ``monotone_ok`` the report carries) lands on another solution.  Whether
+    the limit differs from ``u_B`` by more than 1e-4 in sup norm is recorded
+    as a distinctness flag (no topological multiplicity argument is
+    attempted).
     Saddle-type solutions need not be ordered in the coefficient; a violated
     ordering is reported in the extras and the iteration falls back to
     descending from the supersolution alone.  The iteration stops at residual
@@ -475,7 +471,7 @@ def second_solution_attempt(op: PaneitzOperator, prob: ProblemSpec,
             return None
         start, lower, direction = u_hi, np.full(grid.shape, s1), -1
     try:
-        u, resid, its, shift, info, monotone_ok = _monotone_iterate(
+        u, resid, its, monotone_ok = _monotone_iterate(
             op, prob, start, lower, u_hi, direction, 1e-10, 1e-6, 100,
         )
     except SolverError:
@@ -489,14 +485,11 @@ def second_solution_attempt(op: PaneitzOperator, prob: ProblemSpec,
         converged=True,
         method="second-solution",
         monotone_ok=monotone_ok,
-        confined_ok=True,
-        shift=shift,
         extras={
             "distinct": distinct,
             "ordering_ok": ordering_ok,
             "perturbation": eps_pert,
             "gap_to_first": float(np.abs(u - u_B.values).max()),
-            **info,
             **floor_flag(op, u, resid, 1e-6),
         },
     )

@@ -86,16 +86,16 @@ class PaneitzOperator:
         self._check_grid(u)
         return self.grid.inner(u.values, self.apply_values(u.values))
 
-    def comparison_floor(self, lam: float = 0.0) -> tuple[bool, float]:
+    def comparison_floor(self) -> tuple[bool, float]:
         """``(ok, min G0 / max G0)`` for the kernel ``G0`` of the comparison
-        operator ``sigma + max W + lam``, one inverse FFT.
+        operator ``sigma + max W``, one inverse FFT.
 
         ``ok`` when the ratio clears the FFT round-off ``4 eps log2 N``; with
-        ``P + lam`` positive definite, ``(P + lam)^{-1} >= G0 >= 0`` then
-        (see :func:`~paneitzlab.spectral_analysis.positivity_check`).  The
-        ratio is ``-inf`` when ``max W + lam <= 0``: there is no such operator.
+        ``P`` positive definite, ``P^{-1} >= G0 >= 0`` then (see
+        :func:`~paneitzlab.spectral_analysis.positivity_check`).  The ratio
+        is ``-inf`` when ``max W <= 0``: there is no such operator.
         """
-        c = float(self.W.max()) + lam
+        c = float(self.W.max())
         if c <= 0.0:
             return False, float("-inf")
         G0 = self.grid.irfft(1.0 / (self._sigma_half + c))

@@ -182,9 +182,7 @@ class SolverReport:
     converged: bool
     method: str
     monotone_ok: bool | None = None
-    confined_ok: bool | None = None
     bracket: Bracket | None = None
-    shift: float | None = None
     pass_level: float | None = None
     rim_value: float | None = None
     energy_at_endpoints: tuple[float, float] | None = None
@@ -202,8 +200,8 @@ class SolverReport:
             "min_u": self.u.min(),
             "max_u": self.u.max(),
         }
-        for name in ("monotone_ok", "confined_ok", "shift", "pass_level",
-                     "rim_value", "energy_at_r0", "energy_at_solution"):
+        for name in ("monotone_ok", "pass_level", "rim_value", "energy_at_r0",
+                     "energy_at_solution"):
             val = getattr(self, name)
             if val is not None:
                 out[name] = val

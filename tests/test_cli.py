@@ -75,27 +75,24 @@ BELOW_ONE_INPUTS = {
     "flow_sample_every = -1": ("action = flow\nflow_sample_every = -1", "ConfigError"),
 }
 
-# bad field files and a bad worker count, each exiting 2 with its error:
-# (psi_file, files written beside the config, PANEITZLAB_WORKERS, error)
+# bad field files, each exiting 2 with its error:
+# (psi_file, files written beside the config, error)
 CSV_64 = "i0,value\n" + "".join(f"{i},0.1\n" for i in range(64))
 BAD_FIELD_INPUTS = {
-    "missing-file": ("missing.csv", {}, None, "FieldFileError"),
-    "index-past-grid": ("psi.csv", {"psi.csv": CSV_64 + "64,0.1\n"}, None,
-                        "FieldFileError"),
+    "missing-file": ("missing.csv", {}, "FieldFileError"),
+    "index-past-grid": ("psi.csv", {"psi.csv": CSV_64 + "64,0.1\n"}, "FieldFileError"),
     "meta-without-sizes": ("psi.f64", {"psi.f64": bytes(8 * 64),
                                        "psi.f64.meta": "d = 1\nlengths = 6.28\n"},
-                           None, "FieldFileError"),
-    "one-row-of-64": ("psi.csv", {"psi.csv": "i0,value\n0,0.1\n"}, None,
-                      "FieldFileError"),
+                           "FieldFileError"),
+    "one-row-of-64": ("psi.csv", {"psi.csv": "i0,value\n0,0.1\n"}, "FieldFileError"),
     # 64 rows, but point 0 twice and point 63 never
-    "repeated-point": ("psi.csv", {"psi.csv": CSV_64.replace("63,", "0,")}, None,
+    "repeated-point": ("psi.csv", {"psi.csv": CSV_64.replace("63,", "0,")},
                        "FieldFileError"),
-    "workers-not-an-integer": ("psi.csv", {"psi.csv": CSV_64}, "two", "ConfigError"),
 }
 
 
-def run_config(text, out, **kw):
-    return run(parse_config(text), out_dir=out, **kw)
+def run_config(text, out):
+    return run(parse_config(text), out_dir=out)
 
 
 class TestParse:
@@ -315,41 +312,6 @@ class TestRun:
         assert (tmp_path / "out" / "manifest.json").exists() == parsed
         assert parsed or err["message"].startswith("line 3: ")
 
-    @pytest.mark.parametrize("flag, env", [(["--workers", "0"], None), ([], "0")],
-                             ids=["flag", "environment"])
-    def test_worker_count_below_one_exit(self, tmp_path, monkeypatch, flag, env):
-        from paneitzlab.cli import main
-
-        if env is None:
-            monkeypatch.delenv("PANEITZLAB_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("PANEITZLAB_WORKERS", env)
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text("n = 5\naction = eigen\n")
-        assert main([str(cfg), "--out", str(tmp_path / "out"), *flag]) == 2
-        err = json.loads((tmp_path / "out" / "error.json").read_text())
-        assert err == {"error": "ConfigError", "message": "workers must be >= 1, got 0"}
-        assert not (tmp_path / "out" / "manifest.json").exists()
-
-    @pytest.mark.parametrize("flag, env", [(["--workers", "0"], None), ([], "0")],
-                             ids=["flag", "environment"])
-    def test_worker_count_below_one_writes_to_the_config_out(
-            self, tmp_path, monkeypatch, flag, env):
-        from paneitzlab.cli import main
-
-        monkeypatch.delenv("PANEITZLAB_OUT", raising=False)
-        if env is None:
-            monkeypatch.delenv("PANEITZLAB_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("PANEITZLAB_WORKERS", env)
-        monkeypatch.chdir(tmp_path)
-        Path("cfg.txt").write_text("n = 5\naction = eigen\nout = myout\n")
-        assert main(["cfg.txt", *flag]) == 2
-        err = json.loads(Path("myout/error.json").read_text())
-        assert err == {"error": "ConfigError", "message": "workers must be >= 1, got 0"}
-        assert not Path("myout/manifest.json").exists()
-        assert not Path("runs").exists()
-
     @pytest.mark.parametrize("case", list(BELOW_ONE_INPUTS))
     def test_positivity_samples_below_one_exit(self, tmp_path, case):
         from paneitzlab.cli import main
@@ -363,19 +325,15 @@ class TestRun:
         assert not (tmp_path / "out" / "report.json").exists()
 
     @pytest.mark.parametrize("case", list(BAD_FIELD_INPUTS))
-    def test_bad_field_input_exit(self, tmp_path, monkeypatch, case):
+    def test_bad_field_input_exit(self, tmp_path, case):
         from paneitzlab.cli import main
 
-        psi_file, files, workers, error = BAD_FIELD_INPUTS[case]
+        psi_file, files, error = BAD_FIELD_INPUTS[case]
         for name, data in files.items():
             if isinstance(data, bytes):
                 (tmp_path / name).write_bytes(data)
             else:
                 (tmp_path / name).write_text(data)
-        if workers is None:
-            monkeypatch.delenv("PANEITZLAB_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("PANEITZLAB_WORKERS", workers)
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(f"n = 5\naction = eigen\npsi = file\npsi_file = {psi_file}\n")
         assert main([str(cfg), "--out", str(tmp_path / "out")]) == 2
@@ -427,8 +385,8 @@ class TestRun:
             "n = 5\nR = 20\naction = sweep\nmode = source\n"
             "sweep_lambdas = 1.0,6.0\nsweep_qs = 2.0,3.0\n"
         )
-        man1 = run_config(cfg, tmp_path / "w1", workers=1)
-        man2 = run_config(cfg, tmp_path / "w2", workers=3)
+        man1 = run_config(cfg + "workers = 1\n", tmp_path / "w1")
+        man2 = run_config(cfg + "workers = 3\n", tmp_path / "w2")
         assert man1.exit_code == man2.exit_code == 0
         rows1 = (tmp_path / "w1" / "sweep.csv").read_bytes()
         rows2 = (tmp_path / "w2" / "sweep.csv").read_bytes()

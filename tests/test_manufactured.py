@@ -44,7 +44,8 @@ def relative_error(u, ustar):
     return float(np.abs(u - ustar).max() / np.abs(ustar).max())
 
 
-@pytest.mark.parametrize("sizes", [(32, 32), (16, 16, 16)], ids=["32^2", "16^3"])
+@pytest.mark.parametrize("sizes", [(64,), (1024,), (32, 32), (64, 64), (16, 16, 16)],
+                         ids=["64", "1024", "32^2", "64^2", "16^3"])
 @pytest.mark.parametrize("start", ["sub", "super"])
 def test_monotone_solve_recovers_the_solution(ref_params, sizes, start):
     op, prob, ustar = manufactured(ref_params, sizes)
@@ -52,6 +53,12 @@ def test_monotone_solve_recovers_the_solution(ref_params, sizes, start):
                             maxiter=MAXITER)
     assert rep.iterations <= MAX_STEPS
     assert relative_error(rep.u.values, ustar) <= 1e-14
+    if sizes == (1024,):
+        # the round-off floor of P u (about 2e-5 here) stops the solve at a
+        # residual far above tol_residual = 1e-8 while the field is exact to
+        # round-off: the floor bounds what the residual can show, not the error
+        assert rep.residual > 1e-8
+        assert rep.extras["residual_floor"] == op.roundoff_floor(rep.u.values)
 
 
 def test_continuation_recovers_the_solution(ref_params):

@@ -49,7 +49,6 @@ class TestMountainPass:
         assert e2 < mp_solution.rim_value
 
     def test_monitors(self, mp_solution):
-        assert mp_solution.extras["singular_integral_bounded"]
         assert all(entry["green_ok"] for entry in mp_solution.eps_trace)
         assert mp_solution.eps_trace[-1]["eps"] == 0.0
         assert all(entry["min_u"] > 0 for entry in mp_solution.eps_trace)

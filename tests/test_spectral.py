@@ -397,10 +397,10 @@ PROVED_OPERATORS = {
 }
 
 
-def _dense_kernels(op, lam=0.0):
-    """Dense ``inv(P + lam)`` and the comparison kernel ``inv(P0 + lam)``."""
+def _dense_kernels(op):
+    """Dense ``inv(P)`` and the comparison kernel ``inv(P0)``."""
     args = (op.params.alpha, op.grid.sizes, op.grid.lengths)
-    W = op.W.values + lam
+    W = op.W.values
     return dense_inverse(*args, W), dense_inverse(*args, np.full(W.shape, W.max()))
 
 
@@ -419,11 +419,14 @@ class TestPositivity:
         assert rep.kernel_floor == pytest.approx(g0.min() / g0.max(), rel=1e-9)
 
     @pytest.mark.parametrize("lam, ok", [(10.0, True), (20.0, False)])
-    def test_comparison_floor_under_shift(self, ref_op, lam, ok):
+    def test_comparison_floor_under_shift(self, ref_params, ref_grid, lam, ok):
         # the window of proved order for P + lam on the reference operator
-        # ends between these shifts
-        inv, g0 = _dense_kernels(ref_op, lam)
-        got, floor = ref_op.comparison_floor(lam)
+        # ends between these shifts; P + lam is the operator whose potential
+        # is lowered by lam / b_n
+        V = pl.ScalarField.constant(ref_grid, -lam / ref_params.b_n)
+        op = pl.build_operator(ref_params, ref_grid, potential=V)
+        inv, g0 = _dense_kernels(op)
+        got, floor = op.comparison_floor()
         assert got is ok
         assert floor == pytest.approx(g0.min() / g0.max(), rel=1e-9)
         assert bool(inv.min() >= 0.0) is ok
