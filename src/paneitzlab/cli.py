@@ -260,6 +260,11 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
     if values["action"] == "mountain-pass" and values["mode"] != SOURCE:
         raise ConfigError("mountain-pass action requires mode = source",
                           line=seen.get("mode", seen["action"]))
+    if values["eps_schedule"] is not None and (
+            values["mode"] == SOURCE or values["action"] in ("lambda-star", "sweep")):
+        raise ConfigError("eps_schedule drives only the absorption continuation; "
+                          "the minimax solve polishes once at eps = 0",
+                          line=seen["eps_schedule"])
     # the sweep's exponent lists default to the single configured exponent
     values["sweep_ps"] = values["sweep_ps"] or (values["p"],)
     values["sweep_qs"] = values["sweep_qs"] or (values["q"],)
@@ -438,9 +443,8 @@ def _action_solve(config, op, w: _Writer):
 def _mp_kwargs(v: dict) -> dict:
     """The config's minimax settings as ``mountain_pass_solve`` keywords,
     shared by the solve, the sweep cells and the lambda-star probes."""
-    return {"eps0": v["eps0"], "eps_schedule": v["eps_schedule"],
-            "n_nodes": v["mp_nodes"], "tol_residual": v["mp_tol_residual"],
-            "max_sweeps": v["mp_max_sweeps"]}
+    return {"eps0": v["eps0"], "n_nodes": v["mp_nodes"],
+            "tol_residual": v["mp_tol_residual"], "max_sweeps": v["mp_max_sweeps"]}
 
 
 def _minimax(config, op, prob, action, w: _Writer):

@@ -4,7 +4,7 @@ The regularized action has two low points separated by an energy rim: one
 near zero (once the singular term is smoothed by eps) and one far out along
 any ray (the power term wins).  A discretized path between them is deformed
 by descending its highest node; the surviving max localizes a critical point,
-which Newton then sharpens while the regularization is driven to zero.
+which Newton then sharpens on the exact (unregularized) equation.
 """
 
 from __future__ import annotations
@@ -128,7 +128,6 @@ def _auto_eps0(op, prob, rim):
 def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
                         phi: ScalarField | None = None,
                         eps0: float | None = None,
-                        eps_schedule=None,
                         S_psi: float | None = None,
                         n_nodes: int = PATH_NODES,
                         tol_residual: float = 1e-6,
@@ -160,19 +159,19 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
     periods in a row agree to 1e-10 relative, ``cap`` at ``max_sweeps``, or
     ``flat-gradient`` / ``no-descent``.
 
-    The regularization is then driven to zero along ``eps_schedule`` (default
-    geometric decades from eps0 down, finishing at exactly zero) with Newton
-    warm starts; each Newton run and the final residual test stop at their
-    tolerance or the round-off floor of ``P u`` (then flagged
-    ``residual_floor``), else ConvergenceError.  Newton's linear solve is
-    dense up to ``MAX_DENSE`` grid points and matrix-free MINRES above: a
-    dense step copies the cached ``P`` into the solve's one working matrix
-    and factors it in place (:func:`_dense_solver`), so the polish holds two
-    matrices, and an ill-conditioned Jacobian warns ``LinAlgWarning``.  Each
-    schedule entry records its smoothed singular integral and whether the
-    field dominates the inverse image of its own power term (inverse
-    positivity keeps it from collapsing at the bottom).  A vanishing minimum
-    aborts.
+    One Newton solve of the exact equation (eps = 0) then polishes the path
+    maximum, taking only steps that keep the field positive; it and the final
+    residual test stop at their tolerance or the round-off floor of ``P u``
+    (then flagged ``residual_floor``), else ConvergenceError.  eps0
+    regularizes only the path, whose inner endpoint needs a finite energy at
+    zero.  Newton's linear solve is dense up to ``MAX_DENSE`` grid points and
+    matrix-free MINRES above: a dense step copies the cached ``P`` into the
+    solve's one working matrix and factors it in place
+    (:func:`_dense_solver`), so the polish holds two matrices, and an
+    ill-conditioned Jacobian warns ``LinAlgWarning``.  The polish's one
+    ``eps_trace`` entry records the singular integral and whether the field
+    dominates the inverse image of its own power term (inverse positivity
+    keeps it from collapsing at the bottom).  A vanishing minimum aborts.
 
     The solver evaluates no existence certificate: the paper's energy-norm
     condition is sufficient for this geometry, which is checked directly (a
@@ -181,15 +180,13 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
     :func:`paneitzlab.conditions.check_existence_cond`.  A nonpositive
     ``S_psi`` (no coercive embedding) raises CoercivityError.
     ``eps0=None`` picks the regularization so the smoothed singular term at
-    zero sits at half the rim value; a given ``eps0`` must be positive and
-    the schedule nonnegative (ValueError).
+    zero sits at half the rim value; a given ``eps0`` must be positive
+    (ValueError).
     """
     if prob.mode != SOURCE:
         raise ValueError("minimax solver addresses the source mode")
     if eps0 is not None and not eps0 > 0.0:
         raise ValueError(f"eps0 must be positive, got {eps0}")
-    if eps_schedule is not None and any(e < 0.0 for e in eps_schedule):
-        raise ValueError("schedule entries must be nonnegative")
     prob.validate_exponents(op.params)
     grid = op.grid
     p, q = prob.p, prob.q
@@ -315,63 +312,44 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
 
     c_eps, u = _path_max(op, prob, eps0, nodes, pnodes)
 
-    # sharpen along the regularization schedule, ending at the exact equation
-    if eps_schedule is None:
-        eps_schedule = [eps0 * 10.0 ** (-k) for k in range(9)] + [0.0]
-    eps_schedule = [float(e) for e in eps_schedule]
-    if eps_schedule[0] != eps0:
-        eps_schedule.insert(0, eps0)
-
-    trace = []
-    newton_its = 0
+    # polish the path maximum on the exact equation
     uscale = max(float(np.abs(u).max()), 1.0)
+    target = max(1e-3 * tol_residual, 1e-9 * uscale)
     lichnerowicz = abs((p - 1.0) - (q + 1.0)) <= 1e-12
     # Newton's linear solve: dense on small grids, matrix-free MINRES above
     solve = _dense_solver(op.dense_matrix()) if grid.npoints <= op.MAX_DENSE else None
-
-    for eps in eps_schedule:
-        target = max(1e-3 * tol_residual, 1e-9 * uscale)
-        u, resid, steps, stop = newton(
-            op, partial(smoothed_reaction, prob, eps=eps),
-            partial(smoothed_reaction_derivative, prob, eps=eps),
-            u, op.apply_values(u),
-            lambda v, pv, r: r <= max(target, op.roundoff_floor(v)), 80,
-            solve=solve,
-            admissible=(lambda c: float(c.min()) > 0.0) if eps == 0.0 else None,
+    u, resid, newton_its, stop = newton(
+        op, partial(smoothed_reaction, prob, eps=0.0),
+        partial(smoothed_reaction_derivative, prob, eps=0.0),
+        u, op.apply_values(u),
+        lambda v, pv, r: r <= max(target, op.roundoff_floor(v)), 80,
+        solve=solve, admissible=lambda c: float(c.min()) > 0.0,
+    )
+    if stop != "done":
+        why = {"solve-failed": "linearized solve failed",
+               "stagnated": "polish stagnated",
+               "cap": "polish reached 80 steps"}[stop]
+        raise ConvergenceError(f"{why} at residual {resid:.3e}", residual=resid)
+    umin = float(u.min())
+    uscale = max(float(np.abs(u).max()), 1.0)
+    if umin <= 1e-10 * uscale:
+        raise SolverError(f"lower bound collapsed (min u = {umin:.3e})", residual=resid)
+    entry = {"eps": 0.0, "residual": resid, "min_u": umin,
+             "newton_iterations": newton_its, **floor_flag(op, u, resid, target),
+             "singular_integral": grid.integrate(
+                 prob.A.values * (u**2) ** (-(p + 1.0) / 2.0))}
+    try:
+        green = op.solve_shifted(0.0, prob.B.values * u**q)
+    except CoercivityError:
+        pass
+    else:
+        entry["green_lower_bound"] = float(green.min())
+        entry["green_ok"] = bool(float((u - green).min()) >= -1e-6 * uscale)
+    if lichnerowicz:
+        nu = energy_norm(op, ScalarField(grid, u))
+        entry["power_term_sobolev_bound"] = float(
+            normB * (nu / np.sqrt(S_psi)) ** (q + 1.0)
         )
-        if stop != "done":
-            why = {"solve-failed": "linearized solve failed",
-                   "stagnated": "polish stagnated",
-                   "cap": "polish reached 80 steps"}[stop]
-            raise ConvergenceError(f"{why} at residual {resid:.3e}", residual=resid)
-        newton_its += steps
-        umin = float(u.min())
-        uscale = max(float(np.abs(u).max()), 1.0)
-        entry = {"eps": eps, "residual": resid, "min_u": umin, "newton_iterations": steps,
-                 **floor_flag(op, u, resid, target)}
-        up = np.maximum(u, 0.0)
-        entry["singular_integral"] = grid.integrate(
-            prob.A.values * (eps + up**2) ** (-(p + 1.0) / 2.0)
-        )
-        trace.append(entry)
-        if umin <= 1e-10 * uscale:
-            raise SolverError(
-                "lower bound collapsed along the regularization schedule "
-                f"(min u = {umin:.3e} at eps = {eps:.3e})",
-                residual=resid,
-            )
-        try:
-            green = op.solve_shifted(0.0, prob.B.values * up**q)
-        except CoercivityError:
-            pass
-        else:
-            entry["green_lower_bound"] = float(green.min())
-            entry["green_ok"] = bool(float((u - green).min()) >= -1e-6 * uscale)
-        if lichnerowicz:
-            nu = energy_norm(op, ScalarField(grid, u))
-            entry["power_term_sobolev_bound"] = float(
-                normB * (nu / np.sqrt(S_psi)) ** (q + 1.0)
-            )
 
     final = ScalarField(grid, u)
     resid_final = residual_sup(op, prob, u)
@@ -387,7 +365,7 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
         energy_at_endpoints=(float(e_t0), float(e_t2)),
         energy_at_r0=energy_at_r0,
         energy_at_solution=energy(op, prob, 0.0, final),
-        eps_trace=trace,
+        eps_trace=[entry],
         extras={
             "eps0": eps0,
             "r0": float(r0),

@@ -172,8 +172,10 @@ class SolverReport:
     """Outcome of one nonlinear solve.
 
     ``residual`` is the sup-norm of ``P u - RHS(u)`` at the returned field.
-    Mountain-pass runs additionally carry the pass level, the endpoint/rim
-    energies and the regularization schedule trace.
+    Mountain-pass runs additionally carry the pass level and the
+    endpoint/rim energies, and ``eps_trace`` holds their one Newton polish
+    at eps = 0; an absorption continuation's ``eps_trace`` holds one entry
+    per schedule entry.
     """
 
     u: ScalarField

@@ -50,12 +50,21 @@ INVALID_INPUTS = {
     "eps0 = -1": "ConfigError",
     "eps0 = 0": "ConfigError",
     "eps_schedule = -1": "ConfigError",
+    "eps_schedule = 1,0\nmode = source": "ConfigError",
     "sweep_lambdas = -1": "ConfigError",
     "tau = -0.05": "ConfigError",
     "tmax = -1": "ConfigError",
     "lengths = 0": "ConfigError",
     "d = 1": "ConfigError",
     "precheck_nonexistence = false": "ConfigError",
+}
+
+# eps_schedule drives only the absorption continuation; each action that
+# solves by minimax refuses it: config lines after the action by action
+MINIMAX_ACTION_EXTRA = {
+    "mountain-pass": "mode = source\n",
+    "sweep": "sweep_lambdas = 0.05\nsweep_solve = true\n",
+    "lambda-star": "",
 }
 
 # the smallest config each action parses on a 16-point 1-D grid
@@ -312,6 +321,27 @@ class TestRun:
         assert (tmp_path / "out" / "manifest.json").exists() == parsed
         assert parsed or err["message"].startswith("line 3: ")
 
+    @pytest.mark.parametrize("action", list(MINIMAX_ACTION_EXTRA))
+    def test_minimax_actions_refuse_eps_schedule(self, tmp_path, action):
+        from paneitzlab.cli import main
+
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"action = {action}\neps_schedule = 1,0\n"
+                       f"{MINIMAX_ACTION_EXTRA[action]}")
+        assert main([str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(
+            "line 2: eps_schedule drives only the absorption continuation")
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_absorption_solve_continues_along_eps_schedule(self, tmp_path):
+        man = run_config(REF_SOLVE + "eps_schedule = 1,0.1,0\n", tmp_path / "out")
+        assert man.exit_code == 0
+        solver = json.loads((tmp_path / "out" / "report.json").read_text())["solver"]
+        assert solver["method"] == "epsilon-continuation"
+        assert [e["eps"] for e in solver["eps_trace"]] == [1.0, 0.1, 0.0]
+
     @pytest.mark.parametrize("case", list(BELOW_ONE_INPUTS))
     def test_positivity_samples_below_one_exit(self, tmp_path, case):
         from paneitzlab.cli import main
@@ -403,14 +433,13 @@ class TestRun:
     def test_sweep_cells_take_the_minimax_keys(self, tmp_path):
         cfg = ("n = 5\nR = 3.8\nsizes = 32\naction = sweep\nmode = source\n"
                "p = 1.5\nq = 2\nsweep_lambdas = 0.05\nsweep_solve = true\n"
-               "mp_max_sweeps = 0\nmp_nodes = 8\neps_schedule = 0.01,0\n")
+               "mp_max_sweeps = 0\nmp_nodes = 8\neps0 = 1000\n")
         man = run_config(cfg, tmp_path / "out")
         assert man.exit_code == 0
         cell = json.loads((tmp_path / "out" / "cells" / "000" / "report.json").read_text())
         extras = cell["solver"]["extras"]
-        assert extras["path_sweeps"] == 0
-        trace = [e["eps"] for e in cell["solver"]["eps_trace"]]
-        assert trace == [extras["eps0"], 0.01, 0.0]
+        assert (extras["path_sweeps"], extras["eps0"]) == (0, 1000.0)
+        assert [e["eps"] for e in cell["solver"]["eps_trace"]] == [0.0]
 
     def test_lambda_star_probes_take_the_minimax_keys(self, tmp_path, monkeypatch):
         import paneitzlab.conditions as conditions

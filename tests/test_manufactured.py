@@ -70,15 +70,17 @@ def test_continuation_recovers_the_solution(ref_params):
 
 
 class _Polish(Exception):
-    """Raised by the stand-in for ``newton`` once it holds the linear solve."""
+    """Raised by the stand-in for ``newton`` once it holds the polish's
+    reaction, its derivative and the linear solve."""
 
 
 def polish_solve(op, prob, monkeypatch):
-    """The linear solve ``mountain_pass_solve`` hands its Newton polish."""
+    """``(f, fprime, solve)``: the reaction, its derivative and the linear
+    solve that ``mountain_pass_solve`` hands its Newton polish."""
     held = []
 
-    def hold(*args, solve=None, **kwargs):
-        held.append(solve)
+    def hold(op, f, fprime, *args, solve=None, **kwargs):
+        held.append((f, fprime, solve))
         raise _Polish
 
     with monkeypatch.context() as m:
@@ -92,13 +94,18 @@ def polish_solve(op, prob, monkeypatch):
 def test_minimax_polish_recovers_the_solution(ref_params, sizes, monkeypatch):
     op, prob, ustar = manufactured(ref_params, sizes, b=0.05, mode="source")
     assert op.grid.npoints <= op.MAX_DENSE
-    solve = polish_solve(op, prob, monkeypatch)
+    f, fprime, solve = polish_solve(op, prob, monkeypatch)
     assert solve is not None  # the dense solve, not MINRES
+    # the polish solves the exact equation, eps = 0, whose reaction
+    # A u^-p + B u^q makes u* a solution
+    assert np.array_equal(f(ustar), smoothed_reaction(prob, ustar, 0.0))
+    assert np.array_equal(fprime(ustar), smoothed_reaction_derivative(prob, ustar, 0.0))
+    exact = prob.A.values * ustar**-P_EXP + prob.B.values * ustar**Q_EXP
+    assert np.abs(f(ustar) - exact).max() <= 1e-14 * np.abs(exact).max()
     x = op.grid.meshgrid()[0]
     u0 = ustar * (1.0 + 1e-3 * np.cos(2.0 * x))
     u, _, steps, stop = newton(
-        op, lambda v: smoothed_reaction(prob, v, 0.0),
-        lambda v: smoothed_reaction_derivative(prob, v, 0.0), u0, op.apply_values(u0),
+        op, f, fprime, u0, op.apply_values(u0),
         lambda v, pv, r: relative_error(v, ustar) <= 1e-11, 4, solve=solve)
     assert stop == "done"
     assert steps <= 4
