@@ -249,7 +249,8 @@ def parse_config(text: str, base_dir: str | Path = ".") -> ExperimentConfig:
             values[key] = default
 
     if len(values["sizes"]) != len(values["lengths"]):
-        raise ConfigError("sizes and lengths must have the same dimension")
+        raise ConfigError("sizes and lengths must have the same dimension",
+                          line=seen.get("sizes", seen.get("lengths")))
     if values["action"] == "sweep" and not values["sweep_lambdas"]:
         raise ConfigError("action 'sweep' requires key 'sweep_lambdas'")
     if values["psi"] == "mode" and len(values["psi_mode"]) != len(values["sizes"]):

@@ -10,8 +10,6 @@ the whole operator diagonal in frequency space.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import scipy.sparse.linalg as spla
 
@@ -33,7 +31,8 @@ FORCING = 1e-2
 
 
 class PaneitzOperator:
-    """Immutable handle for the discretized operator.
+    """Immutable handle for the discretized operator; it holds no mutable
+    state, so threads may share it.
 
     Parameters
     ----------
@@ -46,7 +45,7 @@ class PaneitzOperator:
         Defaults to zero, i.e. ``W = beta`` everywhere.
     """
 
-    # dense assembly is cached up to this many grid points
+    # dense assembly is refused above this many grid points
     MAX_DENSE = 4096
 
     def __init__(self, params: GeometryParams, grid: SpectralGrid,
@@ -62,8 +61,6 @@ class PaneitzOperator:
         t = grid.laplacian_eigenvalues
         self.sigma = t * (t + params.alpha)
         self._sigma_half = grid.half(self.sigma)
-        self._dense = None
-        self._dense_lock = threading.Lock()
 
     # -- basic algebra ------------------------------------------------------
 
@@ -274,31 +271,26 @@ class PaneitzOperator:
 
         ``P`` is applied to one stack of unit fields per index of the first
         axis, and the rows are symmetrized in place, so assembly peaks at
-        about two matrices (the rows and a copy of their transpose).  The
-        matrix is cached and shared, so it is read-only.
+        about two matrices (the rows and a copy of their transpose).  Each
+        call assembles afresh and returns a matrix its caller owns.
         """
         npts = self.grid.npoints
         if npts > self.MAX_DENSE:
             raise PaneitzLabError(
                 f"dense assembly refused for {npts} grid points (cap {self.MAX_DENSE})"
             )
-        # threads that share the operator (the sweep's cells) build it once
-        with self._dense_lock:
-            if self._dense is None:
-                block = npts // self.grid.shape[0]
-                rows = np.empty((npts, npts))
-                # P applied to a stack of unit fields at a time; a stacked FFT
-                # gives the bits of one field's
-                for j in range(0, npts, block):
-                    units = np.eye(block, npts, k=j).reshape((block,) + self.grid.shape)
-                    rows[j:j + block] = self.apply_values(units).reshape(block, npts)
-                # the bits of 0.5 * (rows.T + rows); a C-ordered copy of the
-                # transpose spares numpy's buffered overlap copy
-                rows += rows.T.copy()
-                rows *= 0.5
-                rows.flags.writeable = False
-                self._dense = rows
-        return self._dense
+        block = npts // self.grid.shape[0]
+        rows = np.empty((npts, npts))
+        # P applied to a stack of unit fields at a time; a stacked FFT gives
+        # the bits of one field's
+        for j in range(0, npts, block):
+            units = np.eye(block, npts, k=j).reshape((block,) + self.grid.shape)
+            rows[j:j + block] = self.apply_values(units).reshape(block, npts)
+        # the bits of 0.5 * (rows.T + rows); a C-ordered copy of the
+        # transpose spares numpy's buffered overlap copy
+        rows += rows.T.copy()
+        rows *= 0.5
+        return rows
 
 
 def build_operator(params: GeometryParams, grid: SpectralGrid,

@@ -134,14 +134,6 @@ def smoothed_reaction(prob: ProblemSpec, u: np.ndarray, eps: float) -> np.ndarra
     return sing + prob.B.values * up**prob.q
 
 
-def smoothed_reaction_derivative(prob: ProblemSpec, u: np.ndarray, eps: float) -> np.ndarray:
-    up = np.maximum(u, 0.0)
-    base = eps + up**2
-    dsing = prob.A.values * (eps - prob.p * up**2) * base ** (-(prob.p + 3) / 2.0)
-    dpow = np.where(up > 0, prob.q * prob.B.values * up ** (prob.q - 1), 0.0)
-    return dsing + dpow
-
-
 @dataclass(frozen=True)
 class Bracket:
     """Sub/supersolution pair of constants ``s1 <= s2`` on ``grid``.

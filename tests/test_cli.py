@@ -57,6 +57,9 @@ INVALID_INPUTS = {
     "lengths = 0": "ConfigError",
     "d = 1": "ConfigError",
     "precheck_nonexistence = false": "ConfigError",
+    "sizes = 32,32": "ConfigError",
+    "save_fields = maybe": "ConfigError",
+    "tol_residual 1e-6": "ConfigError",
 }
 
 # eps_schedule drives only the absorption continuation; each action that
@@ -395,6 +398,19 @@ class TestRun:
         rep = json.loads((tmp_path / "b" / "report.json").read_text())
         assert rep["certificate"]["satisfied"]
 
+    def test_source_existence_takes_the_trial_direction_file(self, tmp_path):
+        grid = pl.SpectralGrid((64,), (2 * np.pi,))
+        x = grid.meshgrid()[0]
+        pl.save_field(pl.ScalarField(grid, 1.0 + 0.2 * np.cos(x)), tmp_path / "phi.f64")
+        cfg = ("n = 5\nR = 20\naction = check-existence\nmode = source\n"
+               "B = 0.05\np = 3\nphi_file = phi.f64\n")
+        man = run(parse_config(cfg, base_dir=tmp_path), out_dir=tmp_path / "out")
+        assert man.exit_code == 0
+        cert = json.loads((tmp_path / "out" / "report.json").read_text())["certificate"]
+        # with A = 1 and p = 3 the certificate integrates phi^-2, not 1
+        want = 2 * np.pi * (1.0 - 0.2**2) ** -1.5
+        assert abs(cert["ingredients"]["int_A_over_phi"] - want) <= 1e-12 * want
+
     def test_field_file_coefficient(self, tmp_path):
         grid = pl.SpectralGrid((64,), (2 * np.pi,))
         x = grid.meshgrid()[0]
@@ -409,6 +425,21 @@ class TestRun:
         rep = json.loads((tmp_path / "out" / "report.json").read_text())
         assert rep["solver"]["residual"] <= 1e-8
         assert rep["solver"]["max_u"] > rep["solver"]["min_u"]
+
+    def test_minimax_tolerance_below_the_floor_stops_at_the_floor(self, tmp_path):
+        # mp_tol_residual lies below the round-off floor of P u on 16^2: the
+        # polish stops at the floor, like every loop on P u = f(u), and flags it
+        cfg = ("n = 5\nR = 3.8\nsizes = 16,16\nlengths = 6.283185307179586,"
+               "6.283185307179586\nA = 1\nB = 0.05\np = 1.5\nq = 2\n"
+               "mode = source\naction = mountain-pass\npsi = mode\npsi_mode = 1,1\n"
+               "psi_amplitude = 0.2\nmp_require_cond = false\nmp_tol_residual = 1e-12\n")
+        man = run_config(cfg, tmp_path / "out")
+        assert man.exit_code == 0
+        solver = json.loads((tmp_path / "out" / "report.json").read_text())["solver"]
+        assert solver["converged"]
+        floor = solver["extras"]["residual_floor"]
+        assert 1e-12 < solver["residual"] <= floor
+        assert solver["eps_trace"][0]["residual_floor"] == floor
 
     def test_sweep_action(self, tmp_path):
         cfg = (

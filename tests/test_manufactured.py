@@ -17,7 +17,7 @@ import pytest
 import paneitzlab as pl
 from paneitzlab import mountain_pass
 from paneitzlab.operator import newton
-from paneitzlab.problems import smoothed_reaction, smoothed_reaction_derivative
+from paneitzlab.problems import reaction, reaction_derivative
 
 TWO_PI = 2.0 * np.pi
 P_EXP, Q_EXP, B_CONST = 3.0, 2.0, 2.0
@@ -96,10 +96,10 @@ def test_minimax_polish_recovers_the_solution(ref_params, sizes, monkeypatch):
     assert op.grid.npoints <= op.MAX_DENSE
     f, fprime, solve = polish_solve(op, prob, monkeypatch)
     assert solve is not None  # the dense solve, not MINRES
-    # the polish solves the exact equation, eps = 0, whose reaction
+    # the polish solves the problem's own equation, whose reaction
     # A u^-p + B u^q makes u* a solution
-    assert np.array_equal(f(ustar), smoothed_reaction(prob, ustar, 0.0))
-    assert np.array_equal(fprime(ustar), smoothed_reaction_derivative(prob, ustar, 0.0))
+    assert np.array_equal(f(ustar), reaction(prob, ustar))
+    assert np.array_equal(fprime(ustar), reaction_derivative(prob, ustar))
     exact = prob.A.values * ustar**-P_EXP + prob.B.values * ustar**Q_EXP
     assert np.abs(f(ustar) - exact).max() <= 1e-14 * np.abs(exact).max()
     x = op.grid.meshgrid()[0]

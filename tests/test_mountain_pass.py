@@ -173,25 +173,23 @@ class TestDenseSolver:
             assert got.shape == rhs.shape
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
-    def test_threads_leave_the_cached_matrix_unchanged(self, ref_params):
-        # more threads than cores, switching often: a solve that wrote to the
-        # shared P would change the others' answers
+    def test_threads_each_assemble_and_solve(self, ref_params):
+        # more threads than cores, switching often: threads sharing the
+        # operator each assemble P and solve with it, as the sweep's cells do
         import sys
         import threading
 
         op = _stiff_source_16(ref_params)[0]
-        P = op.dense_matrix()
-        before = P.copy()
         rng = np.random.default_rng(2)
         fps = [0.5 * rng.random(op.grid.shape) for _ in range(4)]
         rhs = rng.standard_normal(op.grid.shape)
-        alone = [mountain_pass._dense_solver(P)(fp, rhs) for fp in fps]
+        alone = [mountain_pass._dense_solver(op.dense_matrix())(fp, rhs) for fp in fps]
         barrier = threading.Barrier(len(fps))
         out = [None] * len(fps)
 
         def run(k):
-            solve = mountain_pass._dense_solver(op.dense_matrix())
             barrier.wait()
+            solve = mountain_pass._dense_solver(op.dense_matrix())
             out[k] = [solve(fps[k], rhs) for _ in range(5)]
 
         interval = sys.getswitchinterval()
@@ -205,8 +203,6 @@ class TestDenseSolver:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert op.dense_matrix() is P
-        assert np.array_equal(P, before)
         # concurrent LAPACK calls may split the work differently
         for k in range(len(fps)):
             scale = np.abs(alone[k]).max()
