@@ -4,12 +4,14 @@ The regularized action has two low points separated by an energy rim: one
 near zero (once the singular term is smoothed by eps) and one far out along
 any ray (the power term wins).  A discretized path between them is deformed
 by descending its highest node; the surviving max localizes a critical point,
-which Newton then sharpens on the exact (unregularized) equation.
+which Newton then sharpens on the exact (unregularized) equation.  Fine grids
+do both on the half grid first and finish with Newton alone.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -20,7 +22,7 @@ from .errors import (
     MountainPassGeometryError,
     SolverError,
 )
-from .geometry import ScalarField, lebesgue_norm
+from .geometry import ScalarField, SpectralGrid, lebesgue_norm
 from .monotone import (
     ORDER_SLACK,
     _monotone_iterate,
@@ -126,6 +128,238 @@ def _auto_eps0(op, prob, rim):
     return (intA / ((prob.p - 1.0) * floor_target)) ** (2.0 / (prob.p - 1.0))
 
 
+# a grid with at least this many points and every axis at least this long
+# solves the minimax problem on the half grid first
+NEST_POINTS = 1024
+NEST_AXIS = 32
+
+
+def _nests(grid: SpectralGrid) -> bool:
+    return grid.npoints >= NEST_POINTS and min(grid.sizes) >= NEST_AXIS
+
+
+def _restrict(op, prob, phi_hat):
+    """The operator, the problem and the trial direction on the half grid,
+    with ``V``, ``A``, ``B`` and ``phi_hat`` taken by injection."""
+    half = SpectralGrid(tuple(m // 2 for m in op.grid.sizes), op.grid.lengths)
+    every_other = (slice(None, None, 2),) * half.d
+
+    def inject(f):
+        return ScalarField(half, f.values[every_other])
+
+    return (PaneitzOperator(op.params, half, inject(op.V)),
+            ProblemSpec(inject(prob.A), inject(prob.B), prob.p, prob.q, prob.mode),
+            phi_hat[every_other])
+
+
+def _prolong(values, d):
+    """Grid values, or a stack of them, on the grid twice as fine along each
+    of the trailing ``d`` axes, by zero-padding their Fourier coefficients.
+
+    Each Nyquist coefficient is split evenly between +N/2 and -N/2, so the
+    interpolant is real and takes the given values at the coarse points.
+    """
+    axes = tuple(range(-d, 0))
+    hat = np.fft.fftn(values, axes=axes)
+    for ax in axes:
+        h = hat.shape[ax] // 2
+        low, nyquist, high = np.split(hat, [h, h + 1], axis=ax)
+        gap = list(hat.shape)
+        gap[ax] = 2 * h - 1
+        hat = np.concatenate([low, 0.5 * nyquist, np.zeros(gap), 0.5 * nyquist, high],
+                             axis=ax)
+    return np.fft.ifftn(hat, axes=axes).real * 2**d
+
+
+class _Shared(NamedTuple):
+    """What every level of one minimax solve uses, set once on the caller's grid."""
+
+    eps0: float
+    r0: float
+    rim: float
+    S_psi: float
+    normB: float
+    n_nodes: int
+    tol_residual: float
+    max_sweeps: int
+    lichnerowicz: bool
+
+
+class _Level(NamedTuple):
+    """A level's polished field and its path, whose maximum ``c_eps`` and
+    endpoint energies ``e_ends`` are values on the level's grid; ``t0``,
+    ``t2``, ``sweeps`` and ``path_stop`` come from the coarsest level, and
+    ``trace`` holds one polish entry per level, coarsest first."""
+
+    u: np.ndarray
+    resid: float
+    nodes: np.ndarray
+    c_eps: float
+    e_ends: tuple[float, float]
+    t0: float
+    t2: float
+    sweeps: int
+    path_stop: str
+    trace: list
+
+
+def _polish(op, prob, u, sh: _Shared, solve):
+    """Newton on the exact equation from ``u`` with the linear solve ``solve``
+    (None: MINRES); returns the field, its residual and its ``eps_trace`` entry."""
+    grid = op.grid
+    p, q = prob.p, prob.q
+    uscale = max(float(np.abs(u).max()), 1.0)
+    target = min(sh.tol_residual, max(1e-3 * sh.tol_residual, 1e-9 * uscale))
+    u, resid, newton_its, stop = newton(
+        op, partial(reaction, prob), partial(reaction_derivative, prob),
+        u, op.apply_values(u),
+        lambda v, pv, r: r <= max(target, op.roundoff_floor(v)), 80,
+        solve=solve, admissible=lambda c: float(c.min()) > 0.0,
+    )
+    if stop != "done":
+        why = {"solve-failed": "linearized solve failed",
+               "stagnated": "polish stagnated",
+               "cap": "polish reached 80 steps"}[stop]
+        raise ConvergenceError(f"{why} at residual {resid:.3e}", residual=resid)
+    umin = float(u.min())
+    uscale = max(float(np.abs(u).max()), 1.0)
+    if umin <= 1e-10 * uscale:
+        raise SolverError(f"lower bound collapsed (min u = {umin:.3e})", residual=resid)
+    entry = {"eps": 0.0, "residual": resid, "min_u": umin,
+             "newton_iterations": newton_its, **floor_flag(op, u, resid, target),
+             "singular_integral": grid.integrate(
+                 prob.A.values * (u**2) ** (-(p + 1.0) / 2.0))}
+    try:
+        green = op.solve_shifted(0.0, prob.B.values * u**q)
+    except CoercivityError:
+        pass
+    else:
+        entry["green_lower_bound"] = float(green.min())
+        entry["green_ok"] = bool(float((u - green).min()) >= -1e-6 * uscale)
+    if sh.lichnerowicz:
+        nu = energy_norm(op, ScalarField(grid, u))
+        entry["power_term_sobolev_bound"] = float(
+            sh.normB * (nu / np.sqrt(sh.S_psi)) ** (q + 1.0)
+        )
+    return u, resid, entry
+
+
+def _levels(op, prob, phi_hat, sh: _Shared, nest: bool) -> _Level:
+    """The minimax solve on ``op``'s grid, through the half grid first when
+    ``nest`` is set and the grid nests (:func:`_nests`).
+
+    A nested level prolongs the half grid's path and polished field
+    (:func:`_prolong`), evaluates the path on its own grid and polishes the
+    field by Newton on MINRES.  Otherwise the level sweeps its own path from
+    the ray through ``phi_hat`` and polishes the path maximum, by the dense
+    solve up to ``MAX_DENSE`` grid points.
+    """
+    grid = op.grid
+
+    def E(vals, pvals=None):
+        return _energy_values(op, prob, sh.eps0, vals, pvals)
+
+    if nest and _nests(grid):
+        cop, cprob, cphi = _restrict(op, prob, phi_hat)
+        coarse = _levels(cop, cprob, cphi, sh, True)
+        nodes = _prolong(coarse.nodes, grid.d)
+        pnodes = op.apply_values(nodes)
+        ends = E(nodes[[0, -1]], pnodes[[0, -1]])
+        if not ends.max() < sh.rim:
+            raise MountainPassGeometryError(
+                f"prolonged endpoint energies {ends} not below the rim {sh.rim:.3e}"
+            )
+        c_eps = _path_max(op, prob, sh.eps0, nodes, pnodes)[0]
+        u, resid, entry = _polish(op, prob, _prolong(coarse.u, grid.d), sh, None)
+        return coarse._replace(u=u, resid=resid, nodes=nodes, c_eps=c_eps,
+                               e_ends=(float(ends[0]), float(ends[1])),
+                               trace=coarse.trace + [entry])
+
+    # endpoints below the rim on the ray through phi
+    def below_rim(t):
+        return E(t * phi_hat) < sh.rim
+
+    t0 = _scale_search(below_rim, 0.5 * sh.r0, 0.5, 60)
+    if t0 is None:
+        raise MountainPassGeometryError(
+            "no inner endpoint below the rim; smoothed singular floor "
+            f"{E(0.0 * phi_hat):.3e} vs rim {sh.rim:.3e}"
+        )
+    t2 = _scale_search(below_rim, 2.0 * sh.r0, 2.0, 60)
+    if t2 is None:
+        raise MountainPassGeometryError("ray energy never sank below the rim")
+
+    # path deformation: descend the highest interior node, with the step
+    # capped by half the local node spacing (uncapped descent runs away down
+    # the unbounded tail for stiff exponents and shreds the path).  The path
+    # is one stack carrying its image pnodes = P nodes: a sweep applies P to
+    # the descent direction alone and moves images by the same linear
+    # combinations as nodes, and every reparametrization applies P afresh.
+    ws = np.linspace(0.0, 1.0, sh.n_nodes).reshape((-1,) + (1,) * grid.d)
+    nodes = ((1.0 - ws) * t0 + ws * t2) * phi_hat
+    pnodes = op.apply_values(nodes)
+    energies = E(nodes, pnodes)
+    precondition = op.preconditioner(0.0)
+    sweeps = 0
+    stall = 0
+    last_max = np.inf
+    path_stop = "cap"
+    for sweep in range(1, sh.max_sweeps + 1):
+        sweeps = sweep
+        i = 1 + int(np.argmax(energies[1:-1]))
+        u, pu = nodes[i], pnodes[i]
+        g = pu - smoothed_reaction(prob, u, sh.eps0)
+        gnorm = float(np.sqrt(grid.inner(g, g)))
+        if gnorm <= 1e-12 * max(abs(energies[i]), 1.0):
+            path_stop = "flat-gradient"
+            break
+        # descend along the energy-norm gradient (sigma + mean W)^{-1} g
+        z = precondition(g)
+        pz = op.apply_values(z)
+        d_prev = u - nodes[i - 1]
+        d_next = nodes[i + 1] - u
+        spacing = min(
+            np.sqrt(grid.inner(d_prev, d_prev)),
+            np.sqrt(grid.inner(d_next, d_next)),
+        )
+        su = min(1.0, 0.5 * spacing / float(np.sqrt(grid.inner(z, z))))
+        bar = energies[i] - 1e-16 * max(abs(energies[i]), 1.0)
+        pstep = -su * pz
+
+        def below_bar(cand, s):
+            pcand = pu + s * pstep
+            ec = E(cand, pcand)
+            return (pcand, ec) if ec < bar else None
+
+        found = backtrack(u, -su * z, below_bar)
+        if found is None:
+            path_stop = "no-descent"
+            break
+        nodes[i], (pnodes[i], energies[i]) = found
+        if sweep % REPARAM_EVERY:
+            continue
+        # descent lowers the node maximum within a period and reparametrizing
+        # restores it, so the maximum is compared from period to period
+        nodes, pnodes = _reparametrize(op, nodes, pnodes)
+        energies = E(nodes, pnodes)
+        cur = float(energies.max())
+        if abs(last_max - cur) <= 1e-10 * max(abs(cur), 1.0):
+            stall += 1
+            if stall >= 3:
+                path_stop = "stall"
+                break
+        else:
+            stall = 0
+        last_max = cur
+
+    c_eps, u = _path_max(op, prob, sh.eps0, nodes, pnodes)
+    # Newton's linear solve: dense on small grids, matrix-free MINRES above
+    solve = _dense_solver(op.dense_matrix()) if grid.npoints <= op.MAX_DENSE else None
+    u, resid, entry = _polish(op, prob, u, sh, solve)
+    return _Level(u, resid, nodes, c_eps, (float(E(t0 * phi_hat)), float(E(t2 * phi_hat))),
+                  t0, t2, sweeps, path_stop, [entry])
+
+
 def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
                         phi: ScalarField | None = None,
                         eps0: float | None = None,
@@ -169,14 +403,34 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
     round-off floor of ``P u`` (then flagged ``residual_floor``), else
     ConvergenceError; the report's residual is Newton's own.  eps0
     regularizes only the path, whose inner endpoint needs a finite energy at
-    zero.  Newton's linear solve is dense up to ``MAX_DENSE`` grid points and
-    matrix-free MINRES above: a dense step copies the freshly assembled
+    zero.  The polish's ``eps_trace`` entry records the singular integral
+    and whether the field dominates the inverse image of its own power term
+    (inverse positivity keeps it from collapsing at the bottom).  A
+    vanishing minimum aborts.
+
+    Grids with at least ``NEST_POINTS`` points and every axis at least
+    ``NEST_AXIS`` long solve on the half grid first (nested iteration, the
+    top of full multigrid: Briggs, Henson & McCormick, *A Multigrid
+    Tutorial*, 2nd ed., SIAM 2000, ch. 3), recursively, so only the coarsest
+    level sweeps a path.  The half grid takes ``V``, ``A``, ``B`` and the
+    trial direction by injection, and the ``S_psi``, rim, ``r0`` and
+    ``eps0`` of the caller's grid.  Each finer level zero-pads the Fourier
+    coefficients of the half grid's path and polished field, takes the pass
+    level and the endpoint energies of the prolonged path on its own grid
+    (the endpoints must stay below the rim), and runs one Newton polish from
+    the prolonged field; as Newton's step count barely depends on the mesh
+    (Allgower, Böhmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23, 1986),
+    that polish takes few steps.  ``eps_trace`` then holds one entry per
+    level, coarsest first, each naming its grid ``sizes``; the extras count
+    the ``levels``, and ``iterations`` is the sweeps plus the Newton steps
+    of every level.  Should any level raise SolverError, the solve reruns on
+    the caller's grid alone and reports ``levels: 1``.  Newton's linear
+    solve is dense only on the level that sweeps the path, and only up to
+    ``MAX_DENSE`` grid points: a dense step copies the freshly assembled
     ``P`` into the solve's one working matrix and factors it in place
     (:func:`_dense_solver`), so the polish holds two matrices, and an
-    ill-conditioned Jacobian warns ``LinAlgWarning``.  The polish's one
-    ``eps_trace`` entry records the singular integral and whether the field
-    dominates the inverse image of its own power term (inverse positivity
-    keeps it from collapsing at the bottom).  A vanishing minimum aborts.
+    ill-conditioned Jacobian warns ``LinAlgWarning``.  Every other polish
+    runs on matrix-free MINRES.
 
     The solver evaluates no existence certificate: the paper's energy-norm
     condition is sufficient for this geometry, which is checked directly (a
@@ -229,157 +483,49 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
         )
     if eps0 is None:
         eps0 = _auto_eps0(op, prob, rim)
-    eps0 = float(eps0)
+    sh = _Shared(float(eps0), r0, rim, S_psi, normB, n_nodes, tol_residual, max_sweeps,
+                 abs((p - 1.0) - (q + 1.0)) <= 1e-12)
 
-    def E(vals, pvals=None):
-        return _energy_values(op, prob, eps0, vals, pvals)
-
-    # endpoints below the rim on the ray through phi
-    def below_rim(t):
-        return E(t * phi_hat) < rim
-
-    t0 = _scale_search(below_rim, 0.5 * r0, 0.5, 60)
-    if t0 is None:
-        raise MountainPassGeometryError(
-            "no inner endpoint below the rim; smoothed singular floor "
-            f"{E(0.0 * phi_hat):.3e} vs rim {rim:.3e}"
-        )
-    t2 = _scale_search(below_rim, 2.0 * r0, 2.0, 60)
-    if t2 is None:
-        raise MountainPassGeometryError("ray energy never sank below the rim")
-
-    e_t0 = E(t0 * phi_hat)
-    e_t2 = E(t2 * phi_hat)
-    energy_at_r0 = energy(op, prob, 0.0, ScalarField(grid, r0 * phi_hat))
-
-    # path deformation: descend the highest interior node, with the step
-    # capped by half the local node spacing (uncapped descent runs away down
-    # the unbounded tail for stiff exponents and shreds the path).  The path
-    # is one stack carrying its image pnodes = P nodes: a sweep applies P to
-    # the descent direction alone and moves images by the same linear
-    # combinations as nodes, and every reparametrization applies P afresh.
-    ws = np.linspace(0.0, 1.0, n_nodes).reshape((-1,) + (1,) * grid.d)
-    nodes = ((1.0 - ws) * t0 + ws * t2) * phi_hat
-    pnodes = op.apply_values(nodes)
-    energies = E(nodes, pnodes)
-    precondition = op.preconditioner(0.0)
-    sweeps = 0
-    stall = 0
-    last_max = np.inf
-    path_stop = "cap"
-    for sweep in range(1, max_sweeps + 1):
-        sweeps = sweep
-        i = 1 + int(np.argmax(energies[1:-1]))
-        u, pu = nodes[i], pnodes[i]
-        g = pu - smoothed_reaction(prob, u, eps0)
-        gnorm = float(np.sqrt(grid.inner(g, g)))
-        if gnorm <= 1e-12 * max(abs(energies[i]), 1.0):
-            path_stop = "flat-gradient"
-            break
-        # descend along the energy-norm gradient (sigma + mean W)^{-1} g
-        z = precondition(g)
-        pz = op.apply_values(z)
-        d_prev = u - nodes[i - 1]
-        d_next = nodes[i + 1] - u
-        spacing = min(
-            np.sqrt(grid.inner(d_prev, d_prev)),
-            np.sqrt(grid.inner(d_next, d_next)),
-        )
-        su = min(1.0, 0.5 * spacing / float(np.sqrt(grid.inner(z, z))))
-        bar = energies[i] - 1e-16 * max(abs(energies[i]), 1.0)
-        pstep = -su * pz
-
-        def below_bar(cand, s):
-            pcand = pu + s * pstep
-            ec = E(cand, pcand)
-            return (pcand, ec) if ec < bar else None
-
-        found = backtrack(u, -su * z, below_bar)
-        if found is None:
-            path_stop = "no-descent"
-            break
-        nodes[i], (pnodes[i], energies[i]) = found
-        if sweep % REPARAM_EVERY:
-            continue
-        # descent lowers the node maximum within a period and reparametrizing
-        # restores it, so the maximum is compared from period to period
-        nodes, pnodes = _reparametrize(op, nodes, pnodes)
-        energies = E(nodes, pnodes)
-        cur = float(energies.max())
-        if abs(last_max - cur) <= 1e-10 * max(abs(cur), 1.0):
-            stall += 1
-            if stall >= 3:
-                path_stop = "stall"
-                break
-        else:
-            stall = 0
-        last_max = cur
-
-    c_eps, u = _path_max(op, prob, eps0, nodes, pnodes)
-
-    # polish the path maximum on the exact equation
-    uscale = max(float(np.abs(u).max()), 1.0)
-    target = min(tol_residual, max(1e-3 * tol_residual, 1e-9 * uscale))
-    lichnerowicz = abs((p - 1.0) - (q + 1.0)) <= 1e-12
-    # Newton's linear solve: dense on small grids, matrix-free MINRES above
-    solve = _dense_solver(op.dense_matrix()) if grid.npoints <= op.MAX_DENSE else None
-    u, resid, newton_its, stop = newton(
-        op, partial(reaction, prob), partial(reaction_derivative, prob),
-        u, op.apply_values(u),
-        lambda v, pv, r: r <= max(target, op.roundoff_floor(v)), 80,
-        solve=solve, admissible=lambda c: float(c.min()) > 0.0,
-    )
-    if stop != "done":
-        why = {"solve-failed": "linearized solve failed",
-               "stagnated": "polish stagnated",
-               "cap": "polish reached 80 steps"}[stop]
-        raise ConvergenceError(f"{why} at residual {resid:.3e}", residual=resid)
-    umin = float(u.min())
-    uscale = max(float(np.abs(u).max()), 1.0)
-    if umin <= 1e-10 * uscale:
-        raise SolverError(f"lower bound collapsed (min u = {umin:.3e})", residual=resid)
-    entry = {"eps": 0.0, "residual": resid, "min_u": umin,
-             "newton_iterations": newton_its, **floor_flag(op, u, resid, target),
-             "singular_integral": grid.integrate(
-                 prob.A.values * (u**2) ** (-(p + 1.0) / 2.0))}
+    nests = _nests(grid)
     try:
-        green = op.solve_shifted(0.0, prob.B.values * u**q)
-    except CoercivityError:
-        pass
-    else:
-        entry["green_lower_bound"] = float(green.min())
-        entry["green_ok"] = bool(float((u - green).min()) >= -1e-6 * uscale)
-    if lichnerowicz:
-        nu = energy_norm(op, ScalarField(grid, u))
-        entry["power_term_sobolev_bound"] = float(
-            normB * (nu / np.sqrt(S_psi)) ** (q + 1.0)
-        )
+        lv = _levels(op, prob, phi_hat, sh, nests)
+    except SolverError:
+        if not nests:
+            raise
+        lv = _levels(op, prob, phi_hat, sh, False)
+    energy_at_r0 = energy(op, prob, 0.0, ScalarField(grid, r0 * phi_hat))
+    # the entries run coarsest first, each level halving the finer one;
+    # grids too small to nest report neither sizes nor levels
+    if nests:
+        for k, entry in enumerate(reversed(lv.trace)):
+            entry["sizes"] = [m >> k for m in grid.sizes]
 
-    final = ScalarField(grid, u)
+    final = ScalarField(grid, lv.u)
     return SolverReport(
         u=final,
-        residual=resid,
-        iterations=sweeps + newton_its,
+        residual=lv.resid,
+        iterations=lv.sweeps + sum(e["newton_iterations"] for e in lv.trace),
         converged=True,
         method="mountain-pass",
-        pass_level=c_eps,
+        pass_level=lv.c_eps,
         rim_value=float(rim),
-        energy_at_endpoints=(float(e_t0), float(e_t2)),
+        energy_at_endpoints=lv.e_ends,
         energy_at_r0=energy_at_r0,
         energy_at_solution=energy(op, prob, 0.0, final),
-        eps_trace=[entry],
+        eps_trace=lv.trace,
         extras={
-            "eps0": eps0,
+            "eps0": sh.eps0,
             "r0": float(r0),
-            "t0": float(t0),
-            "t2": float(t2),
+            "t0": float(lv.t0),
+            "t2": float(lv.t2),
             "S_psi": float(S_psi),
             "norm_B": float(normB),
-            "path_sweeps": sweeps,
-            "path_stop": path_stop,
-            "pass_level_in_bracket": bool(rim < c_eps < energy_at_r0),
-            "lichnerowicz_exponents": bool(lichnerowicz),
-            **floor_flag(op, u, resid, tol_residual),
+            "path_sweeps": lv.sweeps,
+            "path_stop": lv.path_stop,
+            "pass_level_in_bracket": bool(rim < lv.c_eps < energy_at_r0),
+            "lichnerowicz_exponents": bool(sh.lichnerowicz),
+            **floor_flag(op, lv.u, lv.resid, tol_residual),
+            **({"levels": len(lv.trace)} if nests else {}),
         },
     )
 

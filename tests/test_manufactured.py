@@ -8,7 +8,8 @@ u* = 1 + 0.3 cos x + 0.05 sum_{i >= 2} sin x_i cos x is a trigonometric
 polynomial, so P u* is exact to round-off.  It solves the absorption problem
 P u = A/u^3 - B u^2 with A = u*^3 (P u* + B u*^2) and B = 2, and the source
 problem P u = A/u^3 + B u^2 with A = u*^3 (P u* - B u*^2) and B = 0.05; both
-coefficients are checked positive.
+coefficients are checked positive.  The minimax solve of the source problem
+returns a second, upper solution rather than u*.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 import paneitzlab as pl
 from paneitzlab import mountain_pass
 from paneitzlab.operator import newton
-from paneitzlab.problems import reaction, reaction_derivative
+from paneitzlab.problems import reaction, reaction_derivative, residual_sup
 
 TWO_PI = 2.0 * np.pi
 P_EXP, Q_EXP, B_CONST = 3.0, 2.0, 2.0
@@ -69,6 +70,20 @@ def test_continuation_recovers_the_solution(ref_params):
     assert relative_error(rep.u.values, ustar) <= 1e-14
 
 
+@pytest.mark.parametrize("sizes", [(64,), (32, 32)], ids=["64", "32^2"])
+def test_minimax_returns_the_upper_solution(ref_params, sizes):
+    # the minimax solve does not return u*: Newton takes its path maximum to
+    # a second solution, above u* everywhere (max u 131.25 on both grids),
+    # whose energy (1.18e5 on 64, 7.44e5 on 32^2) far exceeds u*'s (44.6 and
+    # 280.9)
+    op, prob, ustar = manufactured(ref_params, sizes, b=0.05, mode="source")
+    rep = pl.mountain_pass_solve(op, prob, S_psi=pl.sobolev_constant(op))
+    assert residual_sup(op, prob, rep.u.values) <= 1e-6
+    assert rep.u.min() > ustar.max()
+    e_star = pl.energy(op, prob, 0.0, pl.ScalarField(op.grid, ustar))
+    assert rep.energy_at_solution > 100.0 * e_star
+
+
 class _Polish(Exception):
     """Raised by the stand-in for ``newton`` once it holds the polish's
     reaction, its derivative and the linear solve."""
@@ -76,10 +91,14 @@ class _Polish(Exception):
 
 def polish_solve(op, prob, monkeypatch):
     """``(f, fprime, solve)``: the reaction, its derivative and the linear
-    solve that ``mountain_pass_solve`` hands its Newton polish."""
+    solve that ``mountain_pass_solve`` hands its Newton polish on the
+    caller's grid.  The polishes of coarser levels run unchanged."""
     held = []
+    newton_ = mountain_pass.newton
 
-    def hold(op, f, fprime, *args, solve=None, **kwargs):
+    def hold(level_op, f, fprime, *args, solve=None, **kwargs):
+        if level_op.grid != op.grid:
+            return newton_(level_op, f, fprime, *args, solve=solve, **kwargs)
         held.append((f, fprime, solve))
         raise _Polish
 
@@ -93,9 +112,10 @@ def polish_solve(op, prob, monkeypatch):
 @pytest.mark.parametrize("sizes", [(64,), (1024,), (32, 32)], ids=["64", "1024", "32^2"])
 def test_minimax_polish_recovers_the_solution(ref_params, sizes, monkeypatch):
     op, prob, ustar = manufactured(ref_params, sizes, b=0.05, mode="source")
-    assert op.grid.npoints <= op.MAX_DENSE
     f, fprime, solve = polish_solve(op, prob, monkeypatch)
-    assert solve is not None  # the dense solve, not MINRES
+    # 1-D 64 sweeps its own path and polishes by the dense solve; 1024 and
+    # 32^2 start from the half grid and polish on MINRES
+    assert (solve is not None) == (sizes == (64,))
     # the polish solves the problem's own equation, whose reaction
     # A u^-p + B u^q makes u* a solution
     assert np.array_equal(f(ustar), reaction(prob, ustar))

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 import paneitzlab as pl
 from paneitzlab import mountain_pass
-from paneitzlab.mountain_pass import REPARAM_EVERY, _energy_values, _path_max
+from paneitzlab.cli import parse_config, run
+from paneitzlab.mountain_pass import REPARAM_EVERY, _energy_values, _path_max, _prolong
 from paneitzlab.operator import backtrack, newton
 from paneitzlab.problems import smoothed_reaction
 
@@ -13,6 +15,11 @@ from _oracles import scalar_source_roots, sequential_halving
 from conftest import constant_problem, sin_psi_operator
 
 TWO_PI = 2.0 * np.pi
+# the CI smoke solve: a source-mode minimax solve on an n^2 grid with mild psi
+SMOKE_MINIMAX = ("action = mountain-pass\nmode = source\nsizes = {n},{n}\n"
+                 "lengths = 6.283185307179586,6.283185307179586\nR = 3.8\nA = 1\n"
+                 "B = 0.05\np = 1.5\nq = 2\npsi = mode\npsi_mode = 1,1\n"
+                 "psi_amplitude = 0.2\nmp_require_cond = false\n")
 
 
 @pytest.fixture(scope="module")
@@ -510,6 +517,71 @@ class TestRoundoffFloorStop:
         assert rep.converged and rep.u.min() > 0.0
         assert rep.residual <= max(1e-6, op.roundoff_floor(rep.u.values))
         assert all(e["residual"] <= e["residual_floor"] for e in rep.eps_trace)
+
+
+class TestNestedLevels:
+    """Grids with at least 1024 points and every axis at least 32 long solve
+    on the half grid first; smaller grids sweep their own path."""
+
+    # max u and pass level of the solve that swept its path on the n^2 grid
+    @pytest.mark.parametrize("n, max_u, pass_level", [
+        (32, 3.4002591310813113, 26.865210169676075),
+        (64, 3.4002591310812673, 26.86521016967606),
+    ])
+    def test_nested_solve_keeps_the_single_level_answer(self, tmp_path, n, max_u,
+                                                       pass_level):
+        assert run(parse_config(SMOKE_MINIMAX.format(n=n)), out_dir=tmp_path).exit_code == 0
+        solver = json.loads((tmp_path / "report.json").read_text())["solver"]
+        assert solver["max_u"] == pytest.approx(max_u, rel=1e-8)
+        assert solver["pass_level"] == pytest.approx(pass_level, rel=1e-8)
+        # 16^2 up to n^2, coarsest first
+        sizes = [[m, m] for m in (16, 32, 64) if m <= n]
+        assert solver["extras"]["levels"] == len(sizes)
+        assert [e["sizes"] for e in solver["eps_trace"]] == sizes
+        assert solver["iterations"] == solver["extras"]["path_sweeps"] + sum(
+            e["newton_iterations"] for e in solver["eps_trace"])
+
+    def test_small_grids_report_no_levels(self, mp_solution):
+        assert "levels" not in mp_solution.extras
+        assert not any("sizes" in e for e in mp_solution.eps_trace)
+
+    def test_failed_coarse_level_reruns_on_the_callers_grid(self, mp_params, monkeypatch):
+        grid = pl.SpectralGrid((32, 32), (TWO_PI, TWO_PI))
+        x, y = grid.meshgrid()
+        op = pl.build_operator(mp_params, grid, psi=pl.ScalarField(grid, 0.2 * np.sin(x + y)))
+        prob = constant_problem(grid, b=0.05, p=1.5, q=2.0, mode="source")
+        S = pl.sobolev_constant(op)
+        nested = pl.mountain_pass_solve(op, prob, S_psi=S)
+        levels = mountain_pass._levels
+
+        def coarse_fails(level_op, *args):
+            if level_op.grid != grid:
+                raise pl.SolverError("coarse level failed")
+            return levels(level_op, *args)
+
+        monkeypatch.setattr(mountain_pass, "_levels", coarse_fails)
+        rep = pl.mountain_pass_solve(op, prob, S_psi=S)
+        assert rep.converged and rep.residual <= 1e-6
+        assert rep.extras["levels"] == 1
+        assert [e["sizes"] for e in rep.eps_trace] == [[32, 32]]
+        assert np.abs(rep.u.values - nested.u.values).max() <= 1e-8 * nested.u.max()
+
+    @pytest.mark.parametrize("sizes", [(16,), (8, 4), (4, 8, 4)])
+    def test_prolongation_interpolates_band_limited_fields(self, sizes):
+        coarse = pl.SpectralGrid(sizes, (TWO_PI,) * len(sizes))
+        fine = pl.SpectralGrid(tuple(2 * m for m in sizes), coarse.lengths)
+
+        def field(grid):
+            # resolved on the coarse grid, its Nyquist mode included
+            return 1.0 + sum(np.cos(m // 2 * x) + np.sin((m // 2 - 1) * x + 0.3)
+                             for m, x in zip(sizes, grid.meshgrid()))
+
+        stack = np.stack([field(coarse), -2.0 * field(coarse)])
+        out = _prolong(stack, coarse.d)
+        assert out.shape == (2,) + fine.shape
+        assert np.abs(out - [field(fine), -2.0 * field(fine)]).max() <= 1e-13
+        every_other = (slice(None),) + (slice(None, None, 2),) * coarse.d
+        assert np.abs(out[every_other] - stack).max() <= 1e-13
 
 
 class TestLichnerowiczExponents:
