@@ -152,23 +152,22 @@ def _restrict(op, prob, phi_hat):
             phi_hat[every_other])
 
 
-def _prolong(values, d):
-    """Grid values, or a stack of them, on the grid twice as fine along each
-    of the trailing ``d`` axes, by zero-padding their Fourier coefficients.
+def _prolong(values):
+    """Grid values on the grid twice as fine along each axis, by zero-padding
+    their Fourier coefficients.
 
     Each Nyquist coefficient is split evenly between +N/2 and -N/2, so the
     interpolant is real and takes the given values at the coarse points.
     """
-    axes = tuple(range(-d, 0))
-    hat = np.fft.fftn(values, axes=axes)
-    for ax in axes:
+    hat = np.fft.fftn(values)
+    for ax in range(hat.ndim):
         h = hat.shape[ax] // 2
         low, nyquist, high = np.split(hat, [h, h + 1], axis=ax)
         gap = list(hat.shape)
         gap[ax] = 2 * h - 1
         hat = np.concatenate([low, 0.5 * nyquist, np.zeros(gap), 0.5 * nyquist, high],
                              axis=ax)
-    return np.fft.ifftn(hat, axes=axes).real * 2**d
+    return np.fft.ifftn(hat).real * 2**hat.ndim
 
 
 class _Shared(NamedTuple):
@@ -186,14 +185,13 @@ class _Shared(NamedTuple):
 
 
 class _Level(NamedTuple):
-    """A level's polished field and its path, whose maximum ``c_eps`` and
-    endpoint energies ``e_ends`` are values on the level's grid; ``t0``,
-    ``t2``, ``sweeps`` and ``path_stop`` come from the coarsest level, and
-    ``trace`` holds one polish entry per level, coarsest first."""
+    """A level's polished field and residual; the pass level ``c_eps``, the
+    endpoint energies ``e_ends``, ``t0``, ``t2``, ``sweeps`` and
+    ``path_stop`` come from the coarsest level, the one that swept the path,
+    and ``trace`` holds one polish entry per level, coarsest first."""
 
     u: np.ndarray
     resid: float
-    nodes: np.ndarray
     c_eps: float
     e_ends: tuple[float, float]
     t0: float
@@ -248,32 +246,23 @@ def _levels(op, prob, phi_hat, sh: _Shared, nest: bool) -> _Level:
     """The minimax solve on ``op``'s grid, through the half grid first when
     ``nest`` is set and the grid nests (:func:`_nests`).
 
-    A nested level prolongs the half grid's path and polished field
-    (:func:`_prolong`), evaluates the path on its own grid and polishes the
-    field by Newton on MINRES.  Otherwise the level sweeps its own path from
-    the ray through ``phi_hat`` and polishes the path maximum, by the dense
-    solve up to ``MAX_DENSE`` grid points.
+    A nested level prolongs the half grid's polished field alone
+    (:func:`_prolong`) and polishes it by Newton on MINRES; the path and its
+    values stay those of the grid that swept it.  Otherwise the level checks
+    its endpoints against the rim, sweeps its own path from the ray through
+    ``phi_hat`` and polishes the path maximum, by the dense solve up to
+    ``MAX_DENSE`` grid points.
     """
+    if nest and _nests(op.grid):
+        cop, cprob, cphi = _restrict(op, prob, phi_hat)
+        coarse = _levels(cop, cprob, cphi, sh, True)
+        u, resid, entry = _polish(op, prob, _prolong(coarse.u), sh, None)
+        return coarse._replace(u=u, resid=resid, trace=coarse.trace + [entry])
+
     grid = op.grid
 
     def E(vals, pvals=None):
         return _energy_values(op, prob, sh.eps0, vals, pvals)
-
-    if nest and _nests(grid):
-        cop, cprob, cphi = _restrict(op, prob, phi_hat)
-        coarse = _levels(cop, cprob, cphi, sh, True)
-        nodes = _prolong(coarse.nodes, grid.d)
-        pnodes = op.apply_values(nodes)
-        ends = E(nodes[[0, -1]], pnodes[[0, -1]])
-        if not ends.max() < sh.rim:
-            raise MountainPassGeometryError(
-                f"prolonged endpoint energies {ends} not below the rim {sh.rim:.3e}"
-            )
-        c_eps = _path_max(op, prob, sh.eps0, nodes, pnodes)[0]
-        u, resid, entry = _polish(op, prob, _prolong(coarse.u, grid.d), sh, None)
-        return coarse._replace(u=u, resid=resid, nodes=nodes, c_eps=c_eps,
-                               e_ends=(float(ends[0]), float(ends[1])),
-                               trace=coarse.trace + [entry])
 
     # endpoints below the rim on the ray through phi
     def below_rim(t):
@@ -356,7 +345,7 @@ def _levels(op, prob, phi_hat, sh: _Shared, nest: bool) -> _Level:
     # Newton's linear solve: dense on small grids, matrix-free MINRES above
     solve = _dense_solver(op.dense_matrix()) if grid.npoints <= op.MAX_DENSE else None
     u, resid, entry = _polish(op, prob, u, sh, solve)
-    return _Level(u, resid, nodes, c_eps, (float(E(t0 * phi_hat)), float(E(t2 * phi_hat))),
+    return _Level(u, resid, c_eps, (float(E(t0 * phi_hat)), float(E(t2 * phi_hat))),
                   t0, t2, sweeps, path_stop, [entry])
 
 
@@ -415,22 +404,23 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
     level sweeps a path.  The half grid takes ``V``, ``A``, ``B`` and the
     trial direction by injection, and the ``S_psi``, rim, ``r0`` and
     ``eps0`` of the caller's grid.  Each finer level zero-pads the Fourier
-    coefficients of the half grid's path and polished field, takes the pass
-    level and the endpoint energies of the prolonged path on its own grid
-    (the endpoints must stay below the rim), and runs one Newton polish from
-    the prolonged field; as Newton's step count barely depends on the mesh
-    (Allgower, Böhmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23, 1986),
-    that polish takes few steps.  ``eps_trace`` then holds one entry per
-    level, coarsest first, each naming its grid ``sizes``; the extras count
-    the ``levels``, and ``iterations`` is the sweeps plus the Newton steps
-    of every level.  Should any level raise SolverError, the solve reruns on
-    the caller's grid alone and reports ``levels: 1``.  Newton's linear
-    solve is dense only on the level that sweeps the path, and only up to
-    ``MAX_DENSE`` grid points: a dense step copies the freshly assembled
-    ``P`` into the solve's one working matrix and factors it in place
-    (:func:`_dense_solver`), so the polish holds two matrices, and an
-    ill-conditioned Jacobian warns ``LinAlgWarning``.  Every other polish
-    runs on matrix-free MINRES.
+    coefficients of the half grid's polished field and runs one Newton polish
+    from it; as Newton's step count barely depends on the mesh (Allgower,
+    Böhmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23, 1986), that polish
+    takes few steps.  The pass level, the endpoint energies, ``t0``, ``t2``,
+    ``path_sweeps`` and ``path_stop`` are those of the coarsest level, whose
+    grid is the first ``eps_trace`` entry's ``sizes``: only it sweeps the
+    path and checks its endpoints against the rim.  ``eps_trace`` then holds
+    one entry per level, coarsest first, each naming its grid ``sizes``; the
+    extras count the ``levels``, and ``iterations`` is the sweeps plus the
+    Newton steps of every level.  Should any level raise SolverError, the
+    solve reruns on the caller's grid alone and reports ``levels: 1``.
+    Newton's linear solve is dense only on the level that sweeps the path,
+    and only up to ``MAX_DENSE`` grid points: a dense step copies the
+    freshly assembled ``P`` into the solve's one working matrix and factors
+    it in place (:func:`_dense_solver`), so the polish holds two matrices,
+    and an ill-conditioned Jacobian warns ``LinAlgWarning``.  Every other
+    polish runs on matrix-free MINRES.
 
     The solver evaluates no existence certificate: the paper's energy-norm
     condition is sufficient for this geometry, which is checked directly (a
@@ -439,13 +429,20 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
     :func:`paneitzlab.conditions.check_existence_cond`.  A nonpositive
     ``S_psi`` (no coercive embedding) raises CoercivityError.
     ``eps0=None`` picks the regularization so the smoothed singular term at
-    zero sits at half the rim value; a given ``eps0`` must be positive
+    zero sits at half the rim value; a given ``eps0`` must be positive, as
+    must ``tol_residual``, with ``n_nodes >= 3`` and ``max_sweeps >= 0``
     (ValueError).
     """
     if prob.mode != SOURCE:
         raise ValueError("minimax solver addresses the source mode")
     if eps0 is not None and not eps0 > 0.0:
         raise ValueError(f"eps0 must be positive, got {eps0}")
+    if not tol_residual > 0.0:
+        raise ValueError(f"tol_residual must be positive, got {tol_residual}")
+    if n_nodes < 3:
+        raise ValueError(f"n_nodes must be at least 3, got {n_nodes}")
+    if max_sweeps < 0:
+        raise ValueError(f"max_sweeps must be nonnegative, got {max_sweeps}")
     prob.validate_exponents(op.params)
     grid = op.grid
     p, q = prob.p, prob.q

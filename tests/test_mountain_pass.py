@@ -302,7 +302,13 @@ class TestStackedPath:
     @pytest.mark.parametrize("kw, match", [
         ({"eps0": -1.0}, "eps0 must be positive, got -1.0"),
         ({"eps0": 0.0}, "eps0 must be positive, got 0.0"),
-    ], ids=["eps0=-1", "eps0=0"])
+        ({"n_nodes": 2}, "n_nodes must be at least 3, got 2"),
+        ({"n_nodes": 1}, "n_nodes must be at least 3, got 1"),
+        ({"max_sweeps": -1}, "max_sweeps must be nonnegative, got -1"),
+        ({"tol_residual": 0.0}, "tol_residual must be positive, got 0.0"),
+        ({"tol_residual": -1e-6}, "tol_residual must be positive, got -1e-06"),
+    ], ids=["eps0=-1", "eps0=0", "n_nodes=2", "n_nodes=1", "max_sweeps=-1",
+            "tol_residual=0", "tol_residual=-1e-6"])
     def test_bad_regularization_refused_before_any_work(self, mp_op, mp_problem,
                                                         monkeypatch, kw, match):
         # without S_psi the embedding constant is the solve's first work
@@ -527,15 +533,29 @@ class TestNestedLevels:
     @pytest.mark.parametrize("n, max_u, pass_level", [
         (32, 3.4002591310813113, 26.865210169676075),
         (64, 3.4002591310812673, 26.86521016967606),
+        (128, 3.4002591310813166, 26.86521016967606),
     ])
-    def test_nested_solve_keeps_the_single_level_answer(self, tmp_path, n, max_u,
-                                                       pass_level):
-        assert run(parse_config(SMOKE_MINIMAX.format(n=n)), out_dir=tmp_path).exit_code == 0
+    def test_nested_solve_keeps_the_single_level_answer(self, tmp_path, monkeypatch, n,
+                                                       max_u, pass_level):
+        swept = []
+
+        def spy(op, *args):
+            swept.append(op.grid.sizes)
+            return _path_max(op, *args)
+
+        monkeypatch.setattr(mountain_pass, "_path_max", spy)
+        result, peak = _traced_peak(
+            lambda: run(parse_config(SMOKE_MINIMAX.format(n=n)), out_dir=tmp_path))
+        assert result.exit_code == 0
+        # only the 16^2 level sweeps and evaluates a path, and finer levels
+        # hold single fields, so the peak does not grow with the grid
+        assert swept == [(16, 16)]
+        assert peak < 16 * 2**20
         solver = json.loads((tmp_path / "report.json").read_text())["solver"]
         assert solver["max_u"] == pytest.approx(max_u, rel=1e-8)
         assert solver["pass_level"] == pytest.approx(pass_level, rel=1e-8)
         # 16^2 up to n^2, coarsest first
-        sizes = [[m, m] for m in (16, 32, 64) if m <= n]
+        sizes = [[m, m] for m in (16, 32, 64, 128) if m <= n]
         assert solver["extras"]["levels"] == len(sizes)
         assert [e["sizes"] for e in solver["eps_trace"]] == sizes
         assert solver["iterations"] == solver["extras"]["path_sweeps"] + sum(
@@ -545,12 +565,17 @@ class TestNestedLevels:
         assert "levels" not in mp_solution.extras
         assert not any("sizes" in e for e in mp_solution.eps_trace)
 
-    def test_failed_coarse_level_reruns_on_the_callers_grid(self, mp_params, monkeypatch):
+    @pytest.fixture(scope="class")
+    def nest32(self, mp_params):
         grid = pl.SpectralGrid((32, 32), (TWO_PI, TWO_PI))
         x, y = grid.meshgrid()
         op = pl.build_operator(mp_params, grid, psi=pl.ScalarField(grid, 0.2 * np.sin(x + y)))
         prob = constant_problem(grid, b=0.05, p=1.5, q=2.0, mode="source")
-        S = pl.sobolev_constant(op)
+        return op, prob, pl.sobolev_constant(op)
+
+    def test_failed_coarse_level_reruns_on_the_callers_grid(self, nest32, monkeypatch):
+        op, prob, S = nest32
+        grid = op.grid
         nested = pl.mountain_pass_solve(op, prob, S_psi=S)
         levels = mountain_pass._levels
 
@@ -566,6 +591,23 @@ class TestNestedLevels:
         assert [e["sizes"] for e in rep.eps_trace] == [[32, 32]]
         assert np.abs(rep.u.values - nested.u.values).max() <= 1e-8 * nested.u.max()
 
+    def test_sweeping_level_checks_its_endpoints_against_the_rim(self, nest32, monkeypatch):
+        # at eps0 = 0.01 the smoothed singular term at zero (about 250) sits
+        # far above the rim (about 0.017), so the ray has no inner endpoint:
+        # the 16^2 level that sweeps refuses, and so does the rerun on 32^2
+        op, prob, S = nest32
+        seen = []
+        levels = mountain_pass._levels
+
+        def spy(level_op, *args):
+            seen.append(level_op.grid.sizes)
+            return levels(level_op, *args)
+
+        monkeypatch.setattr(mountain_pass, "_levels", spy)
+        with pytest.raises(pl.MountainPassGeometryError, match="no inner endpoint below the rim"):
+            pl.mountain_pass_solve(op, prob, S_psi=S, eps0=0.01)
+        assert seen == [(32, 32), (16, 16), (32, 32)]
+
     @pytest.mark.parametrize("sizes", [(16,), (8, 4), (4, 8, 4)])
     def test_prolongation_interpolates_band_limited_fields(self, sizes):
         coarse = pl.SpectralGrid(sizes, (TWO_PI,) * len(sizes))
@@ -576,12 +618,11 @@ class TestNestedLevels:
             return 1.0 + sum(np.cos(m // 2 * x) + np.sin((m // 2 - 1) * x + 0.3)
                              for m, x in zip(sizes, grid.meshgrid()))
 
-        stack = np.stack([field(coarse), -2.0 * field(coarse)])
-        out = _prolong(stack, coarse.d)
-        assert out.shape == (2,) + fine.shape
-        assert np.abs(out - [field(fine), -2.0 * field(fine)]).max() <= 1e-13
-        every_other = (slice(None),) + (slice(None, None, 2),) * coarse.d
-        assert np.abs(out[every_other] - stack).max() <= 1e-13
+        out = _prolong(field(coarse))
+        assert out.shape == fine.shape
+        assert np.abs(out - field(fine)).max() <= 1e-13
+        every_other = (slice(None, None, 2),) * coarse.d
+        assert np.abs(out[every_other] - field(coarse)).max() <= 1e-13
 
 
 class TestLichnerowiczExponents:
