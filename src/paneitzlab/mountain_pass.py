@@ -11,7 +11,6 @@ do both on the half grid first and finish with Newton alone.
 from __future__ import annotations
 
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -170,44 +169,17 @@ def _prolong(values):
     return np.fft.ifftn(hat).real * 2**hat.ndim
 
 
-class _Shared(NamedTuple):
-    """What every level of one minimax solve uses, set once on the caller's grid."""
-
-    eps0: float
-    r0: float
-    rim: float
-    S_psi: float
-    normB: float
-    n_nodes: int
-    tol_residual: float
-    max_sweeps: int
-    lichnerowicz: bool
-
-
-class _Level(NamedTuple):
-    """A level's polished field and residual; the pass level ``c_eps``, the
-    endpoint energies ``e_ends``, ``t0``, ``t2``, ``sweeps`` and
-    ``path_stop`` come from the coarsest level, the one that swept the path,
-    and ``trace`` holds one polish entry per level, coarsest first."""
-
-    u: np.ndarray
-    resid: float
-    c_eps: float
-    e_ends: tuple[float, float]
-    t0: float
-    t2: float
-    sweeps: int
-    path_stop: str
-    trace: list
-
-
-def _polish(op, prob, u, sh: _Shared, solve):
+def _polish(op, prob, u, tol_residual, power_bound, solve):
     """Newton on the exact equation from ``u`` with the linear solve ``solve``
-    (None: MINRES); returns the field, its residual and its ``eps_trace`` entry."""
+    (None: MINRES); returns the field, its residual and its ``eps_trace``
+    entry, which names the grid ``sizes``.  ``power_bound`` (None unless the
+    exponents are Lichnerowicz) maps the field's energy norm to the entry's
+    ``power_term_sobolev_bound``."""
     grid = op.grid
     p, q = prob.p, prob.q
+    on_grid = f"on the {'x'.join(map(str, grid.sizes))} grid"
     uscale = max(float(np.abs(u).max()), 1.0)
-    target = min(sh.tol_residual, max(1e-3 * sh.tol_residual, 1e-9 * uscale))
+    target = min(tol_residual, max(1e-3 * tol_residual, 1e-9 * uscale))
     u, resid, newton_its, stop = newton(
         op, partial(reaction, prob), partial(reaction_derivative, prob),
         u, op.apply_values(u),
@@ -218,11 +190,12 @@ def _polish(op, prob, u, sh: _Shared, solve):
         why = {"solve-failed": "linearized solve failed",
                "stagnated": "polish stagnated",
                "cap": "polish reached 80 steps"}[stop]
-        raise ConvergenceError(f"{why} at residual {resid:.3e}", residual=resid)
+        raise ConvergenceError(f"{why} at residual {resid:.3e} {on_grid}", residual=resid)
     umin = float(u.min())
     uscale = max(float(np.abs(u).max()), 1.0)
     if umin <= 1e-10 * uscale:
-        raise SolverError(f"lower bound collapsed (min u = {umin:.3e})", residual=resid)
+        raise SolverError(f"lower bound collapsed (min u = {umin:.3e}) {on_grid}",
+                          residual=resid)
     entry = {"eps": 0.0, "residual": resid, "min_u": umin,
              "newton_iterations": newton_its, **floor_flag(op, u, resid, target),
              "singular_integral": grid.integrate(
@@ -234,47 +207,35 @@ def _polish(op, prob, u, sh: _Shared, solve):
     else:
         entry["green_lower_bound"] = float(green.min())
         entry["green_ok"] = bool(float((u - green).min()) >= -1e-6 * uscale)
-    if sh.lichnerowicz:
-        nu = energy_norm(op, ScalarField(grid, u))
-        entry["power_term_sobolev_bound"] = float(
-            sh.normB * (nu / np.sqrt(sh.S_psi)) ** (q + 1.0)
-        )
+    if power_bound is not None:
+        entry["power_term_sobolev_bound"] = power_bound(energy_norm(op, ScalarField(grid, u)))
+    entry["sizes"] = list(grid.sizes)
     return u, resid, entry
 
 
-def _levels(op, prob, phi_hat, sh: _Shared, nest: bool) -> _Level:
-    """The minimax solve on ``op``'s grid, through the half grid first when
-    ``nest`` is set and the grid nests (:func:`_nests`).
+def _sweep(op, prob, phi_hat, eps0, r0, rim, n_nodes, max_sweeps):
+    """Endpoints below the rim on the ray through ``phi_hat``, the path
+    between them deformed by descent, and its maximum.
 
-    A nested level prolongs the half grid's polished field alone
-    (:func:`_prolong`) and polishes it by Newton on MINRES; the path and its
-    values stay those of the grid that swept it.  Otherwise the level checks
-    its endpoints against the rim, sweeps its own path from the ray through
-    ``phi_hat`` and polishes the path maximum, by the dense solve up to
-    ``MAX_DENSE`` grid points.
+    Returns the maximizing field, the pass level ``c_eps``, ``t0``, ``t2``,
+    the sweep count and ``path_stop``.
     """
-    if nest and _nests(op.grid):
-        cop, cprob, cphi = _restrict(op, prob, phi_hat)
-        coarse = _levels(cop, cprob, cphi, sh, True)
-        u, resid, entry = _polish(op, prob, _prolong(coarse.u), sh, None)
-        return coarse._replace(u=u, resid=resid, trace=coarse.trace + [entry])
-
     grid = op.grid
 
     def E(vals, pvals=None):
-        return _energy_values(op, prob, sh.eps0, vals, pvals)
+        return _energy_values(op, prob, eps0, vals, pvals)
 
     # endpoints below the rim on the ray through phi
     def below_rim(t):
-        return E(t * phi_hat) < sh.rim
+        return E(t * phi_hat) < rim
 
-    t0 = _scale_search(below_rim, 0.5 * sh.r0, 0.5, 60)
+    t0 = _scale_search(below_rim, 0.5 * r0, 0.5, 60)
     if t0 is None:
         raise MountainPassGeometryError(
             "no inner endpoint below the rim; smoothed singular floor "
-            f"{E(0.0 * phi_hat):.3e} vs rim {sh.rim:.3e}"
+            f"{E(0.0 * phi_hat):.3e} vs rim {rim:.3e}"
         )
-    t2 = _scale_search(below_rim, 2.0 * sh.r0, 2.0, 60)
+    t2 = _scale_search(below_rim, 2.0 * r0, 2.0, 60)
     if t2 is None:
         raise MountainPassGeometryError("ray energy never sank below the rim")
 
@@ -284,7 +245,7 @@ def _levels(op, prob, phi_hat, sh: _Shared, nest: bool) -> _Level:
     # is one stack carrying its image pnodes = P nodes: a sweep applies P to
     # the descent direction alone and moves images by the same linear
     # combinations as nodes, and every reparametrization applies P afresh.
-    ws = np.linspace(0.0, 1.0, sh.n_nodes).reshape((-1,) + (1,) * grid.d)
+    ws = np.linspace(0.0, 1.0, n_nodes).reshape((-1,) + (1,) * grid.d)
     nodes = ((1.0 - ws) * t0 + ws * t2) * phi_hat
     pnodes = op.apply_values(nodes)
     energies = E(nodes, pnodes)
@@ -293,11 +254,11 @@ def _levels(op, prob, phi_hat, sh: _Shared, nest: bool) -> _Level:
     stall = 0
     last_max = np.inf
     path_stop = "cap"
-    for sweep in range(1, sh.max_sweeps + 1):
+    for sweep in range(1, max_sweeps + 1):
         sweeps = sweep
         i = 1 + int(np.argmax(energies[1:-1]))
         u, pu = nodes[i], pnodes[i]
-        g = pu - smoothed_reaction(prob, u, sh.eps0)
+        g = pu - smoothed_reaction(prob, u, eps0)
         gnorm = float(np.sqrt(grid.inner(g, g)))
         if gnorm <= 1e-12 * max(abs(energies[i]), 1.0):
             path_stop = "flat-gradient"
@@ -341,12 +302,8 @@ def _levels(op, prob, phi_hat, sh: _Shared, nest: bool) -> _Level:
             stall = 0
         last_max = cur
 
-    c_eps, u = _path_max(op, prob, sh.eps0, nodes, pnodes)
-    # Newton's linear solve: dense on small grids, matrix-free MINRES above
-    solve = _dense_solver(op.dense_matrix()) if grid.npoints <= op.MAX_DENSE else None
-    u, resid, entry = _polish(op, prob, u, sh, solve)
-    return _Level(u, resid, c_eps, (float(E(t0 * phi_hat)), float(E(t2 * phi_hat))),
-                  t0, t2, sweeps, path_stop, [entry])
+    c_eps, u = _path_max(op, prob, eps0, nodes, pnodes)
+    return u, c_eps, t0, t2, sweeps, path_stop
 
 
 def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
@@ -400,27 +357,25 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
     Grids with at least ``NEST_POINTS`` points and every axis at least
     ``NEST_AXIS`` long solve on the half grid first (nested iteration, the
     top of full multigrid: Briggs, Henson & McCormick, *A Multigrid
-    Tutorial*, 2nd ed., SIAM 2000, ch. 3), recursively, so only the coarsest
-    level sweeps a path.  The half grid takes ``V``, ``A``, ``B`` and the
-    trial direction by injection, and the ``S_psi``, rim, ``r0`` and
-    ``eps0`` of the caller's grid.  Each finer level zero-pads the Fourier
-    coefficients of the half grid's polished field and runs one Newton polish
-    from it; as Newton's step count barely depends on the mesh (Allgower,
-    Böhmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23, 1986), that polish
-    takes few steps.  The pass level, the endpoint energies, ``t0``, ``t2``,
-    ``path_sweeps`` and ``path_stop`` are those of the coarsest level, whose
-    grid is the first ``eps_trace`` entry's ``sizes``: only it sweeps the
-    path and checks its endpoints against the rim.  ``eps_trace`` then holds
-    one entry per level, coarsest first, each naming its grid ``sizes``; the
-    extras count the ``levels``, and ``iterations`` is the sweeps plus the
-    Newton steps of every level.  Should any level raise SolverError, the
-    solve reruns on the caller's grid alone and reports ``levels: 1``.
-    Newton's linear solve is dense only on the level that sweeps the path,
-    and only up to ``MAX_DENSE`` grid points: a dense step copies the
-    freshly assembled ``P`` into the solve's one working matrix and factors
-    it in place (:func:`_dense_solver`), so the polish holds two matrices,
-    and an ill-conditioned Jacobian warns ``LinAlgWarning``.  Every other
-    polish runs on matrix-free MINRES.
+    Tutorial*, 2nd ed., SIAM 2000, ch. 3).  The solve halves the grid while
+    it nests, each half grid taking ``V``, ``A``, ``B`` and the trial
+    direction by injection and the caller's ``S_psi``, rim, ``r0`` and
+    ``eps0``; only the coarsest grid sweeps the path, checks its endpoints
+    against the rim and sets the pass level, endpoint energies, ``t0``,
+    ``t2``, ``path_sweeps`` and ``path_stop``.  Each finer grid zero-pads
+    the Fourier coefficients of the coarser polished field and runs one
+    Newton polish from it; as Newton's step count barely depends on the mesh
+    (Allgower, Böhmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23, 1986),
+    that polish takes few steps.  A failure on any grid raises at once.
+    ``eps_trace`` holds one entry per grid, coarsest first, each naming its
+    grid ``sizes``; ``extras.levels`` counts them (1 on a grid too small to
+    nest), and ``iterations`` is the sweeps plus the Newton steps of every
+    polish.  Newton's linear solve is dense only on the grid that swept,
+    and only up to ``MAX_DENSE`` points: a dense step copies the freshly
+    assembled ``P`` into the solve's one working matrix and factors it in
+    place (:func:`_dense_solver`), so the polish holds two matrices, and an
+    ill-conditioned Jacobian warns ``LinAlgWarning``.  Every other polish
+    runs on matrix-free MINRES.
 
     The solver evaluates no existence certificate: the paper's energy-norm
     condition is sufficient for this geometry, which is checked directly (a
@@ -480,49 +435,56 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
         )
     if eps0 is None:
         eps0 = _auto_eps0(op, prob, rim)
-    sh = _Shared(float(eps0), r0, rim, S_psi, normB, n_nodes, tol_residual, max_sweeps,
-                 abs((p - 1.0) - (q + 1.0)) <= 1e-12)
+    eps0 = float(eps0)
+    power_bound = None
+    if abs((p - 1.0) - (q + 1.0)) <= 1e-12:
+        def power_bound(nu):
+            return float(normB * (nu / np.sqrt(S_psi)) ** (q + 1.0))
 
-    nests = _nests(grid)
-    try:
-        lv = _levels(op, prob, phi_hat, sh, nests)
-    except SolverError:
-        if not nests:
-            raise
-        lv = _levels(op, prob, phi_hat, sh, False)
+    # the caller's grid, then each half grid while it nests, coarsest last
+    ladder = [(op, prob, phi_hat)]
+    while _nests(ladder[-1][0].grid):
+        ladder.append(_restrict(*ladder[-1]))
+    cop, cprob, cphi = ladder[-1]
+    u, c_eps, t0, t2, sweeps, path_stop = _sweep(cop, cprob, cphi, eps0, r0, rim, n_nodes,
+                                                 max_sweeps)
+    trace = []
+    for k, (lop, lprob, _) in enumerate(reversed(ladder)):
+        solve = None
+        if k == 0 and lop.grid.npoints <= lop.MAX_DENSE:
+            solve = _dense_solver(lop.dense_matrix())
+        u, resid, entry = _polish(lop, lprob, _prolong(u) if k else u, tol_residual,
+                                  power_bound, solve)
+        trace.append(entry)
+    e_ends = tuple(float(_energy_values(cop, cprob, eps0, t * cphi)) for t in (t0, t2))
     energy_at_r0 = energy(op, prob, 0.0, ScalarField(grid, r0 * phi_hat))
-    # the entries run coarsest first, each level halving the finer one;
-    # grids too small to nest report neither sizes nor levels
-    if nests:
-        for k, entry in enumerate(reversed(lv.trace)):
-            entry["sizes"] = [m >> k for m in grid.sizes]
 
-    final = ScalarField(grid, lv.u)
+    final = ScalarField(grid, u)
     return SolverReport(
         u=final,
-        residual=lv.resid,
-        iterations=lv.sweeps + sum(e["newton_iterations"] for e in lv.trace),
+        residual=resid,
+        iterations=sweeps + sum(e["newton_iterations"] for e in trace),
         converged=True,
         method="mountain-pass",
-        pass_level=lv.c_eps,
+        pass_level=c_eps,
         rim_value=float(rim),
-        energy_at_endpoints=lv.e_ends,
+        energy_at_endpoints=e_ends,
         energy_at_r0=energy_at_r0,
         energy_at_solution=energy(op, prob, 0.0, final),
-        eps_trace=lv.trace,
+        eps_trace=trace,
         extras={
-            "eps0": sh.eps0,
+            "eps0": eps0,
             "r0": float(r0),
-            "t0": float(lv.t0),
-            "t2": float(lv.t2),
+            "t0": float(t0),
+            "t2": float(t2),
             "S_psi": float(S_psi),
             "norm_B": float(normB),
-            "path_sweeps": lv.sweeps,
-            "path_stop": lv.path_stop,
-            "pass_level_in_bracket": bool(rim < lv.c_eps < energy_at_r0),
-            "lichnerowicz_exponents": bool(sh.lichnerowicz),
-            **floor_flag(op, lv.u, lv.resid, tol_residual),
-            **({"levels": len(lv.trace)} if nests else {}),
+            "path_sweeps": sweeps,
+            "path_stop": path_stop,
+            "pass_level_in_bracket": bool(rim < c_eps < energy_at_r0),
+            "lichnerowicz_exponents": power_bound is not None,
+            **floor_flag(op, u, resid, tol_residual),
+            "levels": len(ladder),
         },
     )
 

@@ -166,8 +166,9 @@ class SolverReport:
     ``residual`` is the sup-norm of ``P u - RHS(u)`` at the returned field.
     Mountain-pass runs additionally carry the pass level and the
     endpoint/rim energies, and ``eps_trace`` holds their Newton polish at
-    eps = 0, one per grid level; an absorption continuation's ``eps_trace``
-    holds one entry per schedule entry.
+    eps = 0, one per grid, coarsest first, each naming its grid ``sizes``
+    (``extras.levels`` counts them); an absorption continuation's
+    ``eps_trace`` holds one entry per schedule entry.
     """
 
     u: ScalarField

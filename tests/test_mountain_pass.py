@@ -561,9 +561,9 @@ class TestNestedLevels:
         assert solver["iterations"] == solver["extras"]["path_sweeps"] + sum(
             e["newton_iterations"] for e in solver["eps_trace"])
 
-    def test_small_grids_report_no_levels(self, mp_solution):
-        assert "levels" not in mp_solution.extras
-        assert not any("sizes" in e for e in mp_solution.eps_trace)
+    def test_small_grids_report_one_level(self, mp_solution):
+        assert mp_solution.extras["levels"] == 1
+        assert [e["sizes"] for e in mp_solution.eps_trace] == [[64]]
 
     @pytest.fixture(scope="class")
     def nest32(self, mp_params):
@@ -573,40 +573,50 @@ class TestNestedLevels:
         prob = constant_problem(grid, b=0.05, p=1.5, q=2.0, mode="source")
         return op, prob, pl.sobolev_constant(op)
 
-    def test_failed_coarse_level_reruns_on_the_callers_grid(self, nest32, monkeypatch):
-        op, prob, S = nest32
-        grid = op.grid
-        nested = pl.mountain_pass_solve(op, prob, S_psi=S)
-        levels = mountain_pass._levels
+    def test_failed_solve_raises_from_the_half_grid(self, nest32, monkeypatch):
+        # at B = 0.1 the 16^2 polish cannot converge; the solve raises there,
+        # and neither sweeps a path nor assembles P on the 32^2 grid
+        op, _, S = nest32
+        prob = constant_problem(op.grid, b=0.1, p=1.5, q=2.0, mode="source")
+        swept, assembled = [], []
+        dense_matrix = pl.PaneitzOperator.dense_matrix
 
-        def coarse_fails(level_op, *args):
-            if level_op.grid != grid:
-                raise pl.SolverError("coarse level failed")
-            return levels(level_op, *args)
+        def path_max(level_op, *args):
+            swept.append(level_op.grid.sizes)
+            return _path_max(level_op, *args)
 
-        monkeypatch.setattr(mountain_pass, "_levels", coarse_fails)
-        rep = pl.mountain_pass_solve(op, prob, S_psi=S)
-        assert rep.converged and rep.residual <= 1e-6
-        assert rep.extras["levels"] == 1
-        assert [e["sizes"] for e in rep.eps_trace] == [[32, 32]]
-        assert np.abs(rep.u.values - nested.u.values).max() <= 1e-8 * nested.u.max()
+        def dense(level_op):
+            assembled.append(level_op.grid.sizes)
+            return dense_matrix(level_op)
+
+        monkeypatch.setattr(mountain_pass, "_path_max", path_max)
+        monkeypatch.setattr(pl.PaneitzOperator, "dense_matrix", dense)
+
+        def solve():
+            with pytest.raises(pl.ConvergenceError, match="on the 16x16 grid$"):
+                pl.mountain_pass_solve(op, prob, S_psi=S)
+
+        _, peak = _traced_peak(solve)
+        assert swept == [(16, 16)]
+        assert assembled == [(16, 16)]
+        assert peak < 8 * 2**20
 
     def test_sweeping_level_checks_its_endpoints_against_the_rim(self, nest32, monkeypatch):
         # at eps0 = 0.01 the smoothed singular term at zero (about 250) sits
         # far above the rim (about 0.017), so the ray has no inner endpoint:
-        # the 16^2 level that sweeps refuses, and so does the rerun on 32^2
+        # the 16^2 grid that sweeps refuses
         op, prob, S = nest32
         seen = []
-        levels = mountain_pass._levels
+        sweep = mountain_pass._sweep
 
         def spy(level_op, *args):
             seen.append(level_op.grid.sizes)
-            return levels(level_op, *args)
+            return sweep(level_op, *args)
 
-        monkeypatch.setattr(mountain_pass, "_levels", spy)
+        monkeypatch.setattr(mountain_pass, "_sweep", spy)
         with pytest.raises(pl.MountainPassGeometryError, match="no inner endpoint below the rim"):
             pl.mountain_pass_solve(op, prob, S_psi=S, eps0=0.01)
-        assert seen == [(32, 32), (16, 16), (32, 32)]
+        assert seen == [(16, 16)]
 
     @pytest.mark.parametrize("sizes", [(16,), (8, 4), (4, 8, 4)])
     def test_prolongation_interpolates_band_limited_fields(self, sizes):
