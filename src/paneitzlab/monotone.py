@@ -14,7 +14,7 @@ from scipy.optimize import minimize_scalar
 
 from .errors import BracketError, CoercivityError, ConvergenceError
 from .geometry import ScalarField
-from .operator import FORCING, PaneitzOperator, backtrack
+from .operator import FORCING, PaneitzOperator, _ladder, _on_grid, _prolong, backtrack
 from .problems import (
     ABSORPTION,
     SOURCE,
@@ -110,7 +110,7 @@ def verify_bracket(op: PaneitzOperator, prob: ProblemSpec, bracket: Bracket,
 
 
 def _monotone_iterate(op, prob, start_vals, lower_vals, upper_vals,
-                      direction, tol_step, tol_residual, maxiter):
+                      direction, tol_step, tol_residual, maxiter, resid0=None):
     """Damped Newton steps between explicit order bounds (Deuflhard, *Newton
     Methods for Nonlinear Problems*, 2004; Kelley, SIAM 1995, ch. 8).
 
@@ -124,15 +124,17 @@ def _monotone_iterate(op, prob, start_vals, lower_vals, upper_vals,
     Numer. Anal. 19, 1982; Eisenstat & Walker, SIAM J. Sci. Comput. 17,
     1996): CG stops at relative residual ``max(1e-12, min(FORCING,
     (r / r0)^2))``, with ``r`` the sup residual of the step's right side
-    and ``r0`` the one at ``start_vals``.  Squared, because an exact step
-    from an iterate with error e overshoots by O(e^2) and an eta-accurate
-    one adds O(eta e); with eta ~ (r / r0)^2 ~ e^2 that addition is O(e^3),
-    below the overshoot, so the steps keep the ordering exact Newton has.
+    and ``r0`` the one at ``start_vals``, or ``resid0`` when given.
+    Squared, because an exact step from an iterate with error e overshoots
+    by O(e^2) and an eta-accurate one adds O(eta e); with eta ~ (r / r0)^2
+    ~ e^2 that addition is O(e^3), below the overshoot, so the steps keep
+    the ordering exact Newton has.
     The stopping rule measures ``r`` afresh, so it is unchanged.  Returns
     ``(u, residual, steps, monotone_ok)``: ``monotone_ok`` says whether
     every step moved in ``direction`` (+1 up from a subsolution, -1 down
-    from a supersolution).
+    from a supersolution).  Error messages name the grid.
     """
+    on_grid = _on_grid(op.grid)
     scale = max(float(np.abs(upper_vals).max()), 1.0)
     slack = ORDER_SLACK * scale
 
@@ -146,7 +148,9 @@ def _monotone_iterate(op, prob, start_vals, lower_vals, upper_vals,
     # both the stop test's residual and the next Newton right side
     u = start_vals
     F = reaction(prob, u) - op.apply_values(u)
-    resid = resid0 = float(np.abs(F).max())
+    resid = float(np.abs(F).max())
+    if resid0 is None:
+        resid0 = resid
     step = np.inf
     monotone_ok = True
     for it in range(1, maxiter + 1):
@@ -158,12 +162,13 @@ def _monotone_iterate(op, prob, start_vals, lower_vals, upper_vals,
             found = backtrack(u, op.solve_shifted(d, F, tol=tol), admissible)
         except (CoercivityError, ConvergenceError) as exc:
             raise ConvergenceError(
-                f"Newton step {it}: the linear solve failed ({exc})", residual=resid
+                f"Newton step {it} {on_grid}: the linear solve failed ({exc})",
+                residual=resid,
             ) from exc
         if found is None:
             raise ConvergenceError(
-                f"Newton step {it}: no halving stays positive and inside the "
-                "order bounds", residual=resid,
+                f"Newton step {it} {on_grid}: no halving stays positive and "
+                "inside the order bounds", residual=resid,
             )
         unew = found[0]
         rise = float((unew - u if direction > 0 else u - unew).min())
@@ -175,10 +180,47 @@ def _monotone_iterate(op, prob, start_vals, lower_vals, upper_vals,
         if step <= tol_step and resid <= max(tol_residual, op.roundoff_floor(u)):
             return u, resid, it, monotone_ok
     raise ConvergenceError(
-        f"monotone iteration stalled after {maxiter} steps "
+        f"monotone iteration stalled after {maxiter} steps {on_grid} "
         f"(step {step:.3e}, residual {resid:.3e})",
         residual=resid,
     )
+
+
+def _nested_solve(op, prob, bracket, direction, tol_step, tol_residual, maxiter):
+    """:func:`_monotone_iterate` inside ``bracket`` from the end that
+    ``direction`` names (+1 the subsolution, -1 the supersolution), started
+    from the half grid's solution while the grid nests
+    (:func:`~paneitzlab.operator._ladder`).
+
+    The coarsest grid starts from the end of its own bracket
+    (:func:`find_sub_super` of the injected problem; it exists whenever
+    ``bracket`` does, since its margins are minima over a subset of the
+    points).  Each finer grid starts from the coarser solution, prolonged and
+    clipped into its bracket (``bracket`` on the caller's grid), and
+    measures its forcing term from the residual at that bracket's end, so its
+    first step is solved as tightly as from the end itself.  A failure on any
+    grid raises at once and names the grid.  Returns ``(u, residual, steps,
+    monotone_ok, levels)``: the caller's grid's residual and step count,
+    whether every step on the coarsest grid moved in ``direction``, and the
+    number of grids.
+    """
+    ladder = _ladder(op)
+    u = None
+    for lop in reversed(ladder):
+        lprob = prob.injected(lop.grid)
+        lbracket = bracket if lop is op else find_sub_super(lop, lprob)
+        lower, upper = lbracket.lower.values, lbracket.upper.values
+        end = lower if direction > 0 else upper
+        if u is None:
+            u, resid, steps, monotone_ok = _monotone_iterate(
+                lop, lprob, end, lower, upper, direction, tol_step, tol_residual, maxiter)
+        else:
+            # a constant s has P s = s W
+            resid0 = float(np.abs(reaction(lprob, end) - end * lop.W.values).max())
+            u, resid, steps, _ = _monotone_iterate(
+                lop, lprob, np.clip(_prolong(u), lower, upper), lower, upper, direction,
+                tol_step, tol_residual, maxiter, resid0)
+    return u, resid, steps, monotone_ok, len(ladder)
 
 
 def monotone_solve(op: PaneitzOperator, prob: ProblemSpec, bracket: Bracket,
@@ -187,11 +229,12 @@ def monotone_solve(op: PaneitzOperator, prob: ProblemSpec, bracket: Bracket,
     """Damped Newton solve inside a sub/supersolution bracket.
 
     Starts from the subsolution (``start='sub'``) or the supersolution
-    (``start='super'``).  Each step is an inexact Newton-CG step with the
-    pointwise shift ``d = max(-f'(u), 0)``, its CG stopped at the forcing
-    term ``max(1e-12, min(FORCING, (r / r0)^2))`` of the residual ``r``
-    (``r0`` at the start), halved until the iterate is positive and
-    inside the bracket (:func:`_monotone_iterate`; ConvergenceError on a
+    (``start='super'``), on a grid that nests from the half grid's solution
+    instead (:func:`_nested_solve`).  Each step is an inexact Newton-CG step
+    with the pointwise shift ``d = max(-f'(u), 0)``, its CG stopped at the
+    forcing term ``max(1e-12, min(FORCING, (r / r0)^2))`` of the residual
+    ``r`` (``r0`` at the bracket end), halved until the iterate is positive
+    and inside the bracket (:func:`_monotone_iterate`; ConvergenceError on a
     refused solve, no admissible halving or ``maxiter`` steps).  Stops once
     the sup-norm step is below ``tol_step`` and the residual below the
     larger of ``tol_residual`` and the round-off floor of ``P u``, which is
@@ -203,10 +246,11 @@ def monotone_solve(op: PaneitzOperator, prob: ProblemSpec, bracket: Bracket,
     then the limit of the monotone iteration, from either end.  When
     lambda_1 <= 0 the claim is only a solution inside the bracket.
 
-    ``iterations`` counts the steps and ``monotone_ok`` says whether every
-    step moved away from the starting end (Newton may overshoot by
-    O(error^2)).  An invalid bracket (:func:`verify_bracket`) raises
-    BracketError.
+    ``iterations`` counts the steps on the caller's grid, ``extras.levels``
+    the grids, and ``monotone_ok`` says whether every step on the coarsest
+    grid, which starts from its bracket end, moved away from it (Newton may
+    overshoot by O(error^2)).  An invalid bracket (:func:`verify_bracket`)
+    raises BracketError.
     """
     prob.validate_exponents(op.params)
     scale = max(prob.A.max(), abs(op.params.beta), 1.0)
@@ -215,14 +259,8 @@ def monotone_solve(op: PaneitzOperator, prob: ProblemSpec, bracket: Bracket,
         raise BracketError(f"bracket invalid (sub_ok={sub_ok}, super_ok={super_ok})")
     if start not in ("sub", "super"):
         raise ValueError("start must be 'sub' or 'super'")
-    lower = bracket.lower.values
-    upper = bracket.upper.values
-    start_vals = lower if start == "sub" else upper
-    direction = +1 if start == "sub" else -1
-    u, resid, its, monotone_ok = _monotone_iterate(
-        op, prob, start_vals, lower, upper, direction,
-        tol_step, tol_residual, maxiter,
-    )
+    u, resid, its, monotone_ok, levels = _nested_solve(
+        op, prob, bracket, +1 if start == "sub" else -1, tol_step, tol_residual, maxiter)
     return SolverReport(
         u=ScalarField(op.grid, u),
         residual=resid,
@@ -231,7 +269,7 @@ def monotone_solve(op: PaneitzOperator, prob: ProblemSpec, bracket: Bracket,
         method=f"monotone-{start}",
         monotone_ok=monotone_ok,
         bracket=bracket,
-        extras=floor_flag(op, u, resid, tol_residual),
+        extras={**floor_flag(op, u, resid, tol_residual), "levels": levels},
     )
 
 
@@ -241,20 +279,24 @@ def epsilon_continuation(op: PaneitzOperator, prob: ProblemSpec,
                          maxiter: int = 100) -> SolverReport:
     """Continuation B -> B + eps for absorption problems with B >= 0.
 
-    Each schedule entry is solved as in :func:`monotone_solve`, starting from
-    the previous solution, with its forcing term measured from the residual
-    there; since shrinking eps raises the right side, the
+    The first schedule entry is solved as :func:`monotone_solve` solves from
+    the subsolution, on a grid that nests from the half grid's solution.
+    Each later entry takes the same steps on the caller's grid, starting
+    from the previous solution, with its forcing term measured from the
+    residual there; since shrinking eps raises the right side, the
     previous solution is a subsolution of the next problem and the solutions
     are pointwise nondecreasing along the schedule.  The schedule must be
     nonincreasing and nonnegative; a trailing 0 entry finishes with an exact
     solve of the target problem whenever it admits a bracket.
 
     The report's solution is the last entry's; its ``monotone_ok`` holds when
-    every step of every entry moved upward.  Each trace entry carries its
-    step count ``newton_steps``, and the extras record the sup-norm Cauchy
-    differences, the cross-entry monotonicity flag, and the uniform lower
-    bound observed.  A collapsing lower bound is reported as a non-converged
-    result with diagnostics rather than raised.
+    every step of every entry moved upward (for the first entry, every step
+    on its coarsest grid).  Each trace entry carries its step count on the
+    caller's grid, ``newton_steps``, and the extras record the first entry's
+    ``levels``, the sup-norm Cauchy differences, the cross-entry
+    monotonicity flag, and the uniform lower bound observed.  A collapsing
+    lower bound is reported as a non-converged result with diagnostics
+    rather than raised.
     """
     if prob.mode != ABSORPTION:
         raise ValueError("continuation applies to the absorption mode")
@@ -277,14 +319,16 @@ def epsilon_continuation(op: PaneitzOperator, prob: ProblemSpec,
     for eps in schedule:
         prob_eps = prob.with_B(prob.B + eps)
         bracket = find_sub_super(op, prob_eps)
-        # warm start: the previous solution subsolves the new problem
-        start = bracket.lower.values if prev is None else prev
-        lower = np.minimum(start, bracket.lower.values)
-        upper = np.maximum(start, bracket.upper.values)
-        u, resid, its, entry_monotone_ok = _monotone_iterate(
-            op, prob_eps, start, lower, upper, +1,
-            tol_step, tol_residual, maxiter,
-        )
+        if prev is None:
+            u, resid, its, entry_monotone_ok, levels = _nested_solve(
+                op, prob_eps, bracket, +1, tol_step, tol_residual, maxiter)
+        else:
+            # warm start: the previous solution subsolves the new problem
+            u, resid, its, entry_monotone_ok = _monotone_iterate(
+                op, prob_eps, prev, np.minimum(prev, bracket.lower.values),
+                np.maximum(prev, bracket.upper.values), +1,
+                tol_step, tol_residual, maxiter,
+            )
         steps_monotone_ok = steps_monotone_ok and entry_monotone_ok
         if prev is not None:
             diffs.append(float(np.abs(u - prev).max()))
@@ -307,6 +351,7 @@ def epsilon_continuation(op: PaneitzOperator, prob: ProblemSpec,
             "cauchy_ok": bool(cauchy_ok),
             "eps_monotone_ok": bool(eps_monotone_ok),
             "uniform_lower_bound": float(lower_bound),
+            "levels": levels,
         },
     )
     if degenerate:

@@ -21,7 +21,7 @@ from .errors import (
     MountainPassGeometryError,
     SolverError,
 )
-from .geometry import ScalarField, SpectralGrid, lebesgue_norm
+from .geometry import ScalarField, lebesgue_norm
 from .monotone import (
     ORDER_SLACK,
     _monotone_iterate,
@@ -30,7 +30,15 @@ from .monotone import (
     find_sub_super,
     monotone_solve,
 )
-from .operator import PaneitzOperator, backtrack, newton
+from .operator import (
+    PaneitzOperator,
+    _inject,
+    _ladder,
+    _on_grid,
+    _prolong,
+    backtrack,
+    newton,
+)
 from .problems import (
     ABSORPTION,
     SOURCE,
@@ -127,48 +135,6 @@ def _auto_eps0(op, prob, rim):
     return (intA / ((prob.p - 1.0) * floor_target)) ** (2.0 / (prob.p - 1.0))
 
 
-# a grid with at least this many points and every axis at least this long
-# solves the minimax problem on the half grid first
-NEST_POINTS = 1024
-NEST_AXIS = 32
-
-
-def _nests(grid: SpectralGrid) -> bool:
-    return grid.npoints >= NEST_POINTS and min(grid.sizes) >= NEST_AXIS
-
-
-def _restrict(op, prob, phi_hat):
-    """The operator, the problem and the trial direction on the half grid,
-    with ``V``, ``A``, ``B`` and ``phi_hat`` taken by injection."""
-    half = SpectralGrid(tuple(m // 2 for m in op.grid.sizes), op.grid.lengths)
-    every_other = (slice(None, None, 2),) * half.d
-
-    def inject(f):
-        return ScalarField(half, f.values[every_other])
-
-    return (PaneitzOperator(op.params, half, inject(op.V)),
-            ProblemSpec(inject(prob.A), inject(prob.B), prob.p, prob.q, prob.mode),
-            phi_hat[every_other])
-
-
-def _prolong(values):
-    """Grid values on the grid twice as fine along each axis, by zero-padding
-    their Fourier coefficients.
-
-    Each Nyquist coefficient is split evenly between +N/2 and -N/2, so the
-    interpolant is real and takes the given values at the coarse points.
-    """
-    hat = np.fft.fftn(values)
-    for ax in range(hat.ndim):
-        h = hat.shape[ax] // 2
-        low, nyquist, high = np.split(hat, [h, h + 1], axis=ax)
-        gap = list(hat.shape)
-        gap[ax] = 2 * h - 1
-        hat = np.concatenate([low, 0.5 * nyquist, np.zeros(gap), 0.5 * nyquist, high],
-                             axis=ax)
-    return np.fft.ifftn(hat).real * 2**hat.ndim
-
-
 def _polish(op, prob, u, tol_residual, power_bound, solve):
     """Newton on the exact equation from ``u`` with the linear solve ``solve``
     (None: MINRES); returns the field, its residual and its ``eps_trace``
@@ -177,7 +143,7 @@ def _polish(op, prob, u, tol_residual, power_bound, solve):
     ``power_term_sobolev_bound``."""
     grid = op.grid
     p, q = prob.p, prob.q
-    on_grid = f"on the {'x'.join(map(str, grid.sizes))} grid"
+    on_grid = _on_grid(grid)
     uscale = max(float(np.abs(u).max()), 1.0)
     target = min(tol_residual, max(1e-3 * tol_residual, 1e-9 * uscale))
     u, resid, newton_its, stop = newton(
@@ -355,11 +321,12 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
     vanishing minimum aborts.
 
     Grids with at least ``NEST_POINTS`` points and every axis at least
-    ``NEST_AXIS`` long solve on the half grid first (nested iteration, the
-    top of full multigrid: Briggs, Henson & McCormick, *A Multigrid
-    Tutorial*, 2nd ed., SIAM 2000, ch. 3).  The solve halves the grid while
-    it nests, each half grid taking ``V``, ``A``, ``B`` and the trial
-    direction by injection and the caller's ``S_psi``, rim, ``r0`` and
+    ``NEST_AXIS`` long (:mod:`~paneitzlab.operator`) solve on the half grid
+    first (nested iteration, the top of full multigrid: Briggs, Henson &
+    McCormick, *A Multigrid Tutorial*, 2nd ed., SIAM 2000, ch. 3).  The
+    solve halves the grid while it nests, each half grid taking ``V``,
+    ``A``, ``B`` and the trial direction by injection and the caller's
+    ``S_psi``, rim, ``r0`` and
     ``eps0``; only the coarsest grid sweeps the path, checks its endpoints
     against the rim and sets the pass level, endpoint energies, ``t0``,
     ``t2``, ``path_sweeps`` and ``path_stop``.  Each finer grid zero-pads
@@ -442,9 +409,8 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
             return float(normB * (nu / np.sqrt(S_psi)) ** (q + 1.0))
 
     # the caller's grid, then each half grid while it nests, coarsest last
-    ladder = [(op, prob, phi_hat)]
-    while _nests(ladder[-1][0].grid):
-        ladder.append(_restrict(*ladder[-1]))
+    ladder = [(lop, prob.injected(lop.grid), _inject(phi_hat, lop.grid))
+              for lop in _ladder(op)]
     cop, cprob, cphi = ladder[-1]
     u, c_eps, t0, t2, sweeps, path_stop = _sweep(cop, cprob, cphi, eps0, r0, rim, n_nodes,
                                                  max_sweeps)

@@ -310,6 +310,62 @@ def build_operator(params: GeometryParams, grid: SpectralGrid,
     return PaneitzOperator(params, grid, V)
 
 
+# a grid with at least this many points and every axis at least this long is
+# solved on the half grid first, and the answer started from there (nested
+# iteration, the top of full multigrid: Briggs, Henson & McCormick, *A
+# Multigrid Tutorial*, 2nd ed., SIAM 2000, ch. 3).  Newton's step count
+# barely depends on the mesh (Allgower, Böhmer, Potra & Rheinboldt, SIAM J.
+# Numer. Anal. 23, 1986), so the finer grid then takes few steps.
+NEST_POINTS = 1024
+NEST_AXIS = 32
+
+
+def _nests(grid: SpectralGrid) -> bool:
+    return grid.npoints >= NEST_POINTS and min(grid.sizes) >= NEST_AXIS
+
+
+def _inject(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """Grid values at the points of the coarser ``grid``, whose sizes divide
+    theirs (injection)."""
+    return values[tuple(slice(None, None, n // m) for n, m in zip(values.shape, grid.sizes))]
+
+
+def _ladder(op: PaneitzOperator) -> list[PaneitzOperator]:
+    """``op``, then the operator on each half grid while the grid nests,
+    coarsest last; each half grid takes ``V`` by injection."""
+    ladder = [op]
+    while _nests(ladder[-1].grid):
+        fine = ladder[-1].grid
+        half = SpectralGrid(tuple(m // 2 for m in fine.sizes), fine.lengths)
+        V = ScalarField(half, _inject(op.V.values, half))
+        ladder.append(PaneitzOperator(op.params, half, V))
+    return ladder
+
+
+def _prolong(values: np.ndarray) -> np.ndarray:
+    """Grid values on the grid twice as fine along each axis, by zero-padding
+    their Fourier coefficients.
+
+    Each Nyquist coefficient is split evenly between +N/2 and -N/2, so the
+    interpolant is real and takes the given values at the coarse points.
+    """
+    hat = np.fft.fftn(values)
+    for ax in range(hat.ndim):
+        h = hat.shape[ax] // 2
+        low, nyquist, high = np.split(hat, [h, h + 1], axis=ax)
+        gap = list(hat.shape)
+        gap[ax] = 2 * h - 1
+        hat = np.concatenate([low, 0.5 * nyquist, np.zeros(gap), 0.5 * nyquist, high],
+                             axis=ax)
+    return np.fft.ifftn(hat).real * 2**hat.ndim
+
+
+def _on_grid(grid: SpectralGrid) -> str:
+    """``on the 16x16 grid``, for the messages of solves that may run on a
+    half grid."""
+    return f"on the {'x'.join(map(str, grid.sizes))} grid"
+
+
 def backtrack(x: np.ndarray, step: np.ndarray, accept):
     """Backtracking line search by halving.
 

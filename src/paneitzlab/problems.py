@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CertificateError, GridMismatchError
 from .geometry import GeometryParams, ScalarField, SpectralGrid
-from .operator import PaneitzOperator
+from .operator import PaneitzOperator, _inject
 
 __all__ = [
     "ABSORPTION",
@@ -96,6 +96,14 @@ class ProblemSpec:
     def with_B(self, B: ScalarField) -> "ProblemSpec":
         return ProblemSpec(self.A, B, self.p, self.q, self.mode)
 
+    def injected(self, grid: SpectralGrid) -> "ProblemSpec":
+        """The problem on ``grid``, ``A`` and ``B`` taken by injection when
+        ``grid`` is coarser than the problem's own."""
+        if grid == self.grid:
+            return self
+        A, B = (ScalarField(grid, _inject(f.values, grid)) for f in (self.A, self.B))
+        return ProblemSpec(A, B, self.p, self.q, self.mode)
+
 
 def power_norm_order(params: GeometryParams, q: float, strict: bool = True) -> float:
     """Exponent s = 2# / (2# - q - 1) for the B-norm in the source condition.
@@ -168,7 +176,8 @@ class SolverReport:
     endpoint/rim energies, and ``eps_trace`` holds their Newton polish at
     eps = 0, one per grid, coarsest first, each naming its grid ``sizes``
     (``extras.levels`` counts them); an absorption continuation's
-    ``eps_trace`` holds one entry per schedule entry.
+    ``eps_trace`` holds one entry per schedule entry.  Monotone and
+    continuation reports count their grids in ``extras.levels`` too.
     """
 
     u: ScalarField

@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import CoercivityError, ConvergenceError
 from .geometry import ScalarField, lebesgue_norm
-from .operator import PaneitzOperator, newton
+from .operator import PaneitzOperator, _ladder, _on_grid, _prolong, newton
 
 __all__ = [
     "EigenPair",
@@ -150,21 +150,12 @@ def _newton_finish(op: PaneitzOperator, Q: float, v: np.ndarray,
     return tuple(found) if stop == "done" else None
 
 
-def principal_eigenpair(op: PaneitzOperator, tol: float = 1e-10) -> EigenPair:
-    """Smallest eigenvalue of the operator by LOBPCG (Knyazev, SIAM J. Sci.
-    Comput. 23, 2001) from the constant field.
-
-    Preconditioned by :meth:`PaneitzOperator.preconditioner` shifted by
-    ``max(0, -min W) + margin`` to stay positive.  LOBPCG's Euclidean
-    residual is the ``L^2`` residual of the ``L^2``-normalized vector; it is
-    asked for ``sqrt(cell weight) * tol * scale`` or four round-off floors
-    of a unit vector, whichever is larger.  Up to five preconditioned
-    inverse steps ``v - M (P v - lambda v)`` then damp its high-mode
-    round-off until ``||P v - lambda v||_inf`` is within ``tol`` times the
-    operator scale or :meth:`PaneitzOperator.roundoff_floor`, whichever is
-    larger, else ``ConvergenceError``.  Under 5 grid points, where
-    ``lobpcg`` turns dense, ``eigh`` solves it directly.
-    """
+def _lobpcg(op: PaneitzOperator, start: np.ndarray,
+            tol: float) -> tuple[float, np.ndarray, int]:
+    """The smallest eigenpair of ``op`` by LOBPCG from the grid values
+    ``start``, then its finish steps, as :func:`principal_eigenpair` states;
+    returns ``(lambda, v, iterations)`` with ``v`` grid values of unit
+    ``L^2`` norm."""
     grid, n, scale = op.grid, op.grid.npoints, _scale(op)
     P, M = op._scipy_pair(0.0, max(0.0, -op.W.min()) + 0.05 * scale)
     if n < 5:
@@ -172,7 +163,7 @@ def principal_eigenpair(op: PaneitzOperator, tol: float = 1e-10) -> EigenPair:
     else:
         tol_l2 = max(np.sqrt(grid.cell_weight) * tol * scale,
                      4.0 * op.roundoff_floor(np.ones(1)))
-        _, X, hist = spla.lobpcg(P, np.ones((n, 1)), M=M, tol=tol_l2,
+        _, X, hist = spla.lobpcg(P, start.reshape(n, 1), M=M, tol=tol_l2,
                                  maxiter=1000, largest=False,
                                  retResidualNormsHistory=True)
         v, it = X[:, 0], len(hist) - 2
@@ -184,15 +175,43 @@ def principal_eigenpair(op: PaneitzOperator, tol: float = 1e-10) -> EigenPair:
             break
         v = v - M @ (pv - lam * v)
     else:
-        raise ConvergenceError(f"LOBPCG stalled at residual {resid / scale:.3e}",
-                               residual=resid / scale)
+        raise ConvergenceError(
+            f"LOBPCG stalled at residual {resid / scale:.3e} {_on_grid(grid)}",
+            residual=resid / scale)
+    return float(lam), v.reshape(grid.shape), it + step
+
+
+def principal_eigenpair(op: PaneitzOperator, tol: float = 1e-10) -> EigenPair:
+    """Smallest eigenvalue of the operator by LOBPCG (Knyazev, SIAM J. Sci.
+    Comput. 23, 2001).
+
+    Preconditioned by :meth:`PaneitzOperator.preconditioner` shifted by
+    ``max(0, -min W) + margin`` to stay positive.  LOBPCG's Euclidean
+    residual is the ``L^2`` residual of the ``L^2``-normalized vector; it is
+    asked for ``sqrt(cell weight) * tol * scale`` or four round-off floors
+    of a unit vector, whichever is larger.  Up to five preconditioned
+    inverse steps ``v - M (P v - lambda v)`` then damp its high-mode
+    round-off until ``||P v - lambda v||_inf`` is within ``tol`` times the
+    operator scale or :meth:`PaneitzOperator.roundoff_floor`, whichever is
+    larger, else ``ConvergenceError`` naming the grid.  Under 5 grid points,
+    where ``lobpcg`` turns dense, ``eigh`` solves it directly.
+
+    LOBPCG starts from the constant field, except on a grid that nests
+    (:func:`~paneitzlab.operator._ladder`): there the eigenvector of the
+    operator on the half grid, with ``V`` taken by injection, is found the
+    same way and its Fourier zero-padding is the start.  ``iterations``
+    counts the LOBPCG iterations and finish steps on the caller's grid.
+    """
+    v = None
+    for lop in reversed(_ladder(op)):
+        lam, v, its = _lobpcg(lop, np.ones(lop.grid.shape) if v is None else _prolong(v), tol)
     # normalize to max = 1 with a positive peak
-    v = (v / v[np.argmax(np.abs(v))]).reshape(grid.shape)
+    v = v / v.flat[np.argmax(np.abs(v))]
     return EigenPair(
-        lambda1=float(lam),
-        phi1=ScalarField(grid, v),
+        lambda1=lam,
+        phi1=ScalarField(op.grid, v),
         residual=float(np.abs(op.apply_values(v) - lam * v).max()),
-        iterations=it + step,
+        iterations=its,
         positive=bool(v.min() > 0.0),
     )
 

@@ -22,8 +22,9 @@ from paneitzlab.problems import reaction, reaction_derivative, residual_sup
 
 TWO_PI = 2.0 * np.pi
 P_EXP, Q_EXP, B_CONST = 3.0, 2.0, 2.0
-# Newton converges in 7-11 steps on these grids; the cap only keeps a
-# slowly converging solve from running long
+# Newton converges in 7-11 steps on these grids, and in 1-2 on the grid of a
+# nested solve, which starts from the half grid's solution; the cap only
+# keeps a slowly converging solve from running long
 MAXITER = 50
 MAX_STEPS = 12
 
@@ -45,8 +46,9 @@ def relative_error(u, ustar):
     return float(np.abs(u - ustar).max() / np.abs(ustar).max())
 
 
-@pytest.mark.parametrize("sizes", [(64,), (1024,), (32, 32), (64, 64), (16, 16, 16)],
-                         ids=["64", "1024", "32^2", "64^2", "16^3"])
+@pytest.mark.parametrize("sizes", [(64,), (1024,), (32, 32), (64, 64), (16, 16, 16),
+                                   (64, 64, 64)],
+                         ids=["64", "1024", "32^2", "64^2", "16^3", "64^3"])
 @pytest.mark.parametrize("start", ["sub", "super"])
 def test_monotone_solve_recovers_the_solution(ref_params, sizes, start):
     op, prob, ustar = manufactured(ref_params, sizes)
@@ -54,6 +56,10 @@ def test_monotone_solve_recovers_the_solution(ref_params, sizes, start):
                             maxiter=MAXITER)
     assert rep.iterations <= MAX_STEPS
     assert relative_error(rep.u.values, ustar) <= 1e-14
+    if sizes == (64, 64, 64):
+        # 16^3, then 32^3 and 64^3 from the coarser solution: a plain 64^3
+        # solve takes 7-11 steps and about 1 s
+        assert rep.extras["levels"] == 3 and rep.iterations <= 2
     if sizes == (1024,):
         # the round-off floor of P u (about 2e-5 here) stops the solve at a
         # residual far above tol_residual = 1e-8 while the field is exact to

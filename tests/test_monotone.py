@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import paneitzlab as pl
+from paneitzlab import operator as operator_module
 from paneitzlab.cli import parse_config, run
 from paneitzlab.monotone import ORDER_SLACK, _scale_search
 from paneitzlab.operator import FORCING
@@ -300,7 +301,9 @@ class TestNewtonSteps:
                                                              monkeypatch):
         # the 3-D console-script smoke config, whose W = b_n (Q - |grad psi|^2)
         # changes sign: 34 preconditioner applications with forced steps, 45
-        # with every Newton step solved to 1e-12
+        # with every Newton step solved to 1e-12.  16^3 is below the nesting
+        # threshold, so the steps start from the subsolution on one grid and
+        # every one moves upward
         applied = []
         preconditioner = pl.PaneitzOperator._preconditioner
 
@@ -316,6 +319,7 @@ class TestNewtonSteps:
         assert run(config, out_dir=tmp_path).exit_code == 0
         s = json.loads((tmp_path / "report.json").read_text())["solver"]
         assert s["converged"] and s["monotone_ok"] is True and s["iterations"] <= 20
+        assert s["extras"]["levels"] == 1
         assert len(applied) <= 40
 
     def test_refused_solve_names_the_step(self, ref_op, ref_prob, monkeypatch):
@@ -326,6 +330,105 @@ class TestNewtonSteps:
         br = pl.find_sub_super(ref_op, ref_prob)
         with pytest.raises(pl.ConvergenceError, match="Newton step 1"):
             pl.monotone_solve(ref_op, ref_prob, br)
+
+
+def _psi3(params, n, amplitude=3.0):
+    """``n^3`` operator with psi = amplitude sin(x + y + z), the field of the
+    3-D console-script smoke config; at amplitude 3 its W changes sign."""
+    grid = pl.SpectralGrid((n,) * 3, (TWO_PI,) * 3)
+    x, y, z = grid.meshgrid()
+    return pl.build_operator(params, grid, psi=pl.ScalarField(
+        grid, amplitude * np.sin(x + y + z)))
+
+
+class TestNestedSolve:
+    """Grids that nest (at least 1024 points, every axis at least 32) solve
+    on the half grid first and start from its prolonged solution."""
+
+    @pytest.fixture(scope="class")
+    def strong32(self, ref_params):
+        op = _psi3(ref_params, 32)
+        prob = constant_problem(op.grid)
+        return op, prob, pl.find_sub_super(op, prob)
+
+    @pytest.mark.parametrize("start", ["sub", "super"])
+    def test_nested_solve_agrees_with_the_single_grid_solve(self, strong32, start,
+                                                            monkeypatch):
+        op, prob, br = strong32
+        nested = pl.monotone_solve(op, prob, br, start=start)
+        monkeypatch.setattr(operator_module, "NEST_POINTS", op.grid.npoints + 1)
+        single = pl.monotone_solve(op, prob, br, start=start)
+        assert (nested.extras["levels"], single.extras["levels"]) == (2, 1)
+        scale = np.abs(single.u.values).max()
+        assert np.abs(nested.u.values - single.u.values).max() <= 1e-14 * scale
+        # the 32^3 grid finishes in 2 steps of the single grid's 6 (sub) or 8
+        # (super); monotone_ok is the 16^3 grid's, whose steps start from its
+        # bracket end as the single grid's do, and reads the same
+        assert nested.iterations <= 3 < single.iterations
+        assert nested.monotone_ok is single.monotone_ok is (start == "sub")
+
+    def test_forcing_is_measured_from_the_bracket_end(self, strong32, monkeypatch):
+        # the 32^3 grid starts near the solution; its forcing terms
+        # (r / r0)^2 take r0 at its bracket end, as a single-grid solve does,
+        # so its first step is solved far below FORCING
+        op, prob, br = strong32
+        solves = []
+        solve = pl.PaneitzOperator.solve_shifted
+
+        def recorded(self, lam, rhs, *args, **kwargs):
+            if self.grid == op.grid:
+                solves.append((float(np.abs(rhs).max()), kwargs["tol"]))
+            return solve(self, lam, rhs, *args, **kwargs)
+
+        monkeypatch.setattr(pl.PaneitzOperator, "solve_shifted", recorded)
+        rep = pl.monotone_solve(op, prob, br)
+        s1 = np.full(op.grid.shape, br.s1)
+        r0 = float(np.abs(reaction(prob, s1) - s1 * op.W.values).max())
+        assert len(solves) == rep.iterations
+        assert [tol for _, tol in solves] == [
+            max(1e-12, min(FORCING, (r / r0) ** 2)) for r, _ in solves]
+        assert solves[0][1] < 1e-6
+
+    def test_failed_half_grid_solve_names_its_grid(self, strong32, monkeypatch):
+        op, prob, br = strong32
+        grids = []
+        solve = pl.PaneitzOperator.solve_shifted
+
+        def refused(self, lam, rhs, *args, **kwargs):
+            grids.append(self.grid.sizes)
+            if self.grid != op.grid:
+                raise pl.CoercivityError("nonpositive curvature")
+            return solve(self, lam, rhs, *args, **kwargs)
+
+        monkeypatch.setattr(pl.PaneitzOperator, "solve_shifted", refused)
+        with pytest.raises(pl.ConvergenceError,
+                           match="^Newton step 1 on the 16x16x16 grid: "):
+            pl.monotone_solve(op, prob, br)
+        assert grids == [(16, 16, 16)]
+
+    def test_continuation_nests_its_first_entry_only(self, strong32, monkeypatch):
+        op, prob, _ = strong32
+        grids = []
+        solve = pl.PaneitzOperator.solve_shifted
+
+        def recorded(self, lam, rhs, *args, **kwargs):
+            grids.append(self.grid.sizes[0])
+            return solve(self, lam, rhs, *args, **kwargs)
+
+        monkeypatch.setattr(pl.PaneitzOperator, "solve_shifted", recorded)
+        nested = pl.epsilon_continuation(op, prob, [1.0, 0.0])
+        first = nested.eps_trace[0]["newton_steps"]
+        assert nested.extras["levels"] == 2
+        # the 16^3 steps, then the first entry's and the second's on 32^3
+        coarse = len(grids) - first - nested.iterations
+        assert coarse > 0
+        assert grids == [16] * coarse + [32] * (first + nested.iterations)
+        monkeypatch.setattr(operator_module, "NEST_POINTS", op.grid.npoints + 1)
+        single = pl.epsilon_continuation(op, prob, [1.0, 0.0])
+        assert single.extras["levels"] == 1
+        assert first < single.eps_trace[0]["newton_steps"]
+        scale = np.abs(single.u.values).max()
+        assert np.abs(nested.u.values - single.u.values).max() <= 1e-14 * scale
 
 
 class TestEpsilonContinuation:

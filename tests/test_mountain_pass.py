@@ -7,8 +7,8 @@ import pytest
 import paneitzlab as pl
 from paneitzlab import mountain_pass
 from paneitzlab.cli import parse_config, run
-from paneitzlab.mountain_pass import REPARAM_EVERY, _energy_values, _path_max, _prolong
-from paneitzlab.operator import backtrack, newton
+from paneitzlab.mountain_pass import REPARAM_EVERY, _energy_values, _path_max
+from paneitzlab.operator import _prolong, backtrack, newton
 from paneitzlab.problems import smoothed_reaction
 
 from _oracles import scalar_source_roots, sequential_halving
@@ -527,7 +527,9 @@ class TestRoundoffFloorStop:
 
 class TestNestedLevels:
     """Grids with at least 1024 points and every axis at least 32 long solve
-    on the half grid first; smaller grids sweep their own path."""
+    on the half grid first; smaller grids sweep their own path.  The ladder's
+    helpers live in :mod:`paneitzlab.operator`, shared with every nested
+    solve."""
 
     # max u and pass level of the solve that swept its path on the n^2 grid
     @pytest.mark.parametrize("n, max_u, pass_level", [

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh
 
 import paneitzlab as pl
-from paneitzlab.spectral_analysis import critical_quotient
+from paneitzlab import operator as operator_module
+from paneitzlab.spectral_analysis import _scale, critical_quotient
 
 from _oracles import dense_inverse, dense_operator_matrix_1d
 from conftest import sin_psi_operator
@@ -355,18 +356,21 @@ class TestLobpcgEigenpair:
                                                  lobpcg_iterations):
         # at these sizes the sup-norm floor lies below what LOBPCG's own
         # residual resolves; the finish steps close the gap, and no warning
-        # of lobpcg's gets out (values from the earlier inverse iteration)
+        # of lobpcg's gets out (values from the earlier inverse iteration).
+        # Neither grid nests, so LOBPCG starts from the constant field; psi
+        # is resolved on 16 points in y, so the 128 x 16 grid keeps the
+        # eigenvalue measured on 128^2
         import warnings
 
         line = pl.SpectralGrid((128,), (TWO_PI,))
         x = line.meshgrid()[0]
-        square = pl.SpectralGrid((128, 128), (TWO_PI, TWO_PI))
-        sx, sy = square.meshgrid()
+        strip = pl.SpectralGrid((128, 16), (TWO_PI, TWO_PI))
+        sx, sy = strip.meshgrid()
         for op, lam in (
             (pl.build_operator(ref_params, line, potential=pl.ScalarField(
                 line, 0.5 * (1.0 + np.cos(x)))), 6.307695554988224),
-            (pl.build_operator(ref_params, square, psi=pl.ScalarField(
-                square, 2.0 * np.sin(sx) * np.cos(sy))), 5.560185218105653),
+            (pl.build_operator(ref_params, strip, psi=pl.ScalarField(
+                strip, 2.0 * np.sin(sx) * np.cos(sy))), 5.560185218105653),
         ):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -374,6 +378,23 @@ class TestLobpcgEigenpair:
             assert eig.lambda1 == pytest.approx(lam, rel=1e-14)
             assert eig.iterations > lobpcg_iterations[-1]
             assert eig.positive
+
+
+    def test_nested_start_keeps_the_eigenpair(self, ref_params, lobpcg_iterations,
+                                              monkeypatch):
+        # 32^2 nests: LOBPCG runs on 16^2 from the constant field, then on
+        # 32^2 from the prolonged eigenvector, where it has nothing left to do
+        op = _sin_psi_2d(ref_params, 32, 2.0, 1)
+        nested = pl.principal_eigenpair(op)
+        assert len(lobpcg_iterations) == 2
+        monkeypatch.setattr(operator_module, "NEST_POINTS", op.grid.npoints + 1)
+        lobpcg_iterations.clear()
+        single = pl.principal_eigenpair(op)
+        assert len(lobpcg_iterations) == 1
+        assert nested.iterations < single.iterations
+        assert nested.lambda1 == pytest.approx(single.lambda1, rel=1e-14)
+        assert np.abs(nested.phi1.values - single.phi1.values).max() <= 1e-12
+        assert nested.positive and nested.residual <= 1e-10 * _scale(op)
 
 
 def _sin_psi_2d(params, size, amplitude, my):
