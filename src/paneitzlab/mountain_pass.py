@@ -183,8 +183,12 @@ def _sweep(op, prob, phi_hat, eps0, r0, rim, n_nodes, max_sweeps):
     """Endpoints below the rim on the ray through ``phi_hat``, the path
     between them deformed by descent, and its maximum.
 
-    Returns the maximizing field, the pass level ``c_eps``, ``t0``, ``t2``,
-    the sweep count and ``path_stop``.
+    A sweep descends along ``z = (sigma + c)^{-1} g``, the preconditioner
+    ``(sigma + c)^{-1}``, ``c = mean W``, applied to the L^2 gradient ``g``.
+    As ``sigma z = g - c z``, its image ``P z = g - c z + W z`` takes no
+    transform, so a sweep costs the preconditioner's one transform pair
+    and applies no ``P``.  Returns the maximizing field, the pass level
+    ``c_eps``, ``t0``, ``t2``, the sweep count and ``path_stop``.
     """
     grid = op.grid
 
@@ -208,14 +212,14 @@ def _sweep(op, prob, phi_hat, eps0, r0, rim, n_nodes, max_sweeps):
     # path deformation: descend the highest interior node, with the step
     # capped by half the local node spacing (uncapped descent runs away down
     # the unbounded tail for stiff exponents and shreds the path).  The path
-    # is one stack carrying its image pnodes = P nodes: a sweep applies P to
-    # the descent direction alone and moves images by the same linear
-    # combinations as nodes, and every reparametrization applies P afresh.
+    # is one stack carrying its image pnodes = P nodes: a sweep moves images
+    # by the same linear combinations as nodes and applies no P, and every
+    # reparametrization applies P afresh.
     ws = np.linspace(0.0, 1.0, n_nodes).reshape((-1,) + (1,) * grid.d)
     nodes = ((1.0 - ws) * t0 + ws * t2) * phi_hat
     pnodes = op.apply_values(nodes)
     energies = E(nodes, pnodes)
-    precondition = op.preconditioner(0.0)
+    precondition, c = op._preconditioner(0.0)
     sweeps = 0
     stall = 0
     last_max = np.inf
@@ -229,9 +233,10 @@ def _sweep(op, prob, phi_hat, eps0, r0, rim, n_nodes, max_sweeps):
         if gnorm <= 1e-12 * max(abs(energies[i]), 1.0):
             path_stop = "flat-gradient"
             break
-        # descend along the energy-norm gradient (sigma + mean W)^{-1} g
+        # descend along the energy-norm gradient z = (sigma + c)^{-1} g, whose
+        # image needs no transform: sigma z = g - c z
         z = precondition(g)
-        pz = op.apply_values(z)
+        pz = g - c * z + op.W.values * z
         d_prev = u - nodes[i - 1]
         d_next = nodes[i + 1] - u
         spacing = min(
@@ -295,7 +300,8 @@ def mountain_pass_solve(op: PaneitzOperator, prob: ProblemSpec,
     Each sweep moves the highest interior node by backtracked descent along
     the energy-norm gradient ``z = (sigma + mean W)^{-1} g`` of the L^2
     gradient ``g`` (the preconditioner of CG and MINRES; its constant is
-    positive whenever ``P`` is coercive, as ``lambda1 <= mean W``).  The step
+    positive whenever ``P`` is coercive, as ``lambda1 <= mean W``), whose
+    image ``P z`` follows from ``g`` and ``z`` without a transform.  The step
     is capped by half the node spacing over ``||z||`` and halved until the
     node's energy falls, at most 50 tries, by the line search Newton uses
     (:func:`~paneitzlab.operator.backtrack`).  Unlike an L^2 step, which the

@@ -10,8 +10,9 @@ the whole operator diagonal in frequency space.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .errors import (
     CoercivityError,
@@ -188,14 +189,14 @@ class PaneitzOperator:
         sp = r - c * z  # sigma p
         # updated in place, so an iteration allocates only the preconditioner's output
         Ap, tmp = np.empty_like(p), np.empty_like(p)
-        rz = float(np.sum(np.multiply(r, z, out=tmp)))
+        rz = float(np.vdot(r, z))
         for _ in range(10000):
             last = float(max(r.max(), -r.min())) / bnorm
             if last <= tol:
                 return x
             np.multiply(diag, p, out=Ap)
             Ap += sp
-            pAp = float(np.sum(np.multiply(p, Ap, out=tmp)))
+            pAp = float(np.vdot(p, Ap))
             if pAp <= 0.0 or rz <= 0.0:
                 raise CoercivityError(
                     "conjugate gradients met a nonpositive curvature direction "
@@ -206,7 +207,7 @@ class PaneitzOperator:
             x += np.multiply(a, p, out=tmp)
             r -= np.multiply(a, Ap, out=tmp)
             z = pinv(r)
-            rz_new = float(np.sum(np.multiply(r, z, out=tmp)))
+            rz_new = float(np.vdot(r, z))
             beta = rz_new / rz
             p *= beta
             p += z
@@ -218,31 +219,73 @@ class PaneitzOperator:
         )
 
     def solve_linearized(self, fp: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``(P - diag fp) x = rhs`` by MINRES, matrix-free.
+        """Solve ``(P - diag fp) x = rhs`` by preconditioned MINRES, matrix-free.
 
         The Jacobian of ``P u = f(u)`` at ``u`` with ``fp = f'(u)``; it may be
-        indefinite, so MINRES with the positive preconditioner
-        :meth:`preconditioner` ``(0.0)`` is used instead of conjugate
-        gradients.  Raises ConvergenceError when MINRES does not reach
-        relative residual 1e-10 within ``4 * npoints`` iterations.
+        indefinite, so MINRES (Paige & Saunders, SIAM J. Numer. Anal. 12,
+        1975) with the positive preconditioner :meth:`preconditioner`
+        ``(0.0)`` is used instead of conjugate gradients.  The recurrences
+        and stop tests are scipy's ``minres``: it stops once
+        ``||r|| / (||A|| ||x||)`` or ``||A r|| / (||A|| ||r||)`` is at most
+        1e-10 (or the condition estimate reaches ``0.1 / eps``).  MINRES
+        multiplies only by Lanczos vectors ``v = M r / beta`` with ``M`` the
+        preconditioner ``(sigma + c)^{-1}``, and ``sigma M r = r - c M r``, so
+        ``(P - diag fp) v = r / beta + (W - fp - c) v`` needs no transform
+        and an iteration costs one transform pair, the preconditioner's, as
+        in :meth:`solve_shifted`.  Raises ConvergenceError when it has not
+        stopped within ``4 * npoints`` iterations.
         """
-        jac, M = self._scipy_pair(fp, 0.0)
-        x, info = spla.minres(jac, rhs.ravel(), rtol=1e-10,
-                              maxiter=4 * self.grid.npoints, M=M)
-        if info != 0:
-            raise ConvergenceError(f"MINRES stopped with info {info}")
-        return x.reshape(self.grid.shape)
-
-    def _scipy_pair(self, fp, lam: float):
-        """``P - diag fp`` and :meth:`preconditioner` ``(lam)`` as scipy
-        linear operators on flattened grid values, for MINRES and LOBPCG."""
-        shape, npts = self.grid.shape, self.grid.npoints
-        pinv = self.preconditioner(lam)
-        A = spla.LinearOperator((npts, npts), dtype=float, matvec=lambda x: (
-            self.apply_values(x.reshape(shape)) - fp * x.reshape(shape)).ravel())
-        M = spla.LinearOperator((npts, npts), dtype=float,
-                                matvec=lambda r: pinv(r.reshape(shape)).ravel())
-        return A, M
+        pinv, c = self._preconditioner(0.0)
+        d = self.W.values - fp - c
+        eps = float(np.finfo(float).eps)
+        x = np.zeros(self.grid.shape)
+        r1 = np.asarray(rhs, dtype=float)
+        y = pinv(r1)
+        beta1 = float(np.vdot(r1, y))
+        if beta1 == 0.0:
+            return x
+        beta1 = math.sqrt(beta1)
+        r2, beta, oldb = r1, beta1, 0.0
+        dbar = epsln = tnorm2 = gmax = 0.0
+        gmin = math.inf
+        phibar, cs, sn = beta1, -1.0, 0.0
+        w, w2 = np.zeros_like(x), np.zeros_like(x)
+        for itn in range(1, 4 * self.grid.npoints + 1):
+            s = 1.0 / beta
+            v = s * y
+            y = s * r2 + d * v  # (P - diag fp) v
+            if itn >= 2:
+                y -= (beta / oldb) * r1
+            alfa = float(np.vdot(v, y))
+            y -= (alfa / beta) * r2
+            r1, r2 = r2, y
+            y = pinv(r2)
+            oldb, beta = beta, math.sqrt(float(np.vdot(r2, y)))
+            tnorm2 += alfa**2 + oldb**2 + beta**2
+            # plane rotations of the Lanczos tridiagonal's QR factorization
+            oldeps = epsln
+            delta = cs * dbar + sn * alfa
+            gbar = sn * dbar - cs * alfa
+            epsln = sn * beta
+            dbar = -cs * beta
+            root = math.hypot(gbar, dbar)
+            gamma = max(math.hypot(gbar, beta), eps)
+            cs, sn = gbar / gamma, beta / gamma
+            phi, phibar = cs * phibar, sn * phibar
+            w1, w2 = w2, w
+            w = (v - oldeps * w1 - delta * w2) / gamma
+            x += phi * w
+            gmax, gmin = max(gmax, gamma), min(gmin, gamma)
+            anorm = math.sqrt(tnorm2)
+            ynorm = math.sqrt(float(np.vdot(x, x)))
+            # scipy's stops: a first Lanczos step that spans the solution, a
+            # small residual or least-squares residual, a huge condition
+            # estimate, or x so large that the right side is at its round-off
+            if (itn == 1 and beta / beta1 <= 10.0 * eps) \
+                    or phibar <= 1e-10 * anorm * ynorm or root <= 1e-10 * anorm \
+                    or gmax >= 0.1 / eps * gmin or anorm * ynorm * eps >= beta1:
+                return x
+        raise ConvergenceError(f"MINRES reached {4 * self.grid.npoints} iterations")
 
     # -- geometric transform --------------------------------------------------
 
@@ -392,21 +435,39 @@ def newton(op: PaneitzOperator, f, fprime, u: np.ndarray, pu: np.ndarray,
     and is backtracked (:func:`backtrack`) until the sup residual passes the
     sufficient-decrease test ``r < resid * (1 - 1e-4 s)`` (Knoll & Keyes,
     J. Comput. Phys. 193, 2004); candidates for which ``admissible`` is
-    false are refused.  ``done(u, pu, residual)`` is tested before every
-    step.  Returns ``(u, residual, steps, stop)`` with ``stop`` one of
-    ``"done"``, ``"solve-failed"`` (ConvergenceError or LinAlgError from
-    ``solve``), ``"stagnated"`` (the line search found no decrease) or
+    false are refused.  ``P`` is applied afresh to the first admissible
+    candidate ``u + s0 step`` only; as ``P`` is linear, a later try takes
+    ``P u + s (P c0 - P u) / s0``, and a candidate accepted below ``s0``
+    gets one fresh ``P`` and residual.  So a step applies ``P`` at most
+    twice, and every ``pu`` and residual that ``done`` sees or that is
+    returned is freshly applied.  ``done(u, pu, residual)`` is tested
+    before every step.  Returns ``(u, residual, steps, stop)`` with ``stop``
+    one of ``"done"``, ``"solve-failed"`` (ConvergenceError or LinAlgError
+    from ``solve``), ``"stagnated"`` (the line search found no decrease) or
     ``"cap"`` (``maxiter`` steps taken).
     """
     solve = op.solve_linearized if solve is None else solve
 
     def decreases(cand, s):
+        nonlocal pstep
         if admissible is not None and not admissible(cand):
             return None
-        pc = op.apply_values(cand)
-        Fc = pc - f(cand)
+        fresh = pstep is None
+        if fresh:
+            pc = op.apply_values(cand)
+            pstep = (pc - pu) / s
+        else:
+            pc = pu + s * pstep
+        fc = f(cand)
+        Fc = pc - fc
         r = float(np.abs(Fc).max())
-        return (pc, Fc, r) if r < resid * (1.0 - 1e-4 * s) + 1e-300 else None
+        if not r < resid * (1.0 - 1e-4 * s) + 1e-300:
+            return None
+        if not fresh:
+            pc = op.apply_values(cand)
+            Fc = pc - fc
+            r = float(np.abs(Fc).max())
+        return pc, Fc, r
 
     F = pu - f(u)
     resid = float(np.abs(F).max())
@@ -418,6 +479,7 @@ def newton(op: PaneitzOperator, f, fprime, u: np.ndarray, pu: np.ndarray,
             step = solve(fprime(u), -F)
         except (ConvergenceError, np.linalg.LinAlgError):
             return u, resid, steps, "solve-failed"
+        pstep = None  # (P c0 - P u) / s0 once the first admissible try is applied
         found = backtrack(u, step, decreases)
         if found is None:
             return u, resid, steps, "stagnated"

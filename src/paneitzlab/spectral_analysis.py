@@ -157,7 +157,11 @@ def _lobpcg(op: PaneitzOperator, start: np.ndarray,
     returns ``(lambda, v, iterations)`` with ``v`` grid values of unit
     ``L^2`` norm."""
     grid, n, scale = op.grid, op.grid.npoints, _scale(op)
-    P, M = op._scipy_pair(0.0, max(0.0, -op.W.min()) + 0.05 * scale)
+    pinv = op.preconditioner(max(0.0, -op.W.min()) + 0.05 * scale)
+    P = spla.LinearOperator((n, n), dtype=float, matvec=lambda x: op.apply_values(
+        x.reshape(grid.shape)).ravel())
+    M = spla.LinearOperator((n, n), dtype=float,
+                            matvec=lambda r: pinv(r.reshape(grid.shape)).ravel())
     if n < 5:
         v, it = np.linalg.eigh(P @ np.eye(n))[1][:, 0], 0
     else:

@@ -93,6 +93,53 @@ class TestMountainPass:
         with pytest.raises(pl.SolverError):
             pl.mountain_pass_solve(mp_op, prob, S_psi=mp_sobolev)
 
+    def test_infeasible_polish_applies_p_at_most_twice_per_step(
+            self, mp_op, ref_grid, mp_sobolev, monkeypatch):
+        # the sweep cell lambda = 0.1 beyond the fold: the polish halves its
+        # steps many times before it stagnates.  Each step applies P to its
+        # first admissible try and to a candidate it accepts below that, no
+        # more, and the residual returned is a freshly applied one, to the bit
+        from paneitzlab import operator
+
+        log, tries, returned = [], [], []
+        apply = pl.PaneitzOperator.apply_values
+        monkeypatch.setattr(pl.PaneitzOperator, "apply_values",
+                            lambda self, v: log.append("P") or apply(self, v))
+        search = operator.backtrack
+
+        def counted_search(x, step, accept):
+            tries.append(0)
+
+            def counted(cand, s):
+                tries[-1] += 1
+                return accept(cand, s)
+            return search(x, step, counted)
+
+        monkeypatch.setattr(operator, "backtrack", counted_search)
+        polish = mountain_pass.newton
+
+        def logged(op, f, fprime, u, pu, done, maxiter, solve=None, admissible=None):
+            def logged_solve(fp, rhs):
+                log.append("S")
+                return (solve or op.solve_linearized)(fp, rhs)
+
+            del log[:]
+            out = polish(op, f, fprime, u, pu, done, maxiter, solve=logged_solve,
+                         admissible=admissible)
+            returned.append((op, f, out))
+            return out
+
+        monkeypatch.setattr(mountain_pass, "newton", logged)
+        prob = constant_problem(ref_grid, b=0.1, p=1.5, q=2.0, mode="source")
+        with pytest.raises(pl.ConvergenceError, match="polish stagnated"):
+            pl.mountain_pass_solve(mp_op, prob, S_psi=mp_sobolev)
+        per_step = [len(seg) for seg in "".join(log).split("S")[1:]]
+        assert len(per_step) > 10 and max(per_step) == 2
+        assert sum(tries) > 10 * sum(per_step)
+        (op, f, (u, resid, steps, stop)), = returned
+        assert stop == "stagnated" and steps == len(per_step) - 1
+        assert resid == float(np.abs(apply(op, u) - f(u)).max())
+
     @pytest.mark.parametrize("S_psi", [0.0, -1.0])
     def test_nonpositive_embedding_constant_is_not_coercive(self, mp_op, mp_problem,
                                                             S_psi):
@@ -494,8 +541,49 @@ class TestHalvingSearch:
         assert calls - setup <= 3 * sweeps + sweeps // REPARAM_EVERY
         # the energy-norm path's level, to the bit; it sits below the level
         # 30.75447296442178 of the L^2 path after 600 sweeps, and above the rim
-        assert rep.pass_level == 30.754453190091333
+        assert rep.pass_level == 30.75445319009134
         assert rep.rim_value < rep.pass_level < 30.75447296442178
+
+    def test_descent_images_need_no_transform(self, mp_params, monkeypatch):
+        # a sweep takes P z = g - c z + W z from the preconditioner's identity
+        # sigma (sigma + c)^{-1} g = g - c z; it is P z within the round-off
+        # of P z, and the images the path carries to its maximum are P nodes
+        # within the round-off of P nodes
+        op, prob = _stiff_source_16(mp_params)
+        S = pl.sobolev_constant(op)
+        seen, carried, sweeping = [], [], []
+        preconditioner = op._preconditioner
+
+        def recorded(lam):
+            pinv, c = preconditioner(lam)
+
+            def precondition(g):
+                z = pinv(g)
+                if sweeping:
+                    seen.append((g, z, c))
+                return z
+            return precondition, c
+
+        sweep, path_max = mountain_pass._sweep, mountain_pass._path_max
+
+        def flagged(*args):
+            sweeping.append(1)
+            try:
+                return sweep(*args)
+            finally:
+                sweeping.pop()
+
+        monkeypatch.setattr(op, "_preconditioner", recorded)
+        monkeypatch.setattr(mountain_pass, "_sweep", flagged)
+        monkeypatch.setattr(mountain_pass, "_path_max", lambda op, prob, eps, nodes, pnodes: (
+            carried.append((nodes, pnodes)) or path_max(op, prob, eps, nodes, pnodes)))
+        pl.mountain_pass_solve(op, prob, S_psi=S, max_sweeps=REPARAM_EVERY - 1)
+        assert len(seen) == REPARAM_EVERY - 1
+        for g, z, c in seen:
+            pz = g - c * z + op.W.values * z
+            assert np.abs(pz - op.apply_values(z)).max() <= op.roundoff_floor(z)
+        (nodes, pnodes), = carried
+        assert np.abs(pnodes - op.apply_values(nodes)).max() <= op.roundoff_floor(nodes)
 
     def test_unhalved_sweeps_take_one_evaluation(self, mp_op, mp_problem, mp_sobolev):
         # every full step is accepted on the 1-D fixture: nothing is halved

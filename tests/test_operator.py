@@ -401,6 +401,54 @@ class TestSolveLinearized:
         ref = np.linalg.solve(J, rhs)
         assert np.abs(xs - ref).max() <= 1e-8 * np.abs(ref).max()
 
+    def test_matches_scipy_minres_at_one_transform_pair_per_iteration(
+            self, mp_params, monkeypatch):
+        # a 32^2 Jacobian of Morse index 1, as at a mountain pass: scipy's
+        # minres applies P and the preconditioner in every iteration, this
+        # solve the preconditioner alone, plus one pair for the first
+        # preconditioned residual
+        import scipy.sparse.linalg as spla
+
+        grid = pl.SpectralGrid((32, 32), (TWO_PI, TWO_PI))
+        x, y = grid.meshgrid()
+        op = pl.build_operator(mp_params, grid,
+                               psi=pl.ScalarField(grid, 0.2 * np.sin(x) * np.cos(y)))
+        fp = 0.6 + 2.0 * np.sin(x) * np.sin(2.0 * y)
+        J = op.dense_matrix()
+        J -= np.diag(fp.ravel())
+        assert np.sum(np.linalg.eigvalsh(J) < 0.0) == 1
+        rhs = np.random.default_rng(3).standard_normal(grid.shape)
+        n, pinv = grid.npoints, op.preconditioner(0.0)
+        A = spla.LinearOperator((n, n), dtype=float, matvec=lambda v: (
+            op.apply_values(v.reshape(grid.shape)) - fp * v.reshape(grid.shape)).ravel())
+        M = spla.LinearOperator((n, n), dtype=float,
+                                matvec=lambda r: pinv(r.reshape(grid.shape)).ravel())
+        iterations = []
+        ref, info = spla.minres(A, rhs.ravel(), rtol=1e-10, maxiter=4 * n, M=M,
+                                callback=lambda xk: iterations.append(1))
+        assert info == 0 and len(iterations) > 5
+
+        pairs = {"rfft": 0, "irfft": 0}
+
+        def counted(name):
+            transform = getattr(grid, name)
+
+            def call(a):
+                pairs[name] += 1
+                return transform(a)
+            return call
+
+        for name in pairs:
+            monkeypatch.setitem(vars(grid), name, counted(name))
+        xs = op.solve_linearized(fp, rhs)
+        assert xs.shape == grid.shape
+        assert np.abs(xs.ravel() - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert pairs == {"rfft": len(iterations) + 1, "irfft": len(iterations) + 1}
+
+    def test_zero_right_side_takes_no_iteration(self, ref_op):
+        x = ref_op.solve_linearized(np.ones(ref_op.grid.shape), np.zeros(ref_op.grid.shape))
+        assert np.array_equal(x, np.zeros(ref_op.grid.shape))
+
     def test_roundoff_floor_scales_with_operator_and_field(self, ref_op):
         v = np.cos(ref_op.grid.meshgrid()[0])
         norm = ref_op.sigma.max() + np.abs(ref_op.W.values).max()

@@ -204,8 +204,8 @@ class TestInverseIteration:
     def test_constant_potential_runs_one_bump(self, ref_op, mp_op, bump_op,
                                               monkeypatch):
         # with a constant potential a second bump would repeat the first; the
-        # Newton finish lowered the inverse iteration's own values (old) by
-        # round-off
+        # Newton finish lowers the inverse iteration's own values (old) by
+        # round-off or keeps them
         from paneitzlab import spectral_analysis
 
         runs = []
@@ -217,9 +217,9 @@ class TestInverseIteration:
 
         monkeypatch.setattr(spectral_analysis, "_inverse_iteration", counted)
         for op, expected, old, n_runs in (
-            (ref_op, 18.228138486222747, 18.228138486222758, 2),
-            (mp_op, 1.0306718461351072, 1.0306718461351074, 2),
-            (bump_op, 17.398849708201997, 17.398849708202004, 2),
+            (ref_op, 18.22813848622275, 18.228138486222758, 2),
+            (mp_op, 1.0306718461351074, 1.0306718461351074, 2),
+            (bump_op, 17.398849708201993, 17.398849708202004, 2),
         ):
             runs.clear()
             assert pl.sobolev_constant(op) == expected
@@ -285,7 +285,7 @@ class TestInverseIteration:
 
         monkeypatch.setattr(spectral_analysis, "_newton_finish", newton)
         assert pl.sobolev_constant(ref_op) == 18.228138486222758
-        assert pl.sobolev_constant(bump_op) == 17.398849708201997
+        assert pl.sobolev_constant(bump_op) == 17.398849708202004
 
 
 class TestLobpcgEigenpair:
