@@ -219,7 +219,7 @@ def _sweep(op, prob, phi_hat, eps0, r0, rim, n_nodes, max_sweeps):
     nodes = ((1.0 - ws) * t0 + ws * t2) * phi_hat
     pnodes = op.apply_values(nodes)
     energies = E(nodes, pnodes)
-    precondition, c = op._preconditioner(0.0)
+    precondition, c = op.preconditioner(0.0)
     sweeps = 0
     stall = 0
     last_max = np.inf

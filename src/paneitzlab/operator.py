@@ -115,30 +115,20 @@ class PaneitzOperator:
 
     # -- linear solves --------------------------------------------------------
 
-    def _preconditioner_constant(self, lam) -> float:
-        """The constant ``c = mean(W) + mean(lam)`` of :meth:`preconditioner`,
-        or a small positive stand-in when that is not positive."""
+    def preconditioner(self, lam):
+        """``(apply, c)``: ``apply`` inverts the constant-coefficient part
+        ``sigma + c`` on grid values, ``c = mean(W) + mean(lam)`` or a small
+        positive stand-in when that is not positive.  ``lam`` is a scalar
+        shift or a pointwise one; ``apply`` is exact for a constant potential
+        and a constant shift."""
         c = float(np.mean(self.W.values)) + float(np.mean(lam))
         if c <= 0.0:
             scale = abs(self.params.beta) + abs(self.W.values).max() + float(np.abs(lam).max())
             c = max(1e-8 * max(scale, 1.0), 1e-12)
-        return c
-
-    def _preconditioner(self, lam):
-        """:meth:`preconditioner` ``(lam)`` and its constant ``c``."""
-        c = self._preconditioner_constant(lam)
         # numpy divides a complex array by a real one as a product with the
         # reciprocal, so multiplying by it keeps the quotient's bits
         inv = 1.0 / (self._sigma_half + c)
         return (lambda r: self.grid.irfft(self.grid.rfft(r) * inv)), c
-
-    def preconditioner(self, lam):
-        """Inverse of the constant-coefficient part ``sigma + mean(W) + mean(lam)``.
-
-        ``lam`` is a scalar shift or a pointwise one.  Returns a function of
-        grid values, exact for a constant potential and a constant shift.
-        """
-        return self._preconditioner(lam)[0]
 
     def solve_shifted(self, lam, rhs: np.ndarray, tol: float = 1e-12,
                       x0: np.ndarray | None = None,
@@ -177,7 +167,7 @@ class PaneitzOperator:
             raise ValueError("right side must be finite")
         if bnorm == 0.0:
             return np.zeros(self.grid.shape)
-        pinv, c = self._preconditioner(lam)
+        pinv, c = self.preconditioner(lam)
         diag = self.W.values + lam
         if x0 is None:
             x, r = np.zeros_like(rhs), rhs.copy()
@@ -235,7 +225,7 @@ class PaneitzOperator:
         in :meth:`solve_shifted`.  Raises ConvergenceError when it has not
         stopped within ``4 * npoints`` iterations.
         """
-        pinv, c = self._preconditioner(0.0)
+        pinv, c = self.preconditioner(0.0)
         d = self.W.values - fp - c
         eps = float(np.finfo(float).eps)
         x = np.zeros(self.grid.shape)

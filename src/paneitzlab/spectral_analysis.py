@@ -7,11 +7,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .errors import CoercivityError, ConvergenceError
 from .geometry import ScalarField, lebesgue_norm
-from .operator import PaneitzOperator, _ladder, _on_grid, _prolong, newton
+from .operator import PaneitzOperator, _ladder, _on_grid, _prolong, backtrack, newton
 
 __all__ = [
     "EigenPair",
@@ -28,6 +27,9 @@ __all__ = [
 # eigenvalue is declared zero; discrete spectra never hit 0 exactly
 ZERO_EIGENVALUE_RTOL = 1e-9
 
+# iterations after which a descent on the quotient gives up
+DESCENT_CAP = 10000
+
 
 @dataclass(frozen=True)
 class EigenPair:
@@ -35,7 +37,8 @@ class EigenPair:
 
     ``positive`` records whether the eigenfunction came out strictly positive
     (it should, for a coercive operator with positive inverse); a violation is
-    reported here rather than silently fixed.
+    reported here rather than silently fixed.  ``iterations`` counts the
+    descent's iterations on the caller's grid (:func:`principal_eigenpair`).
     """
 
     lambda1: float
@@ -66,57 +69,13 @@ def _scale(op: PaneitzOperator) -> float:
     return max(abs(op.params.beta), float(np.abs(op.W.values).max()), 1.0)
 
 
-def _inverse_iteration(op: PaneitzOperator, start: np.ndarray, e: float,
-                       tol: float = 1e-10) -> tuple[float, np.ndarray, int]:
-    """Nonlinear inverse power method for the quotient <u, P u> / ||u||_e^2.
-
-    Solves ``P v = |u|^(e-2) u``, normalizes ``v`` in ``L^e`` and takes the
-    quotient ``Q = <v, P v>``; for a positive definite ``P`` the quotient
-    does not increase from one iterate to the next for any ``e >= 2``
-    (Biezuner, Ercole & Martins, J. Funct. Anal. 257, 2009).  Stops when the
-    Euler-Lagrange residual ``||P v - Q |v|^(e-2) v||_inf`` drops below
-    ``tol`` times the operator scale or the operator's round-off floor,
-    whichever is larger, and raises ``ConvergenceError`` after 20000
-    iterations; returns ``(Q, v, iterations)``.
-
-    The iteration converges only linearly, so for ``e > 2`` it tries
-    :func:`_newton_finish` at iterations 10, 20, 40, ... and returns its
-    result when it passes the same stopping test with a quotient no larger
-    than the current one; otherwise it carries on from where it stopped.
-    Either way the value is an attained quotient; the Newton value agrees
-    with the inverse iteration's own limit to round-off but is not ordered
-    against it, and can sit an ulp or two above it.
-    """
-    grid = op.grid
-    scale = _scale(op)
-    target = tol * scale
-    v = start / lebesgue_norm(grid, start, e)
-    resid = np.inf
-    attempt = 10 if e > 2.0 else None
-    for it in range(1, 20001):
-        u = op.solve_shifted(0.0, np.abs(v) ** (e - 2.0) * v, tol=1e-14)
-        v = u / lebesgue_norm(grid, u, e)
-        pv = op.apply_values(v)
-        Q, resid = _euler_lagrange(grid, v, pv, e)
-        if resid <= max(target, op.roundoff_floor(v)):
-            return Q, v, it
-        if it == attempt:
-            attempt *= 2
-            finish = _newton_finish(op, Q, v, pv, e, target)
-            if finish is not None and finish[0] <= Q:
-                return finish[0], finish[1], it
-    resid /= scale
-    raise ConvergenceError(
-        f"inverse iteration stalled at residual {resid:.3e}", residual=resid
-    )
-
-
-def _euler_lagrange(grid, v: np.ndarray, pv: np.ndarray,
-                    e: float) -> tuple[float, float]:
+def _gradient(grid, v: np.ndarray, pv: np.ndarray,
+              e: float) -> tuple[float, np.ndarray]:
     """Quotient ``Q = <v, P v>`` of an ``L^e``-normalized ``v`` and the
-    residual ``||P v - Q |v|^(e-2) v||_inf``, given ``pv = P v``."""
+    Euler-Lagrange residual ``P v - Q |v|^(e-2) v``, half the gradient of
+    the quotient there, given ``pv = P v``."""
     Q = grid.inner(v, pv)
-    return Q, float(np.abs(pv - Q * np.abs(v) ** (e - 2.0) * v).max())
+    return Q, pv - Q * np.abs(v) ** (e - 2.0) * v
 
 
 def _newton_finish(op: PaneitzOperator, Q: float, v: np.ndarray,
@@ -125,13 +84,13 @@ def _newton_finish(op: PaneitzOperator, Q: float, v: np.ndarray,
     """Newton's method on ``P w = |w|^(e-2) w`` from ``w = Q^(1/(e-2)) v``.
 
     The rescaling turns the normalized Euler-Lagrange equation of the
-    inverse iteration's iterate ``v`` (with ``pv = P v`` and the positive
-    quotient ``Q``) into an unnormalized one.  The Jacobian
-    ``P - (e-1)|w|^(e-2)`` is indefinite (Morse index 1 at a ground state),
-    so the steps are taken by :func:`~paneitzlab.operator.newton` with its
-    matrix-free MINRES solve.  Returns ``(Q, v)`` with ``v = w / ||w||_e``
-    once ``v`` meets the inverse iteration's stopping test, or None when a
-    solve fails, the line search stagnates or 20 steps pass.
+    descent's iterate ``v`` (with ``pv = P v`` and the positive quotient
+    ``Q``) into an unnormalized one.  The Jacobian ``P - (e-1)|w|^(e-2)`` is
+    indefinite (Morse index 1 at a ground state), so the steps are taken by
+    :func:`~paneitzlab.operator.newton` with its matrix-free MINRES solve.
+    Returns ``(Q, v)`` with ``v = w / ||w||_e`` once ``v`` meets the
+    descent's stopping test, or None when a solve fails, the line search
+    stagnates or 20 steps pass.
     """
     grid = op.grid
     found = []  # (Q, v) of the latest stopping test
@@ -139,9 +98,9 @@ def _newton_finish(op: PaneitzOperator, Q: float, v: np.ndarray,
     def done(w, pw, resid):
         norm = lebesgue_norm(grid, w, e)
         v = w / norm
-        Q, r = _euler_lagrange(grid, v, pw / norm, e)
+        Q, g = _gradient(grid, v, pw / norm, e)
         found[:] = [Q, v]
-        return r <= max(target, op.roundoff_floor(v))
+        return float(np.abs(g).max()) <= max(target, op.roundoff_floor(v))
 
     c = Q ** (1.0 / (e - 2.0))
     stop = newton(op, lambda w: np.abs(w) ** (e - 2.0) * w,
@@ -150,65 +109,118 @@ def _newton_finish(op: PaneitzOperator, Q: float, v: np.ndarray,
     return tuple(found) if stop == "done" else None
 
 
-def _lobpcg(op: PaneitzOperator, start: np.ndarray,
-            tol: float) -> tuple[float, np.ndarray, int]:
-    """The smallest eigenpair of ``op`` by LOBPCG from the grid values
-    ``start``, then its finish steps, as :func:`principal_eigenpair` states;
-    returns ``(lambda, v, iterations)`` with ``v`` grid values of unit
-    ``L^2`` norm."""
-    grid, n, scale = op.grid, op.grid.npoints, _scale(op)
-    pinv = op.preconditioner(max(0.0, -op.W.min()) + 0.05 * scale)
-    P = spla.LinearOperator((n, n), dtype=float, matvec=lambda x: op.apply_values(
-        x.reshape(grid.shape)).ravel())
-    M = spla.LinearOperator((n, n), dtype=float,
-                            matvec=lambda r: pinv(r.reshape(grid.shape)).ravel())
-    if n < 5:
-        v, it = np.linalg.eigh(P @ np.eye(n))[1][:, 0], 0
-    else:
-        tol_l2 = max(np.sqrt(grid.cell_weight) * tol * scale,
-                     4.0 * op.roundoff_floor(np.ones(1)))
-        _, X, hist = spla.lobpcg(P, start.reshape(n, 1), M=M, tol=tol_l2,
-                                 maxiter=1000, largest=False,
-                                 retResidualNormsHistory=True)
-        v, it = X[:, 0], len(hist) - 2
-    for step in range(6):
-        v = v / lebesgue_norm(grid, v, 2.0)
-        pv = P @ v
-        lam, resid = _euler_lagrange(grid, v, pv, 2.0)
-        if resid <= max(tol * scale, op.roundoff_floor(v)):
-            break
-        v = v - M @ (pv - lam * v)
-    else:
-        raise ConvergenceError(
-            f"LOBPCG stalled at residual {resid / scale:.3e} {_on_grid(grid)}",
-            residual=resid / scale)
-    return float(lam), v.reshape(grid.shape), it + step
+def _descent(op: PaneitzOperator, start: np.ndarray, e: float,
+             tol: float) -> tuple[float, np.ndarray, int]:
+    """Minimum of ``J(v) = <v, P v> / ||v||_e^2`` by preconditioned nonlinear
+    conjugate gradients from the grid values ``start`` (Antoine, Levitt &
+    Tang, J. Comput. Phys. 343, 2017); returns ``(Q, v, iterations)`` with
+    ``||v||_e = 1``.
+
+    Polak-Ribiere+ directions ``d`` of ``z = (sigma + c)^{-1} g``
+    (:meth:`PaneitzOperator.preconditioner`, shifted by ``-Q`` while
+    ``Q < 0``), whose image ``P z = g - c z + W z`` takes no transform;
+    ``P v`` and ``P d`` follow by recurrence, with ``P v`` applied afresh
+    every 20 iterations, so an iteration costs one transform pair.  The
+    step goes to the root of ``J'`` on the line: the Rayleigh-Ritz step on
+    ``span{v, d}`` for ``e = 2`` (Knyazev, SIAM J. Sci. Comput. 23, 2001),
+    refined by secant steps for ``e > 2``, and halved while ``J`` rises.
+    Stops when ``||g||_inf`` of a freshly applied ``P v`` is within ``tol``
+    times the operator scale or :meth:`PaneitzOperator.roundoff_floor`,
+    whichever is larger; raises ConvergenceError naming the grid after
+    ``DESCENT_CAP`` iterations.  For ``e > 2`` it tries
+    :func:`_newton_finish` once at ``1e-4`` times the scale and keeps its
+    result unless that raises ``Q``.
+    """
+    grid, W, scale = op.grid, op.W.values, _scale(op)
+    precondition, c = op.preconditioner(0.0)
+    handover = e > 2.0  # the Newton finish is still to be tried
+    v = start / lebesgue_norm(grid, start, e)
+    pv, fresh = op.apply_values(v), True
+    d = None
+    its = 0
+    while True:
+        Q, g = _gradient(grid, v, pv, e)
+        resid = float(np.abs(g).max())
+        floor = max(tol * scale, op.roundoff_floor(v))
+        if resid <= (max(1e-4 * scale, floor) if handover else floor):
+            if not fresh:
+                pv, fresh = op.apply_values(v), True
+                continue
+            if resid <= floor:
+                return Q, v, its
+            handover = False
+            finish = _newton_finish(op, Q, v, pv, e, tol * scale)
+            if finish is not None and finish[0] <= Q:
+                return finish[0], finish[1], its
+        if its == DESCENT_CAP:
+            raise ConvergenceError(
+                f"descent stalled at residual {resid / scale:.3e} {_on_grid(grid)}",
+                residual=resid / scale)
+        if Q < 0.0:
+            precondition, c = op.preconditioner(-Q)
+        z = precondition(g)
+        pz, gz = g - c * z + W * z, grid.inner(g, z)
+        if d is not None:
+            beta = max(0.0, (gz - grid.inner(g_old, z)) / gz_old)
+            d, pd = beta * d - z, beta * pd - pz
+        if d is None or grid.inner(g, d) >= 0.0:  # restart downhill
+            d, pd = -z, -pz
+        g_old, gz_old = g, gz
+        # J(v + t d) = N(t) / ||v + t d||_e^2 with N(t) = Q + 2 b t + dpd t^2;
+        # J' has the sign of the quadratic A t^2 + B t + C when the norm is
+        # expanded to second order (exact for e = 2), and C = <g, d> < 0
+        ve = np.abs(v) ** (e - 2.0)
+        b, dpd, C = grid.inner(v, pd), grid.inner(d, pd), grid.inner(g, d)
+        n = grid.inner(ve * v, d)
+        m = (2.0 - e) * n * n + (e - 1.0) * grid.inner(ve * d, d)
+        A, B = dpd * n - b * m, dpd - Q * m
+        t = -2.0 * C / (B + np.sqrt(max(B * B - 4.0 * A * C, 0.0)))
+        if not (t > 0.0 and np.isfinite(t)):
+            t = 1.0
+        t_old, h_old = 0.0, C
+        for _ in range(8 if e > 2.0 else 0):
+            # secant steps on h(t) = J'(t) ||u||_e^2 / 2 at u = v + t d
+            u = v + t * d
+            ue = np.abs(u) ** (e - 2.0) * u
+            h = b + dpd * t - (Q + (2.0 * b + dpd * t) * t) * grid.inner(ue, d) / grid.inner(ue, u)
+            step = h * (t - t_old) / (h - h_old) if h != h_old else 0.0
+            if not 0.0 < t - step < np.inf:
+                break
+            t, t_old, h_old = t - step, t, h
+            if abs(step) <= 1e-12 * t:
+                break
+
+        def lower(cand, s):
+            norm = lebesgue_norm(grid, cand, e)
+            rise = (Q + (2.0 * b + dpd * s * t) * s * t) / norm**2 - Q
+            return (norm, s) if rise <= 1e-14 * abs(Q) else None
+
+        found = backtrack(v, t * d, lower)
+        its += 1
+        if found is None:
+            d = None
+            continue
+        v, (norm, s) = found
+        v = v / norm
+        fresh = its % 20 == 0
+        pv = op.apply_values(v) if fresh else (pv + s * t * pd) / norm
 
 
 def principal_eigenpair(op: PaneitzOperator, tol: float = 1e-10) -> EigenPair:
-    """Smallest eigenvalue of the operator by LOBPCG (Knyazev, SIAM J. Sci.
-    Comput. 23, 2001).
+    """Smallest eigenvalue of the operator: the minimum of the Rayleigh
+    quotient by :func:`_descent` with ``e = 2``, whose stop test bounds
+    ``||P v - lambda v||_inf`` by ``tol`` times the operator scale or the
+    round-off floor.
 
-    Preconditioned by :meth:`PaneitzOperator.preconditioner` shifted by
-    ``max(0, -min W) + margin`` to stay positive.  LOBPCG's Euclidean
-    residual is the ``L^2`` residual of the ``L^2``-normalized vector; it is
-    asked for ``sqrt(cell weight) * tol * scale`` or four round-off floors
-    of a unit vector, whichever is larger.  Up to five preconditioned
-    inverse steps ``v - M (P v - lambda v)`` then damp its high-mode
-    round-off until ``||P v - lambda v||_inf`` is within ``tol`` times the
-    operator scale or :meth:`PaneitzOperator.roundoff_floor`, whichever is
-    larger, else ``ConvergenceError`` naming the grid.  Under 5 grid points,
-    where ``lobpcg`` turns dense, ``eigh`` solves it directly.
-
-    LOBPCG starts from the constant field, except on a grid that nests
+    The descent starts from the constant field, except on a grid that nests
     (:func:`~paneitzlab.operator._ladder`): there the eigenvector of the
     operator on the half grid, with ``V`` taken by injection, is found the
-    same way and its Fourier zero-padding is the start.  ``iterations``
-    counts the LOBPCG iterations and finish steps on the caller's grid.
+    same way and its Fourier zero-padding is the start.
     """
     v = None
     for lop in reversed(_ladder(op)):
-        lam, v, its = _lobpcg(lop, np.ones(lop.grid.shape) if v is None else _prolong(v), tol)
+        lam, v, its = _descent(lop, np.ones(lop.grid.shape) if v is None else _prolong(v),
+                               2.0, tol)
     # normalize to max = 1 with a positive peak
     v = v / v.flat[np.argmax(np.abs(v))]
     return EigenPair(
@@ -259,20 +271,18 @@ def critical_quotient(op: PaneitzOperator, u: ScalarField,
 def sobolev_constant(op: PaneitzOperator, exponent: float | None = None) -> float:
     """Best discrete constant S with ||u||_{L^e}^2 * S <= <u, P u>.
 
-    Estimated by the unshifted nonlinear inverse iteration
-    (:func:`_inverse_iteration`) from two starts, the principal
-    eigenfunction and a bump at the most favorable point of the potential
-    (which keeps the estimate equivariant under grid translations of W), or
-    at the box center when W is constant; the smaller quotient wins.  For
-    ``e > 2`` each run is finished by Newton's method once it is close.  An
-    attained quotient, hence an upper estimate of the infimum.  With
-    ``e = 2`` it is the first eigenvalue.
+    Estimated by :func:`_descent` on the quotient ``<u, P u> / ||u||_e^2``
+    from two starts, the principal eigenfunction and a bump at the most
+    favorable point of the potential (which keeps the estimate equivariant
+    under grid translations of W), or at the box center when W is constant;
+    the smaller quotient wins.  For ``e > 2`` each run is finished by
+    Newton's method once it is close.  An attained quotient, hence an upper
+    estimate of the infimum.  With ``e = 2`` it is the first eigenvalue.
 
     When the operator is not positive definite (:func:`invariant_sign` not
-    +1) there is nothing for the unshifted iteration to invert, and the
-    quotient of the principal eigenfunction is returned: zero or negative.
-    The value is grid-dependent and is only meaningful together with its
-    grid's sizes and lengths.
+    +1) the quotient of the principal eigenfunction is returned: zero or
+    negative.  The value is grid-dependent and is only meaningful together
+    with its grid's sizes and lengths.
     """
     grid = op.grid
     e = op.params.two_sharp if exponent is None else exponent
@@ -289,7 +299,7 @@ def sobolev_constant(op: PaneitzOperator, exponent: float | None = None) -> floa
         dx = np.abs(x - x[k])
         r2 = r2 + np.minimum(dx, L - dx) ** 2
     starts = (eig.phi1.values, np.exp(-r2 / (2.0 * width**2)))
-    return float(min(_inverse_iteration(op, s, e)[0] for s in starts))
+    return float(min(_descent(op, s, e, 1e-10)[0] for s in starts))
 
 
 # -- inverse positivity --------------------------------------------------------

@@ -305,13 +305,13 @@ class TestNewtonSteps:
         # threshold, so the steps start from the subsolution on one grid and
         # every one moves upward
         applied = []
-        preconditioner = pl.PaneitzOperator._preconditioner
+        preconditioner = pl.PaneitzOperator.preconditioner
 
         def counted(self, lam):
             pinv, c = preconditioner(self, lam)
             return (lambda r: applied.append(1) or pinv(r)), c
 
-        monkeypatch.setattr(pl.PaneitzOperator, "_preconditioner", counted)
+        monkeypatch.setattr(pl.PaneitzOperator, "preconditioner", counted)
         lengths = ",".join([repr(TWO_PI)] * 3)
         config = parse_config(
             f"action = solve\nsizes = 16,16,16\nlengths = {lengths}\n"

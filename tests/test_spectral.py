@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,7 +174,8 @@ class TestSobolevConstant:
 
 
 class TestInverseIteration:
-    """The eigenpair and S_psi come from one nonlinear inverse iteration."""
+    """The eigenpair and S_psi come from one descent on the quotient (the
+    class keeps the name of the inverse iteration it replaced)."""
 
     @pytest.fixture(scope="class")
     def negative_op(self, ref_params, ref_grid):
@@ -204,28 +207,29 @@ class TestInverseIteration:
     def test_constant_potential_runs_one_bump(self, ref_op, mp_op, bump_op,
                                               monkeypatch):
         # with a constant potential a second bump would repeat the first; the
-        # Newton finish lowers the inverse iteration's own values (old) by
-        # round-off or keeps them
+        # descent lands within a few ulps of the inverse iteration it
+        # replaced (old), and not above it
         from paneitzlab import spectral_analysis
 
         runs = []
-        iterate = spectral_analysis._inverse_iteration
+        descent = spectral_analysis._descent
 
-        def counted(*args, **kwargs):
-            runs.append(args)
-            return iterate(*args, **kwargs)
+        def counted(op, start, e, tol):
+            runs.append(e)
+            return descent(op, start, e, tol)
 
-        monkeypatch.setattr(spectral_analysis, "_inverse_iteration", counted)
-        for op, expected, old, n_runs in (
-            (ref_op, 18.22813848622275, 18.228138486222758, 2),
-            (mp_op, 1.0306718461351074, 1.0306718461351074, 2),
-            (bump_op, 17.398849708201993, 17.398849708202004, 2),
+        monkeypatch.setattr(spectral_analysis, "_descent", counted)
+        for op, expected, old in (
+            (ref_op, 18.22813848622275, 18.228138486222758),
+            (mp_op, 1.0306718461351072, 1.0306718461351074),
+            (bump_op, 17.398849708201997, 17.398849708202004),
         ):
             runs.clear()
             assert pl.sobolev_constant(op) == expected
-            assert len(runs) == n_runs
+            # one eigenpair run at e = 2, then one run from each start
+            assert runs == [2.0] + 2 * [op.params.two_sharp]
             assert expected <= old
-            assert expected == pytest.approx(old, rel=1e-14, abs=0.0)
+            assert expected == pytest.approx(old, rel=1e-15, abs=0.0)  # ~4 ulps
 
     def test_two_starts_settle_where_the_center_bump_stalled(self, ref_params,
                                                              ref_grid):
@@ -253,7 +257,7 @@ class TestInverseIteration:
 
     def test_newton_finish_cuts_solves(self, mp_params, monkeypatch):
         # psi != 0 in 2-D, like the minimax benchmark's operator: the inverse
-        # iteration alone made 390 shifted solves here
+        # iteration alone made 390 shifted solves here, the descent makes none
         grid = pl.SpectralGrid((16, 16), (TWO_PI, TWO_PI))
         x, y = grid.meshgrid()
         op = pl.build_operator(mp_params, grid,
@@ -267,49 +271,52 @@ class TestInverseIteration:
 
         monkeypatch.setattr(pl.PaneitzOperator, "solve_shifted", counted)
         S = pl.sobolev_constant(op)
-        assert len(solves) <= 390 // 5
-        # no higher than the inverse iteration's own value; the Newton finish
-        # lands on it or an ulp below (see _inverse_iteration)
+        assert solves == []
+        # no higher than the inverse iteration's own value, and within an ulp
+        # of where its Newton finish landed
         assert S <= 4.29470729113722
         assert S == pytest.approx(4.294707291137219, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("finish", ["fails", "higher"])
     def test_rejected_newton_finish_keeps_iterating(self, ref_op, bump_op,
                                                     monkeypatch, finish):
-        # a failed or quotient-raising finish leaves the inverse iteration's
-        # own values, bit for bit
+        # a failed or quotient-raising finish is refused, and the descent
+        # alone reaches its stop: the same bits either way, within an ulp
+        # of the finished values
         from paneitzlab import spectral_analysis
 
         def newton(op, Q, v, pv, e, target):
             return None if finish == "fails" else (Q * (1.0 + 1e-12), v)
 
         monkeypatch.setattr(spectral_analysis, "_newton_finish", newton)
-        assert pl.sobolev_constant(ref_op) == 18.228138486222758
-        assert pl.sobolev_constant(bump_op) == 17.398849708202004
+        assert pl.sobolev_constant(ref_op) == 18.228138486222747
+        assert pl.sobolev_constant(bump_op) == 17.398849708201993
 
 
 class TestLobpcgEigenpair:
-    """The eigenpair comes from LOBPCG, a short preconditioned finish and one
-    sup-norm acceptance test."""
+    """The eigenpair comes from the descent with its one sup-norm stop test
+    (the class keeps the name of the LOBPCG solve it replaced)."""
 
     @pytest.fixture
-    def lobpcg_iterations(self, monkeypatch):
-        import scipy.sparse.linalg as spla
+    def descent_runs(self, monkeypatch):
+        """``(grid sizes, iterations)`` of every descent run."""
+        from paneitzlab import spectral_analysis
 
-        iterations = []
-        lobpcg = spla.lobpcg
+        runs = []
+        descent = spectral_analysis._descent
 
-        def counted(*args, **kwargs):
-            vals, X, hist = lobpcg(*args, **kwargs)
-            iterations.append(len(hist) - 2)
-            return vals, X, hist
+        def counted(op, *args):
+            Q, v, its = descent(op, *args)
+            runs.append((op.grid.sizes, its))
+            return Q, v, its
 
-        monkeypatch.setattr(spla, "lobpcg", counted)
-        return iterations
+        monkeypatch.setattr(spectral_analysis, "_descent", counted)
+        return runs
 
-    def test_four_point_grid_matches_dense_oracle(self, ref_params,
-                                                  lobpcg_iterations):
-        # lobpcg turns dense below 5 points, warns and drops its history
+    def test_four_point_grid_matches_dense_oracle(self, ref_params):
+        # no dense branch below 5 points: the descent's stop test bounds the
+        # vector's error by tol * scale over the spectral gap, and the
+        # eigenvalue's by its square
         grid = pl.SpectralGrid((4,), (TWO_PI,))
         x = grid.meshgrid()[0]
         op = pl.build_operator(ref_params, grid,
@@ -319,8 +326,9 @@ class TestLobpcgEigenpair:
         eig = pl.principal_eigenpair(op)
         assert eig.lambda1 == pytest.approx(evals[0], rel=1e-12)
         vec = evecs[:, 0] / evecs[np.argmax(np.abs(evecs[:, 0])), 0]
-        assert np.abs(eig.phi1.values - vec).max() < 1e-12
-        assert lobpcg_iterations == [] and eig.iterations == 0
+        gap = evals[1] - evals[0]
+        assert np.abs(eig.phi1.values - vec).max() <= 1e-10 * _scale(op) / gap
+        assert eig.iterations > 0
 
     def test_two_by_two_grid_matches_dense_eigh(self, ref_params):
         grid = pl.SpectralGrid((2, 2), (TWO_PI, TWO_PI))
@@ -335,30 +343,28 @@ class TestLobpcgEigenpair:
         eig = pl.principal_eigenpair(op)
         assert eig.lambda1 == pytest.approx(evals[0], rel=1e-12)
         vec = evecs[:, 0] / evecs[np.argmax(np.abs(evecs[:, 0])), 0]
-        assert np.abs(eig.phi1.values.ravel() - vec).max() < 1e-12
+        gap = evals[1] - evals[0]
+        assert np.abs(eig.phi1.values.ravel() - vec).max() <= 1e-10 * _scale(op) / gap
 
     @pytest.mark.parametrize("size", [1e-6, 1e-2])
     def test_perturbed_lobpcg_vector_raises(self, bump_op, monkeypatch, size):
-        import scipy.sparse.linalg as spla
+        # a preconditioner that adds a fixed mode to every direction keeps
+        # the descent off its stop until the cap
+        from paneitzlab import spectral_analysis
 
-        lobpcg = spla.lobpcg
-        mode = np.cos(bump_op.grid.meshgrid()[0]).reshape(-1, 1)
-
-        def perturbed(*args, **kwargs):
-            vals, X, hist = lobpcg(*args, **kwargs)
-            return vals, X + size * np.abs(X).max() * mode, hist
-
-        monkeypatch.setattr(spla, "lobpcg", perturbed)
-        with pytest.raises(pl.ConvergenceError):
+        mode = size * np.cos(bump_op.grid.meshgrid()[0])
+        precondition, c = bump_op.preconditioner(0.0)
+        monkeypatch.setattr(bump_op, "preconditioner",
+                            lambda lam: ((lambda r: precondition(r) + mode), c))
+        monkeypatch.setattr(spectral_analysis, "DESCENT_CAP", 200)
+        with pytest.raises(pl.ConvergenceError, match="on the 32 grid"):
             pl.principal_eigenpair(bump_op)
 
-    def test_roundoff_bound_grids_finish_quietly(self, ref_params,
-                                                 lobpcg_iterations):
-        # at these sizes the sup-norm floor lies below what LOBPCG's own
-        # residual resolves; the finish steps close the gap, and no warning
-        # of lobpcg's gets out (values from the earlier inverse iteration).
-        # Neither grid nests, so LOBPCG starts from the constant field; psi
-        # is resolved on 16 points in y, so the 128 x 16 grid keeps the
+    def test_roundoff_bound_grids_finish_quietly(self, ref_params, descent_runs):
+        # at these sizes the sup-norm floor lies near the round-off of P v;
+        # the descent stops at it in a few iterations, and nothing warns.
+        # Neither grid nests, so the descent starts from the constant field;
+        # psi is resolved on 16 points in y, so the 128 x 16 grid keeps the
         # eigenvalue measured on 128^2
         import warnings
 
@@ -376,25 +382,95 @@ class TestLobpcgEigenpair:
                 warnings.simplefilter("error")
                 eig = pl.principal_eigenpair(op)
             assert eig.lambda1 == pytest.approx(lam, rel=1e-14)
-            assert eig.iterations > lobpcg_iterations[-1]
+            assert descent_runs[-1] == (op.grid.sizes, eig.iterations)
+            assert 0 < eig.iterations <= 10
             assert eig.positive
 
-
-    def test_nested_start_keeps_the_eigenpair(self, ref_params, lobpcg_iterations,
+    def test_nested_start_keeps_the_eigenpair(self, ref_params, descent_runs,
                                               monkeypatch):
-        # 32^2 nests: LOBPCG runs on 16^2 from the constant field, then on
-        # 32^2 from the prolonged eigenvector, where it has nothing left to do
+        # 32^2 nests: the descent runs on 16^2 from the constant field, then
+        # on 32^2 from the prolonged eigenvector, where it has less to do
         op = _sin_psi_2d(ref_params, 32, 2.0, 1)
         nested = pl.principal_eigenpair(op)
-        assert len(lobpcg_iterations) == 2
+        assert [sizes for sizes, _ in descent_runs] == [(16, 16), (32, 32)]
         monkeypatch.setattr(operator_module, "NEST_POINTS", op.grid.npoints + 1)
-        lobpcg_iterations.clear()
+        descent_runs.clear()
         single = pl.principal_eigenpair(op)
-        assert len(lobpcg_iterations) == 1
+        assert [sizes for sizes, _ in descent_runs] == [(32, 32)]
         assert nested.iterations < single.iterations
         assert nested.lambda1 == pytest.approx(single.lambda1, rel=1e-14)
         assert np.abs(nested.phi1.values - single.phi1.values).max() <= 1e-12
         assert nested.positive and nested.residual <= 1e-10 * _scale(op)
+
+
+class TestDescent:
+    """One preconditioned descent on the quotient serves both numbers."""
+
+    def test_one_transform_pair_per_iteration(self, mp_params, monkeypatch):
+        # beyond the fresh applications of P (the start, every 20th iterate
+        # and the stop tests), an iteration transforms once each way: the
+        # preconditioner's pair; the descent runs alone to its stop here
+        from paneitzlab import spectral_analysis
+
+        op = _sin_psi_2d(mp_params, 16, 0.2, 1)
+        grid = op.grid
+        pairs = {"rfft": 0, "irfft": 0}
+        for name in pairs:
+            def counted(a, _name=name, _fft=getattr(grid, name)):
+                pairs[_name] += 1
+                return _fft(a)
+            monkeypatch.setitem(vars(grid), name, counted)
+        applied = []
+        apply = op.apply_values
+        monkeypatch.setattr(op, "apply_values", lambda v: applied.append(1) or apply(v))
+        monkeypatch.setattr(spectral_analysis, "_newton_finish", lambda *args: None)
+        start = np.ones(grid.shape) + 0.1 * grid.meshgrid()[0]
+        its = spectral_analysis._descent(op, start, mp_params.two_sharp, 1e-10)[2]
+        assert its > 20
+        assert len(applied) <= 3 + its // 20
+        assert pairs == {"rfft": its + len(applied), "irfft": its + len(applied)}
+
+    def test_mild_random_psi_returns_quickly(self, ref_params):
+        # the inverse iteration stalled here at residual 8.4e-06 after 9 s
+        import time
+
+        grid = pl.SpectralGrid((32, 32), (TWO_PI, TWO_PI))
+        op = pl.build_operator(ref_params, grid, psi=_mild_psi(grid, 0, 0.08))
+        start = time.perf_counter()
+        S = pl.sobolev_constant(op)
+        assert time.perf_counter() - start < 1.0
+        assert S == pytest.approx(44.645630920054195, rel=1e-12)
+        lam = pl.principal_eigenpair(op).lambda1
+        assert lam * grid.cell_weight ** (1.0 - 2.0 / ref_params.two_sharp) <= S
+
+    @pytest.mark.parametrize("sizes", [(16, 128), (256, 16), (16, 256)])
+    def test_anisotropic_grids_converge(self, ref_params, sizes):
+        # LOBPCG stalled on these grids, whose sup-norm floor its finish
+        # steps did not reach; psi is resolved on 16 points an axis, so each
+        # keeps the eigenvalue of the 128 x 16 grid
+        grid = pl.SpectralGrid(sizes, (TWO_PI, TWO_PI))
+        x, y = grid.meshgrid()
+        op = pl.build_operator(ref_params, grid, psi=pl.ScalarField(
+            grid, 2.0 * np.sin(x) * np.cos(y)))
+        eig = pl.principal_eigenpair(op)
+        assert eig.lambda1 == pytest.approx(5.560185218105653, rel=1e-14)
+        assert eig.positive and eig.iterations <= 10
+
+
+def _mild_psi(grid, seed, grad_sq_max):
+    """Random psi of the modes |m_i| <= 2, scaled so that max |grad psi|^2
+    is ``grad_sq_max``."""
+    rng = np.random.default_rng(seed)
+    mesh = grid.meshgrid()
+    psi = np.zeros(grid.shape)
+    for m in itertools.product(range(-2, 3), repeat=grid.d):
+        if any(m):
+            a, b = rng.standard_normal(2) / (1.0 + sum(k * k for k in m))
+            phase = sum(k * x for k, x in zip(m, mesh))
+            psi += a * np.cos(phase) + b * np.sin(phase)
+    psi = pl.ScalarField(grid, psi)
+    return pl.ScalarField(grid, psi.values * np.sqrt(
+        grad_sq_max / pl.gradient_squared(psi).max()))
 
 
 def _sin_psi_2d(params, size, amplitude, my):
